@@ -17,13 +17,18 @@ Per bit, on the 5 MHz pulse clock:
   amplitude, which is what pushes the matched-basis error rate to the dark
   count floor.
 
-The per-bit math is vectorized over numpy arrays. BB84 phases enter as exact
-quarter-turn complex factors, so an ideal matched bit puts exactly zero mean
-photon number on the wrong detector.
+Every phase in a session is a whole number of 12-bit DAC codes: a pattern
+step is one code in [0, 4096), and each BB84 quarter turn is exactly 1024
+codes. The detector means therefore depend only on two integer code
+differences per bit, one per polarization component, and the kernel reads
+their cosines from a 4096-entry table whose quarter points are pinned
+exact, so an ideal matched bit puts exactly zero mean photon number on the
+wrong detector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -34,6 +39,7 @@ import numpy as np
 from .errors import ValidationError
 from .optics import DetectorConfig
 from .randomizer import (
+    CODE_LEVELS,
     DEFAULT_FRAME_LEN,
     PHASE_PER_CODE,
     RandomizerTiming,
@@ -56,8 +62,14 @@ __all__ = [
 
 BASES = ("X", "Y")
 
-# i**k for k = 0..3: the four BB84 coding phases as exact complex integers.
-_QUARTER_TURNS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+# cos(2*pi*k / 4096) for every code difference k. The quarter points are
+# pinned exact (cos puts 1024 and 3072 at 6e-17 and -1.8e-16), so a matched
+# bit leaves its wrong detector dark and a mismatched one splits evenly.
+_COS = np.cos(np.arange(CODE_LEVELS) * PHASE_PER_CODE)
+_COS[[CODE_LEVELS // 4, 3 * CODE_LEVELS // 4]] = 0.0
+_COS[CODE_LEVELS // 2] = -1.0
+_COS.setflags(write=False)
+_QUARTER_TURN_CODES = CODE_LEVELS // 4
 
 _SUBSTREAM_ROLES = ("pattern", "alice", "bob", "polarization", "detection")
 
@@ -106,6 +118,10 @@ class SessionConfig:
     polarization: tuple[complex, complex] | None = None
 
     def validate(self) -> None:
+        for name in ("mu_target", "tau_mzi_ns", "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.n_bits < 1:
             raise ValidationError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.seed < 0:
@@ -201,6 +217,9 @@ class DetectionRecords:
         self.clicked_d1 = np.asarray(clicked_d1, dtype=bool)
         self.mu_d0 = np.asarray(mu_d0, dtype=np.float64)
         self.mu_d1 = np.asarray(mu_d1, dtype=np.float64)
+        for col in (self.alice_basis, self.alice_bit, self.bob_basis):
+            if n and col.view(np.uint8).max() > 1:
+                raise ValidationError("basis and bit columns must hold only 0 and 1")
 
     def __len__(self) -> int:
         return len(self.alice_basis)
@@ -246,17 +265,22 @@ class SessionResult(NamedTuple):
     emitted_phases: np.ndarray
 
 
-def _grid_phase(t_ns: np.ndarray, codes: np.ndarray, timing: RandomizerTiming) -> np.ndarray:
-    """Generator phase at each time, over the whole session's stepped pattern.
+def _pass_codes(codes: np.ndarray, n: int, first_ns: float, timing: RandomizerTiming) -> np.ndarray:
+    """Code each of ``n`` bits sees on one modulation pass, where bit 0 makes
+    that pass at ``first_ns`` (slot grid: see :func:`run_session`).
 
-    Frames retrigger back to back, so the concatenated per-frame codes form
-    one continuous slot grid starting at ``delay_ns``. Outside the grid the
-    generator idles at zero phase.
+    Consecutive bits pass one period apart, so bit ``i`` samples slot
+    ``i + shift`` for one constant ``shift``; outside the grid the code is 0.
     """
-    slots = np.floor((t_ns - timing.delay_ns) / timing.period_ns).astype(np.int64)
-    valid = (slots >= 0) & (slots < codes.size)
-    safe = np.where(valid, slots, 0)
-    return np.where(valid, codes[safe] * PHASE_PER_CODE, 0.0)
+    quotient = (first_ns - timing.delay_ns) / timing.period_ns
+    # clipping keeps a far-off (even infinite) quotient off the grid without
+    # building a huge integer; every clipped shift still idles all n bits
+    shift = math.floor(min(max(quotient, -n), codes.size))
+    out = np.zeros(n, dtype=np.int32)
+    lo, hi = max(0, -shift), min(n, codes.size - shift)
+    if lo < hi:
+        out[lo:hi] = codes[lo + shift : hi + shift]
+    return out
 
 
 def run_session(config: SessionConfig) -> SessionResult:
@@ -266,6 +290,13 @@ def run_session(config: SessionConfig) -> SessionResult:
     polarization drift and the detector noise each come from an independent
     substream of ``config.seed``, so toggling the randomizer leaves every
     other random draw untouched.
+
+    Frames retrigger back to back, so the session's codes form one
+    continuous grid of half-open slots: code ``k`` is active on
+    ``[delay_ns + k*period_ns, delay_ns + (k+1)*period_ns)``, so a pass
+    landing exactly on a step edge takes the code that starts there. Before
+    and after the grid the generator idles at code 0. A disabled randomizer
+    is the same computation with every pass idle.
     """
     config.validate()
     n = config.n_bits
@@ -292,21 +323,18 @@ def run_session(config: SessionConfig) -> SessionResult:
     h0 /= norm
     v0 /= norm
 
-    t_ref = config.first_event_ns() + timing.period_ns * np.arange(n, dtype=np.float64)
-
     if config.randomizer_enabled:
-        rng_pattern = np.random.default_rng(streams["pattern"])
         n_frames = -(-n // config.frame_len)
-        codes = np.concatenate(
-            [generate_pattern(rng_pattern, config.frame_len).codes for _ in range(n_frames)]
-        )
-        phi_ref_fwd = _grid_phase(t_ref, codes, timing)
-        phi_ref_ret = _grid_phase(t_ref + timing.roundtrip_ns, codes, timing)
-        phi_sig_fwd = _grid_phase(t_ref + config.tau_mzi_ns, codes, timing)
-        phi_sig_ret = _grid_phase(t_ref + config.tau_mzi_ns + timing.roundtrip_ns, codes, timing)
-        emitted_phases = phi_ref_fwd.copy()
+        rng_pattern = np.random.default_rng(streams["pattern"])
+        codes = generate_pattern(rng_pattern, n_frames * config.frame_len).codes
     else:
-        emitted_phases = np.zeros(n)
+        codes = np.zeros(0, dtype=np.int32)
+    t0 = config.first_event_ns()
+    ref_fwd = _pass_codes(codes, n, t0, timing)
+    ref_ret = _pass_codes(codes, n, t0 + timing.roundtrip_ns, timing)
+    sig_fwd = _pass_codes(codes, n, t0 + config.tau_mzi_ns, timing)
+    sig_ret = _pass_codes(codes, n, t0 + config.tau_mzi_ns + timing.roundtrip_ns, timing)
+    emitted_phases = ref_fwd * PHASE_PER_CODE
 
     long_arm = 10.0 ** (-config.insertion_loss_db / 20.0)
     fiber = 10.0 ** (-config.fiber_loss_db_per_km * config.fiber_km / 20.0)
@@ -325,25 +353,20 @@ def run_session(config: SessionConfig) -> SessionResult:
     # balance exact down to the last bit.
     path_amp = half * fiber * att * fiber * long_arm
 
-    alice_factor = _QUARTER_TURNS[(2 * alice_bit + alice_basis).astype(np.intp)]
-    bob_factor = _QUARTER_TURNS[bob_basis.astype(np.intp)]
-
-    w_h = v0 * path_amp
-    w_v = h0 * path_amp
-    if config.randomizer_enabled:
-        r_h = w_h * np.exp(1j * phi_ref_ret) * bob_factor
-        r_v = w_v * np.exp(1j * phi_ref_fwd) * bob_factor
-        s_h = w_h * np.exp(1j * phi_sig_ret) * alice_factor
-        s_v = w_v * np.exp(1j * phi_sig_fwd) * alice_factor
-    else:
-        # Modulator idle: the mirror still swaps H and V, phases stay zero.
-        r_h = w_h * bob_factor
-        r_v = w_v * bob_factor
-        s_h = w_h * alice_factor
-        s_v = w_v * alice_factor
-
-    mu_d0 = 0.5 * (np.abs(s_h + r_h) ** 2 + np.abs(s_v + r_v) ** 2)
-    mu_d1 = 0.5 * (np.abs(s_h - r_h) ** 2 + np.abs(s_v - r_v) ** 2)
+    # The mirror swaps H and V: the H component leaving Alice was V on the
+    # way in and took its phase on the return pass, V on the forward pass.
+    # Each detector mean is a_H (1 +- cos dH) + a_V (1 +- cos dV), where the
+    # signal-minus-reference phase difference in codes is the randomizer's
+    # plus Alice's coding phase minus Bob's basis phase, in quarter turns.
+    a_h = abs(v0 * path_amp) ** 2
+    a_v = abs(h0 * path_amp) ** 2
+    # int32: 1024 * 3 overflows the int8 choice columns
+    quarter_turns = (2 * alice_bit + alice_basis - bob_basis).astype(np.int32)
+    coding = quarter_turns * _QUARTER_TURN_CODES
+    cos_h = _COS[(sig_ret - ref_ret + coding) & (CODE_LEVELS - 1)]
+    cos_v = _COS[(sig_fwd - ref_fwd + coding) & (CODE_LEVELS - 1)]
+    mu_d0 = a_h * (1.0 + cos_h) + a_v * (1.0 + cos_v)
+    mu_d1 = a_h * (1.0 - cos_h) + a_v * (1.0 - cos_v)
 
     eta = config.detector.efficiency
     dark = config.detector.dark_prob
@@ -397,17 +420,33 @@ def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEst
     return QberEstimate(qber=qber, std_error=std_error, n_sifted=n, n_errors=n_errors)
 
 
+# Everything after the bit index of a records CSV row, indexed by the 5-bit
+# key (alice basis, alice bit, bob basis, click d0, click d1).
+_ROW_TAILS = np.array(
+    [f",{BASES[k >> 4 & 1]},{k >> 3 & 1},{BASES[k >> 2 & 1]},{k >> 1 & 1},{k & 1}\n" for k in range(32)],
+    dtype=object,
+)
+# Rows formatted per write: bounds the text held at once to a few MB.
+_CSV_BLOCK_ROWS = 65_536
+
+
+def _write_records_csv(records: DetectionRecords, fh: IO[str]) -> None:
+    fh.write("bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
+    key = records.alice_basis.astype(np.uint8) << 4
+    key |= records.alice_bit.astype(np.uint8) << 3
+    key |= records.bob_basis.astype(np.uint8) << 2
+    key |= records.clicked_d0.astype(np.uint8) << 1
+    key |= records.clicked_d1.astype(np.uint8)
+    for lo in range(0, key.size, _CSV_BLOCK_ROWS):
+        hi = min(key.size, lo + _CSV_BLOCK_ROWS)
+        tails = _ROW_TAILS[key[lo:hi]].tolist()
+        fh.write("".join(itertools.chain.from_iterable(zip(map(str, range(lo, hi)), tails))))
+
+
 def export_records_csv(records: DetectionRecords, destination: Union[str, os.PathLike, IO[str]]) -> None:
     """Write one CSV row per bit: index, bases as letters, clicks as 0/1."""
-    lines = ["bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1"]
-    for i in range(len(records)):
-        lines.append(
-            f"{i},{BASES[records.alice_basis[i]]},{records.alice_bit[i]},"
-            f"{BASES[records.bob_basis[i]]},{int(records.clicked_d0[i])},{int(records.clicked_d1[i])}"
-        )
-    text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
-        destination.write(text)
+        _write_records_csv(records, destination)
     else:
         with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
+            _write_records_csv(records, fh)

@@ -57,12 +57,14 @@ class RandomizerTiming:
     roundtrip_ns: float = 20.0
 
     def __post_init__(self) -> None:
+        for name in ("period_ns", "delay_ns", "roundtrip_ns"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.period_ns <= 0.0:
             raise ValidationError(f"pattern step period must be positive, got {self.period_ns} ns")
         if self.roundtrip_ns < 0.0:
             raise ValidationError(f"mirror round trip must be >= 0, got {self.roundtrip_ns} ns")
-        if not math.isfinite(self.delay_ns):
-            raise ValidationError("trigger delay must be finite")
 
 
 class PhasePattern:

@@ -47,6 +47,15 @@ def test_session_rejects_invalid_parameters(capsys):
     assert main(["session", "--polarization", "bogus"]) == 1
 
 
+def test_session_rejects_non_finite_parameters(capsys):
+    for bad in (["--tau-mzi-ns", "nan"], ["--period-ns", "nan"], ["--mean-photon", "nan"],
+                ["--fiber-km", "nan"], ["--insertion-loss-db", "inf"], ["--roundtrip-ns=-inf"]):
+        assert main(["session", "--bits", "500", *bad]) == 1, bad
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "must be finite" in captured.err, bad
+        assert captured.out == ""
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1

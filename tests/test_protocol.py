@@ -33,7 +33,7 @@ from plugplay_qkd import (
     run_session,
     sift,
 )
-from plugplay_qkd.protocol import _substreams
+from plugplay_qkd.protocol import _CSV_BLOCK_ROWS, _substreams
 
 SE_HALF_1000 = 0.015811388300841896  # sqrt(0.25 / 1000)
 SE_1PC_1000 = 0.003146426544510455  # sqrt(0.01 * 0.99 / 1000)
@@ -134,6 +134,15 @@ def test_detection_records_views():
         records[2]
 
 
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("value", [2, -1])
+def test_detection_records_reject_non_binary_choices(column, value):
+    cols = [[0, 1], [1, 0], [0, 1], [True, False], [False, True]]
+    cols[column][1] = value
+    with pytest.raises(ValidationError):
+        _records(*cols)
+
+
 def test_ideal_components_wrong_detector_exactly_zero():
     """Matched-basis bits put strictly zero mean photons on the wrong port
     with ideal hardware, for all four basis/bit combinations."""
@@ -154,6 +163,10 @@ def test_ideal_components_wrong_detector_exactly_zero():
             wrong = records.mu_d1[sel] if bit == 0 else records.mu_d0[sel]
             assert np.all(wrong == 0.0)
     assert len(combos) == 4
+    # a basis mismatch is a quarter turn off: the light splits exactly evenly
+    mismatched = ~matched
+    assert mismatched.any()
+    assert np.array_equal(records.mu_d0[mismatched], records.mu_d1[mismatched])
     est = estimate_qber(sift(records))
     assert est.qber == 0.0
 
@@ -247,7 +260,12 @@ def _scalar_session_means(cfg):
     return mus, emitted
 
 
-@pytest.mark.parametrize("delay", [0.0, 35.0, 70.0, 100.0, 120.0, -90.0, 200.0])
+# 65/135 and -65/-135 put one of a bit's passes exactly on a step edge
+# (phase_at is the half-open oracle); at +-1e12 every pass idles.
+@pytest.mark.parametrize(
+    "delay",
+    [0.0, 35.0, 70.0, 100.0, 120.0, -90.0, 200.0, 65.0, 135.0, -65.0, -135.0, 1e12, -1e12],
+)
 def test_kernel_matches_scalar_op_composition(delay):
     cfg = SessionConfig(
         n_bits=1200,
@@ -259,6 +277,23 @@ def test_kernel_matches_scalar_op_composition(delay):
     assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
     assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
     assert np.array_equal(emitted, emitted_ref)
+    if abs(delay) >= 1e12:
+        assert not emitted.any()
+
+
+def test_overflowing_slot_quotient_is_the_idle_modulator():
+    # (first pass - delay) / period overflows to -inf: every pass is off the grid
+    cfg = SessionConfig(
+        n_bits=600,
+        seed=3,
+        timing=RandomizerTiming(period_ns=1e-300, delay_ns=1e300, roundtrip_ns=0.0),
+        tau_mzi_ns=1e-301,
+    )
+    records, emitted = run_session(cfg)
+    idle, _ = run_session(replace(cfg, randomizer_enabled=False))
+    assert not emitted.any()
+    assert np.array_equal(records.mu_d0, idle.mu_d0)
+    assert np.array_equal(records.mu_d1, idle.mu_d1)
 
 
 def test_kernel_matches_scalar_with_randomizer_off():
@@ -338,6 +373,44 @@ def test_config_validation_errors():
         SessionConfig(n_bits=100, tau_mzi_ns=190.0).validate()
     with pytest.raises(ValidationError):
         run_session(SessionConfig(n_bits=100, tau_mzi_ns=190.0))
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["mu_target", "tau_mzi_ns", "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km",
+     "period_ns", "delay_ns", "roundtrip_ns"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ValidationError, match=field):
+        if field in ("period_ns", "delay_ns", "roundtrip_ns"):
+            RandomizerTiming(**{field: value})
+        else:
+            SessionConfig(n_bits=100, **{field: value}).validate()
+
+
+def _records_csv_by_row(records):
+    """Reference export: one formatted line per bit."""
+    lines = ["bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1"]
+    for i in range(len(records)):
+        lines.append(
+            f"{i},{BASES[records.alice_basis[i]]},{records.alice_bit[i]},"
+            f"{BASES[records.bob_basis[i]]},{int(records.clicked_d0[i])},{int(records.clicked_d1[i])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 10, 1001, _CSV_BLOCK_ROWS + 1])
+def test_records_csv_matches_row_by_row_reference(n, tmp_path):
+    rng = np.random.default_rng(n)
+    records = _records(*(rng.integers(0, 2, size=(5, n)).astype(bool)))
+    expected = _records_csv_by_row(records).encode("ascii")
+    buf = io.StringIO()
+    export_records_csv(records, buf)
+    assert buf.getvalue().encode("ascii") == expected
+    target = tmp_path / "records.csv"
+    export_records_csv(records, target)
+    assert target.read_bytes() == expected
 
 
 def test_records_csv_export():

@@ -43,6 +43,18 @@ def test_generate_pattern_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("seed", [0, 16950])
+@pytest.mark.parametrize("frame_len", [1, 7, 504])
+def test_single_draw_is_the_per_frame_stream(seed, frame_len):
+    """A session draws its k frames in one call; the uniformity audit draws
+    them frame by frame. Both must be the same code stream."""
+    k = 9
+    whole = generate_pattern(np.random.default_rng(seed), k * frame_len).codes
+    rng = np.random.default_rng(seed)
+    frames = np.concatenate([generate_pattern(rng, frame_len).codes for _ in range(k)])
+    assert np.array_equal(whole, frames)
+
+
 def test_generate_pattern_rejects_empty_frame():
     with pytest.raises(ValidationError):
         generate_pattern(np.random.default_rng(0), 0)

@@ -8,8 +8,7 @@ coherent pulse keeps large off-diagonal coherences; randomizing its global
 phase kills them and leaves a plain Poissonian mixture.
 """
 
-import numpy as np
-from scipy import stats
+import math
 
 from plugplay_qkd import (
     DiscreteUniformPhase,
@@ -32,7 +31,7 @@ for label, dist in (
 
 print()
 rho = fock_density_matrix(MU, UniformPhase(), n_max=6)
-poisson = stats.poisson.pmf(np.arange(7), MU)
+poisson = [math.exp(-MU) * MU**n / math.factorial(n) for n in range(7)]
 print("n    diagonal      Poisson pmf")
 for n, (d, p) in enumerate(zip(rho.diagonal, poisson)):
     print(f"{n}    {d:.3e}    {p:.3e}")

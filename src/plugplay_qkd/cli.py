@@ -38,13 +38,13 @@ from .experiments import (
 from .optics import DetectorConfig
 from .protocol import (
     SessionConfig,
-    _substreams,
     estimate_qber,
     export_records_csv,
+    pattern_stream,
     run_session,
     sift,
 )
-from .randomizer import RandomizerTiming, code_to_phase, generate_pattern
+from .randomizer import RandomizerTiming, code_to_phase
 
 __all__ = ["main"]
 
@@ -267,14 +267,11 @@ def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
     if args.constant_code is not None:
         codes = np.full(n_codes, args.constant_code, dtype=np.int64)
     else:
-        seed = opts.pick("seed", int)
         frame_len = opts.pick("frame_len", int)
+        if frame_len < 1:
+            raise ValidationError(f"frame length must be >= 1, got {frame_len}")
         # audit the same stream a session would feed to the modulator
-        rng = np.random.default_rng(_substreams(seed)["pattern"])
-        n_frames = -(-n_codes // frame_len)
-        codes = np.concatenate(
-            [generate_pattern(rng, frame_len).codes for _ in range(n_frames)]
-        )[:n_codes]
+        codes = pattern_stream(opts.pick("seed", int), n_codes)
     phases = code_to_phase(codes)
     statistic, threshold = uniformity_chisq(np.asarray(phases), n_bins=n_bins)
     print(
@@ -349,7 +346,8 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--seed", type=int, help="base RNG seed")
     p_verify.add_argument("--codes", type=int, help="number of codes to audit")
     p_verify.add_argument("--bins", type=int, help="histogram bins over [0, 2*pi)")
-    p_verify.add_argument("--frame-len", type=int, dest="frame_len", help="pattern codes per frame")
+    p_verify.add_argument("--frame-len", type=int, dest="frame_len",
+                          help="pattern codes per frame (the audited stream does not depend on it)")
     p_verify.add_argument("--constant-code", type=int, dest="constant_code", metavar="CODE",
                           help="audit a degenerate constant-code stream instead")
     p_verify.set_defaults(handler=_cmd_verify_uniformity)

@@ -14,16 +14,17 @@ Three independent ways of checking the randomizer does its job:
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import IO, Sequence, Union
+from decimal import Decimal
+from typing import Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
 
+from ._textio import PathOrFile, open_text
 from .errors import ValidationError
 from .protocol import QberEstimate, SessionConfig, estimate_qber, run_session, sift
 
@@ -41,8 +42,6 @@ __all__ = [
     "export_csv",
     "export_density_csv",
 ]
-
-PathOrFile = Union[str, os.PathLike, IO[str]]
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +129,94 @@ def delay_scan(
 # ---------------------------------------------------------------------------
 # Phase uniformity audit
 
+# pi to 50 digits, for Gamma at the half-integer shapes of odd df
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+_QUANTILE_DIGITS = 45
+# the 0.99 quantile of the standard normal, for the Wilson-Hilferty start
+_Z99 = 2.3263478740408408
+
+
+def _gamma_half(df: int) -> Decimal:
+    """Gamma(df/2) in the current decimal context.
+
+    That is (df/2 - 1)! for even df and (1/2)(3/2)...(df/2 - 1) sqrt(pi),
+    the factorial ratio (2k)! / (4^k k!) times sqrt(pi), for df = 2k + 1.
+    The product is rounded factor by factor, because converting an exact
+    factorial of tens of thousands of digits to decimal takes seconds.
+    """
+    gamma = _PI.sqrt() if df % 2 else Decimal(1)
+    factor = Decimal(df) / 2 - 1
+    while factor > 0:
+        gamma *= factor
+        factor -= 1
+    return gamma
+
+
+def _gamma_q(a: Decimal, y: Decimal, gamma_a: Decimal, tol: Decimal) -> tuple[Decimal, Decimal]:
+    """Regularized upper incomplete gamma Q(a, y) and the gamma(a) density at y.
+
+    Uses the series of P = 1 - Q below y = a + 1 and the continued fraction
+    of Q (modified Lentz) above it, in the current decimal context.
+    """
+    density = (a * y.ln() - y).exp() / (gamma_a * y)
+    if y < a + 1:
+        term = total = 1 / a
+        shape = a
+        while term >= total * tol:
+            shape += 1
+            term = term * y / shape
+            total += term
+        return 1 - density * y * total, density
+    tiny = Decimal("1e-300")
+    b = y + 1 - a
+    c = 1 / tiny
+    d = 1 / b
+    frac = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if d != 0 else tiny)
+        c = b + an / c
+        if c == 0:
+            c = tiny
+        delta = c * d
+        frac *= delta
+        if abs(delta - 1) < tol:
+            return density * y * frac, density
+
+
+@functools.lru_cache(maxsize=64)
+def _chi2_ppf99(df: int) -> float:
+    """99th percentile of chi-square with ``df`` degrees of freedom, correctly rounded.
+
+    Solves Q(df/2, x/2) = 1 - p for p = float(0.99) by Newton's method in
+    45-digit decimal arithmetic from the Wilson-Hilferty guess; the root is
+    then rounded once, to the float nearest it.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = _QUANTILE_DIGITS
+        # Gamma(df/2) passes 1e999999, the default exponent limit, near df = 4e5
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        a = Decimal(df) / 2
+        gamma_a = _gamma_half(df)
+        tol = Decimal(10) ** (2 - _QUANTILE_DIGITS)
+        target = 1 - Decimal(0.99)
+        h = 2.0 / (9.0 * df)
+        y = Decimal(0.5 * df * (1.0 - h + _Z99 * math.sqrt(h)) ** 3)
+        for _ in range(100):
+            q, density = _gamma_q(a, y, gamma_a, tol)
+            step = (q - target) / density
+            # Q falls with y, so a tail above target moves the root right
+            y_next = y + step if y + step > 0 else y / 2
+            done = abs(y_next - y) <= y * tol
+            y = y_next
+            if done:
+                break
+        return float(2 * y)
+
 
 def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, float]:
     """Chi-square statistic of a phase sample against uniformity on [0, 2*pi).
@@ -157,7 +244,7 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
     counts = np.bincount(idx, minlength=n_bins)
     expected = arr.size / n_bins
     statistic = float(((counts - expected) ** 2 / expected).sum())
-    threshold = float(stats.chi2.ppf(0.99, n_bins - 1))
+    threshold = _chi2_ppf99(n_bins - 1)
     return statistic, threshold
 
 
@@ -247,7 +334,8 @@ def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> FockDensityMa
         amps[0] = 1.0
     else:
         # log-space keeps large n stable: amp_n = e^{-mu/2} mu^{n/2} / sqrt(n!)
-        amps = np.exp(-mu / 2.0 + 0.5 * (ns * math.log(mu) - gammaln(ns + 1.0)))
+        log_fact = np.array([math.lgamma(n + 1.0) for n in range(dim)])
+        amps = np.exp(-mu / 2.0 + 0.5 * (ns * math.log(mu) - log_fact))
     order = ns[:, None] - ns[None, :]
     entries = np.outer(amps, amps) * phase_dist.circular_moment(order)
     return FockDensityMatrix(entries=entries, mu=float(mu), n_max=int(n_max))
@@ -264,14 +352,6 @@ def offdiag_norm(rho: FockDensityMatrix) -> float:
 # CSV export
 
 
-def _write_text(text: str, destination: PathOrFile) -> None:
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
 def export_csv(result: DelayScanResult, destination: PathOrFile) -> None:
     """Write a scan as CSV: delay_ns,qber,std_error,n_sifted,n_errors."""
     lines = ["delay_ns,qber,std_error,n_sifted,n_errors"]
@@ -279,7 +359,8 @@ def export_csv(result: DelayScanResult, destination: PathOrFile) -> None:
         lines.append(
             f"{delay:.9g},{est.qber:.9g},{est.std_error:.9g},{est.n_sifted},{est.n_errors}"
         )
-    _write_text("\n".join(lines) + "\n", destination)
+    with open_text(destination) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def export_density_csv(rho: FockDensityMatrix, destination: PathOrFile) -> None:
@@ -290,4 +371,5 @@ def export_density_csv(rho: FockDensityMatrix, destination: PathOrFile) -> None:
         for m in range(dim):
             z = rho.entries[n, m]
             lines.append(f"{n},{m},{z.real:.12g},{z.imag:.12g}")
-    _write_text("\n".join(lines) + "\n", destination)
+    with open_text(destination) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from ._textio import PathOrFile, open_text
 from .errors import ValidationError
 from .optics import DetectorConfig
 from .randomizer import (
@@ -54,6 +54,7 @@ __all__ = [
     "DetectionRecords",
     "QberEstimate",
     "SessionResult",
+    "pattern_stream",
     "run_session",
     "sift",
     "estimate_qber",
@@ -77,6 +78,19 @@ _SUBSTREAM_ROLES = ("pattern", "alice", "bob", "polarization", "detection")
 def _substreams(seed: int) -> dict:
     children = np.random.SeedSequence(seed).spawn(len(_SUBSTREAM_ROLES))
     return dict(zip(_SUBSTREAM_ROLES, children))
+
+
+def pattern_stream(seed: int, n_codes: int) -> np.ndarray:
+    """The first ``n_codes`` pattern codes of the session seeded by ``seed``.
+
+    Frames retrigger back to back, so a session's codes are one stream drawn
+    from its pattern substream. One draw yields the same codes as frame-by-frame
+    draws, so the stream does not depend on the frame length.
+    """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(_substreams(seed)["pattern"])
+    return generate_pattern(rng, n_codes).codes
 
 
 @dataclass(frozen=True)
@@ -325,8 +339,7 @@ def run_session(config: SessionConfig) -> SessionResult:
 
     if config.randomizer_enabled:
         n_frames = -(-n // config.frame_len)
-        rng_pattern = np.random.default_rng(streams["pattern"])
-        codes = generate_pattern(rng_pattern, n_frames * config.frame_len).codes
+        codes = pattern_stream(config.seed, n_frames * config.frame_len)
     else:
         codes = np.zeros(0, dtype=np.int32)
     t0 = config.first_event_ns()
@@ -443,10 +456,7 @@ def _write_records_csv(records: DetectionRecords, fh: IO[str]) -> None:
         fh.write("".join(itertools.chain.from_iterable(zip(map(str, range(lo, hi)), tails))))
 
 
-def export_records_csv(records: DetectionRecords, destination: Union[str, os.PathLike, IO[str]]) -> None:
+def export_records_csv(records: DetectionRecords, destination: PathOrFile) -> None:
     """Write one CSV row per bit: index, bases as letters, clicks as 0/1."""
-    if hasattr(destination, "write"):
-        _write_records_csv(records, destination)
-    else:
-        with open(destination, "w", encoding="ascii") as fh:
-            _write_records_csv(records, fh)
+    with open_text(destination) as fh:
+        _write_records_csv(records, fh)

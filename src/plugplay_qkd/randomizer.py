@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
+from ._textio import PathOrFile, open_text
 from .errors import ValidationError
 from .optics import PolarizedAmplitude, Pulse
 
@@ -151,17 +151,10 @@ def modulate_pi(pulse: Pulse, pattern: PhasePattern, timing: RandomizerTiming) -
     return Pulse(out, pulse.t_ns)
 
 
-PathOrFile = Union[str, os.PathLike, IO[str]]
-
-
 def save_pattern(pattern: PhasePattern, destination: PathOrFile) -> None:
     """Write a pattern as plain text, one decimal code per line."""
-    text = "\n".join(str(int(c)) for c in pattern.codes) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with open_text(destination) as fh:
+        fh.write("\n".join(str(int(c)) for c in pattern.codes) + "\n")
 
 
 def load_pattern(source: PathOrFile, expected_frame_len: int | None = None) -> PhasePattern:

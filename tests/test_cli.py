@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import plugplay_qkd
+from plugplay_qkd import code_to_phase, uniformity_chisq
 from plugplay_qkd.cli import main
+from plugplay_qkd.protocol import pattern_stream
 
 FAST_SESSION = ["session", "--bits", "3000", "--seed", "5"]
 
@@ -179,6 +181,38 @@ def test_verify_uniformity_parameter_errors(capsys):
     assert main(["verify-uniformity", "--codes", "0"]) == 1
     assert main(["verify-uniformity", "--codes", "100000", "--constant-code", "5000"]) == 1
     assert capsys.readouterr().err
+
+
+def test_verify_uniformity_audits_the_session_pattern_stream(capsys):
+    n_codes = 30_000
+    codes = pattern_stream(7, n_codes)
+    statistic, threshold = uniformity_chisq(code_to_phase(codes), n_bins=256)
+    base = ["verify-uniformity", "--codes", str(n_codes), "--seed", "7"]
+    assert main(base) in (0, 3)
+    first = capsys.readouterr().out
+    assert first.startswith(
+        f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
+    )
+    # the stream is one draw, so the frame length does not change it
+    assert main(base + ["--frame-len", "7"]) in (0, 3)
+    assert capsys.readouterr().out == first
+
+
+def test_verify_uniformity_rejects_bad_seed_and_frame_len(capsys):
+    assert main(["verify-uniformity", "--codes", "10000", "--seed", "-1"]) == 1
+    assert main(["verify-uniformity", "--codes", "10000", "--frame-len", "0"]) == 1
+    assert capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would cost ~1 s per run
+    package_root = str(Path(plugplay_qkd.__file__).resolve().parents[1])
+    code = ("import sys, plugplay_qkd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=package_root))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_density_writes_matrix(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Unit tests for the delay scan, phase audit and photon-number picture."""
 
 import cmath
+import decimal
 import io
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from plugplay_qkd import (
     DelayScanResult,
@@ -31,8 +33,15 @@ from plugplay_qkd import (
     sift,
     uniformity_chisq,
 )
+from plugplay_qkd.experiments import _chi2_ppf99, _gamma_half, _gamma_q
 
 CHI2_P99_DF255 = 310.45738821990585
+# Correctly rounded 99th percentiles for df 1 and 4095: the root of
+# P(df/2, x/2) = float(0.99) found with mpmath.findroot on
+# mpmath.gammainc(df/2, 0, x/2, regularized=True) at 60 digits, then rounded
+# once to the nearest double.
+CHI2_P99_DF1 = 6.634896601021214
+CHI2_P99_DF4095 = 4308.467865579965
 EXP_M01 = 0.9048374180359595  # e**-0.1
 RHO01_MU01 = 0.2861347153139552  # e**-0.1 * sqrt(0.1)
 RHO02_MU01 = 0.06398166741645539  # e**-0.1 * 0.1 / sqrt(2)
@@ -153,6 +162,32 @@ def test_chisq_threshold_is_the_99th_percentile():
     assert abs(stats.chi2.cdf(threshold, 255) - 0.99) < 1e-12
 
 
+@pytest.mark.parametrize("df, expected", [(1, CHI2_P99_DF1), (255, CHI2_P99_DF255),
+                                          (4095, CHI2_P99_DF4095)])
+def test_chi2_quantile_pinned_values(df, expected):
+    assert _chi2_ppf99(df) == expected
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 15, 255, 1023, 4095, 65535])
+def test_chi2_quantile_matches_scipy(df):
+    ours = _chi2_ppf99(df)
+    theirs = stats.chi2.ppf(0.99, df)
+    assert abs(ours - theirs) <= 4 * math.ulp(theirs)
+
+
+@pytest.mark.parametrize("a2, y", [(1, 0.3), (1, 3.3), (6, 2.0), (6, 9.0), (255, 100.0),
+                                   (255, 127.0), (255, 155.0), (4095, 2154.0)])
+def test_upper_gamma_both_branches_match_scipy(a2, y):
+    # y < a + 1 takes the series, y >= a + 1 the continued fraction
+    a = a2 / 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 45
+        q, density = _gamma_q(Decimal(a2) / 2, Decimal(y), _gamma_half(a2), Decimal("1e-43"))
+    assert math.isclose(float(q), special.gammaincc(a, y), rel_tol=1e-13)
+    # scipy's pdf goes through log space and is 1.8e-12 off at a = 2047.5
+    assert math.isclose(float(density), stats.gamma.pdf(y, a), rel_tol=1e-11)
+
+
 def test_chisq_degenerate_sample_hits_closed_form():
     n = 2560
     statistic, threshold = uniformity_chisq(np.full(n, 1.234))
@@ -267,6 +302,21 @@ def test_single_phase_value_means_no_randomization():
 def test_two_phase_values_keep_even_coherences():
     rho = fock_density_matrix(0.1, DiscreteUniformPhase(2), n_max=20)
     assert math.isclose(offdiag_norm(rho), RHO02_MU01, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("mu", [0.1, 5.0, 50.0])
+def test_density_matrix_equals_gammaln_form(mu):
+    n_max = 60
+    ns = np.arange(n_max + 1)
+    amps = np.exp(-mu / 2.0 + 0.5 * (ns * math.log(mu) - special.gammaln(ns + 1.0)))
+    for dist in (UniformPhase(), DiscreteUniformPhase(3), FixedPhase(0.3)):
+        rho = fock_density_matrix(mu, dist, n_max=n_max)
+        expected = np.outer(amps, amps) * dist.circular_moment(ns[:, None] - ns[None, :])
+        # math.lgamma and gammaln each sit within an ulp or so of log(n!),
+        # which reaches ~190 at n = 60; exp turns an ulp there (2.8e-14)
+        # into the same relative error, so the two forms agree to 1e-13
+        np.testing.assert_allclose(rho.entries, expected, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(rho.entries == 0, expected == 0)
 
 
 def test_vacuum_density_matrix():

@@ -33,7 +33,8 @@ from plugplay_qkd import (
     run_session,
     sift,
 )
-from plugplay_qkd.protocol import _CSV_BLOCK_ROWS, _substreams
+from plugplay_qkd.protocol import _CSV_BLOCK_ROWS, _substreams, pattern_stream
+from plugplay_qkd.randomizer import PHASE_PER_CODE
 
 SE_HALF_1000 = 0.015811388300841896  # sqrt(0.25 / 1000)
 SE_1PC_1000 = 0.003146426544510455  # sqrt(0.01 * 0.99 / 1000)
@@ -200,6 +201,28 @@ def test_emitted_phases_on_dac_grid():
     assert np.allclose(codes, np.round(codes), atol=1e-9)
     assert phases.min() >= 0.0 and phases.max() < 2.0 * math.pi
     assert len(np.unique(phases)) > 1000  # actually randomized
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_pattern_stream_is_the_per_frame_session_stream(seed):
+    rng = np.random.default_rng(_substreams(seed)["pattern"])
+    frames = np.concatenate([generate_pattern(rng, 504).codes for _ in range(3)])
+    np.testing.assert_array_equal(pattern_stream(seed, 1000), frames[:1000])
+    np.testing.assert_array_equal(pattern_stream(seed, 1512), frames)
+
+
+def test_run_session_draws_the_pattern_stream():
+    # at zero delay bit i's reference makes its forward pass inside slot i
+    cfg = SessionConfig(n_bits=2000, seed=11)
+    _, emitted = run_session(cfg)
+    assert np.array_equal(emitted, pattern_stream(cfg.seed, cfg.n_bits) * PHASE_PER_CODE)
+
+
+def test_pattern_stream_validation():
+    with pytest.raises(ValidationError):
+        pattern_stream(-1, 10)
+    with pytest.raises(ValidationError):
+        pattern_stream(1, 0)
 
 
 def _scalar_session_means(cfg):

@@ -184,6 +184,19 @@ def test_pattern_file_roundtrip():
     assert loaded == pattern
 
 
+def test_pattern_file_same_bytes_to_path_and_handle(tmp_path):
+    pattern = generate_pattern(np.random.default_rng(78), 9)
+    buf = io.StringIO()
+    save_pattern(pattern, buf)
+    assert not buf.closed  # a handle is written to, not closed
+    target = tmp_path / "pattern.txt"
+    save_pattern(pattern, target)
+    expected = "".join(f"{int(c)}\n" for c in pattern.codes)
+    assert buf.getvalue() == expected
+    assert target.read_bytes() == expected.encode("ascii")
+    assert load_pattern(target) == pattern
+
+
 def test_pattern_file_validation():
     with pytest.raises(ValidationError):
         load_pattern(io.StringIO("12\nnot_a_code\n"))

@@ -9,11 +9,10 @@ let a chi-square test judge them, then do the same for two broken drivers.
 
 import numpy as np
 
-from plugplay_qkd import code_to_phase, generate_pattern, uniformity_chisq
+from plugplay_qkd import code_to_phase, pattern_stream, uniformity_chisq
 
-rng = np.random.default_rng(42)
-frames = [generate_pattern(rng).codes for _ in range(1985)]  # ~1e6 codes
-phases = code_to_phase(np.concatenate(frames))
+# the first million codes the generator feeds the modulator in session 42
+phases = code_to_phase(pattern_stream(42, 1_000_000))
 
 statistic, threshold = uniformity_chisq(phases, n_bins=256)
 print(f"healthy generator:  chi2 = {statistic:9.1f}  (99% threshold {threshold:.1f})"

@@ -2,69 +2,57 @@
 One bit, step by step
 =====================
 
-Follow a single pulse through the whole optical round trip and watch the
-photon numbers, using the low-level building blocks directly.
+Follow a few bits of a short session through the optical round trip and
+watch the photon numbers. The stages come from the session configuration;
+the randomizer phases and the detector means come from the records that
+run_session returns.
 """
 
 import math
 
-from plugplay_qkd import (
-    BasisBit,
-    DetectorConfig,
-    PolarizedAmplitude,
-    Pulse,
-    PulsePair,
-    apply_phase,
-    attenuate_to_mean_photon,
-    click_probability,
-    faraday_swap,
-    interfere,
-    mzi_split,
-    propagate_fiber,
-)
+from plugplay_qkd import SessionConfig, run_session
 
-# Bob fires a bright pulse into his unbalanced interferometer. The short arm
-# gives the leading "reference", the long arm (3 dB lossier, 50 ns later)
+BASES = "XY"
+
+# Eight bits with the source fixed to H polarization.
+config = SessionConfig(n_bits=8, seed=3, polarization=(1.0, 0.0))
+records, emitted_phases = run_session(config)
+
+# Bob fires a one-photon pulse into his unbalanced interferometer. The short
+# arm gives the leading "reference", the long arm (3 dB lossier, 50 ns later)
 # gives the trailing "signal".
-source = Pulse(PolarizedAmplitude(1.0, 0.0), t_ns=75.0)
-pair = mzi_split(source, insertion_loss_db=3.0, tau_mzi_ns=50.0)
-print(f"after the splitter:  reference {pair.reference.photon_number:.4f} ph "
-      f"at {pair.reference.t_ns:g} ns, signal {pair.signal.photon_number:.4f} ph "
-      f"at {pair.signal.t_ns:g} ns")
+long_arm = 10.0 ** (-config.insertion_loss_db / 10.0)
+fiber = 10.0 ** (-config.fiber_loss_db_per_km * config.fiber_km / 10.0)
+t_ref = config.first_event_ns()
+print(f"after the splitter:  reference {0.5:.4f} ph at {t_ref:g} ns, "
+      f"signal {0.5 * long_arm:.4f} ph at {t_ref + config.tau_mzi_ns:g} ns")
 
 # 5 km of fiber to Alice, 0.2 dB/km.
-ref = propagate_fiber(pair.reference, 5.0, 0.2)
-sig = propagate_fiber(pair.signal, 5.0, 0.2)
-print(f"arriving at Alice:   pair total {ref.photon_number + sig.photon_number:.4f} ph")
+print(f"arriving at Alice:   pair total {0.5 * (1.0 + long_arm) * fiber:.4f} ph")
 
-# Alice encodes her bit on the signal pulse only. X basis, bit 1 -> pi.
-symbol = BasisBit("X", 1)
-sig = Pulse(apply_phase(sig.amplitude, symbol.coding_phase, symbol.coding_phase), sig.t_ns)
-print(f"Alice encodes {symbol.basis}{symbol.bit}: phase {symbol.coding_phase:.4f} rad on the signal")
-
-# Her Faraday mirror reflects both pulses with H and V exchanged, which is
-# what unwinds the fiber birefringence on the way home.
-ref = Pulse(faraday_swap(ref.amplitude), ref.t_ns)
-sig = Pulse(faraday_swap(sig.amplitude), sig.t_ns)
-
-# Outgoing attenuation down to 0.1 photons for the pair.
-pair = attenuate_to_mean_photon(PulsePair(ref, sig), 0.1)
-print(f"leaving Alice:       pair total {pair.photon_number:.4f} ph")
+# Alice encodes her bit on the signal pulse only: 0 or pi in X, pi/2 or
+# 3pi/2 in Y. Her Faraday mirror reflects both pulses with H and V
+# exchanged, and the randomizer in front of it adds one pattern-step phase
+# to both, since at zero trigger delay both reflect within the same step.
+# The pair leaves attenuated to the target mean photon number.
+print(f"leaving Alice:       pair total {config.mu_target:.4f} ph")
 
 # Back through the same fiber, then through Bob's interferometer the other
 # way around: the reference now takes the long arm (loss + his basis phase),
 # the signal the short arm. After that both have crossed long+short once.
-ref = propagate_fiber(pair.reference, 5.0, 0.2)
-sig = propagate_fiber(pair.signal, 5.0, 0.2)
+det = config.detector
+print()
+print("bit  Alice  phase    Bob  randomizer  mu(D0)     mu(D1)     click probs")
+for i in range(len(records)):
+    basis, bit = int(records.alice_basis[i]), int(records.alice_bit[i])
+    coding_phase = (2 * bit + basis) * math.pi / 2.0
+    mu_d0, mu_d1 = float(records.mu_d0[i]), float(records.mu_d1[i])
+    p0 = 1.0 - (1.0 - det.dark_prob) * math.exp(-det.efficiency * mu_d0)
+    p1 = 1.0 - (1.0 - det.dark_prob) * math.exp(-det.efficiency * mu_d1)
+    print(f"{i:3d}  {BASES[basis]}{bit}     {coding_phase:.4f}   {BASES[records.bob_basis[i]]}    "
+          f"{emitted_phases[i]:.4f}      {mu_d0:.3e}  {mu_d1:.3e}  {p0:.2e} / {p1:.2e}")
 
-for bob_basis, phi_b in (("X", 0.0), ("Y", math.pi / 2.0)):
-    ref_back = apply_phase(ref.amplitude, phi_b, phi_b).scaled(10.0 ** (-3.0 / 20.0))
-    mu_d0, mu_d1 = interfere(sig.amplitude, ref_back)
-    det = DetectorConfig(efficiency=0.10, dark_prob=1e-5)
-    print(f"Bob in {bob_basis}: mu(D0) = {mu_d0:.3e}, mu(D1) = {mu_d1:.3e}, "
-          f"click probs {click_probability(mu_d0, det):.2e} / {click_probability(mu_d1, det):.2e}")
-
-# Matched basis (X): everything lands on D1, the port that decodes bit 1,
-# and the wrong port holds nothing but rounding dust (the session kernel in
-# plugplay_qkd.run_session keeps it at exactly zero). Mismatched basis (Y):
-# an even split, which sifting throws away.
+# Matched basis: everything lands on the port that decodes Alice's bit (D1
+# for bit 1) and the wrong port holds exactly zero, whatever phase the
+# randomizer added. Mismatched basis: an even split, which sifting throws
+# away.

@@ -23,89 +23,43 @@ from .experiments import (
     export_density_csv,
     fock_density_matrix,
     offdiag_norm,
-    scan_point_seed,
     uniformity_chisq,
 )
-from .optics import (
-    DetectorConfig,
-    PolarizedAmplitude,
-    Pulse,
-    PulsePair,
-    apply_phase,
-    attenuate_to_mean_photon,
-    click_probability,
-    detect,
-    faraday_swap,
-    interfere,
-    mzi_split,
-    propagate_fiber,
-)
 from .protocol import (
-    BASES,
-    BasisBit,
-    DetectionRecord,
     DetectionRecords,
+    DetectorConfig,
     QberEstimate,
     SessionConfig,
     SessionResult,
     estimate_qber,
     export_records_csv,
+    pattern_stream,
     run_session,
     sift,
 )
-from .randomizer import (
-    CODE_LEVELS,
-    DEFAULT_FRAME_LEN,
-    PhasePattern,
-    RandomizerTiming,
-    code_to_phase,
-    generate_pattern,
-    load_pattern,
-    modulate_pi,
-    phase_at,
-    save_pattern,
-)
+from .randomizer import RandomizerTiming, code_to_phase
 
 __version__ = "0.1.0"
 
+# What the command line, the demos and the acceptance suite use, plus the
+# types those return. Everything else is reached through its module.
 __all__ = [
     "ValidationError",
-    "PolarizedAmplitude",
-    "Pulse",
-    "PulsePair",
-    "DetectorConfig",
-    "mzi_split",
-    "faraday_swap",
-    "apply_phase",
-    "attenuate_to_mean_photon",
-    "interfere",
-    "click_probability",
-    "detect",
-    "propagate_fiber",
-    "CODE_LEVELS",
-    "DEFAULT_FRAME_LEN",
-    "PhasePattern",
     "RandomizerTiming",
-    "generate_pattern",
-    "code_to_phase",
-    "phase_at",
-    "modulate_pi",
-    "save_pattern",
-    "load_pattern",
-    "BASES",
-    "BasisBit",
+    "DetectorConfig",
     "SessionConfig",
     "SessionResult",
-    "DetectionRecord",
     "DetectionRecords",
     "QberEstimate",
     "run_session",
     "sift",
     "estimate_qber",
     "export_records_csv",
+    "pattern_stream",
+    "code_to_phase",
     "DelayScanResult",
     "delay_scan",
-    "scan_point_seed",
+    "export_csv",
     "uniformity_chisq",
     "UniformPhase",
     "DiscreteUniformPhase",
@@ -113,7 +67,6 @@ __all__ = [
     "FockDensityMatrix",
     "fock_density_matrix",
     "offdiag_norm",
-    "export_csv",
     "export_density_csv",
     "__version__",
 ]

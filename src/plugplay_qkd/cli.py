@@ -35,8 +35,8 @@ from .experiments import (
     offdiag_norm,
     uniformity_chisq,
 )
-from .optics import DetectorConfig
 from .protocol import (
+    DetectorConfig,
     SessionConfig,
     estimate_qber,
     export_records_csv,
@@ -74,7 +74,6 @@ _DEFAULTS = {
     "period_ns": 200.0,
     "roundtrip_ns": 20.0,
     "tau_mzi_ns": 50.0,
-    "frame_len": 504,
     "insertion_loss_db": 3.0,
     "fiber_km": 5.0,
     "fiber_loss_db_per_km": 0.2,
@@ -183,7 +182,6 @@ def _session_config(opts: _Options, delay_ns: Optional[float] = None) -> Session
         mu_target=opts.pick("mean_photon", float),
         mu_convention=opts.pick("mu_convention", _choice(("pair", "signal"))),
         timing=timing,
-        frame_len=opts.pick("frame_len", int),
         tau_mzi_ns=opts.pick("tau_mzi_ns", float),
         insertion_loss_db=opts.pick("insertion_loss_db", float),
         fiber_km=opts.pick("fiber_km", float),
@@ -208,7 +206,6 @@ def _add_session_flags(parser: argparse.ArgumentParser, with_delay: bool) -> Non
     add("--period-ns", type=float, dest="period_ns", help="pulse period")
     add("--roundtrip-ns", type=float, dest="roundtrip_ns", help="modulator-mirror round trip")
     add("--tau-mzi-ns", type=float, dest="tau_mzi_ns", help="interferometer arm delay")
-    add("--frame-len", type=int, dest="frame_len", help="pattern codes per frame")
     add("--insertion-loss-db", type=float, dest="insertion_loss_db", help="long-arm loss")
     add("--fiber-km", type=float, dest="fiber_km", help="one-way fiber length")
     add("--fiber-loss-db-per-km", type=float, dest="fiber_loss_db_per_km", help="fiber loss")
@@ -267,9 +264,6 @@ def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
     if args.constant_code is not None:
         codes = np.full(n_codes, args.constant_code, dtype=np.int64)
     else:
-        frame_len = opts.pick("frame_len", int)
-        if frame_len < 1:
-            raise ValidationError(f"frame length must be >= 1, got {frame_len}")
         # audit the same stream a session would feed to the modulator
         codes = pattern_stream(opts.pick("seed", int), n_codes)
     phases = code_to_phase(codes)
@@ -346,8 +340,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--seed", type=int, help="base RNG seed")
     p_verify.add_argument("--codes", type=int, help="number of codes to audit")
     p_verify.add_argument("--bins", type=int, help="histogram bins over [0, 2*pi)")
-    p_verify.add_argument("--frame-len", type=int, dest="frame_len",
-                          help="pattern codes per frame (the audited stream does not depend on it)")
     p_verify.add_argument("--constant-code", type=int, dest="constant_code", metavar="CODE",
                           help="audit a degenerate constant-code stream instead")
     p_verify.set_defaults(handler=_cmd_verify_uniformity)

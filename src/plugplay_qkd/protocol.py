@@ -37,7 +37,6 @@ import numpy as np
 
 from ._textio import PathOrFile, open_text
 from .errors import ValidationError
-from .optics import DetectorConfig
 from .randomizer import (
     CODE_LEVELS,
     DEFAULT_FRAME_LEN,
@@ -48,9 +47,8 @@ from .randomizer import (
 
 __all__ = [
     "BASES",
-    "BasisBit",
+    "DetectorConfig",
     "SessionConfig",
-    "DetectionRecord",
     "DetectionRecords",
     "QberEstimate",
     "SessionResult",
@@ -90,26 +88,21 @@ def pattern_stream(seed: int, n_codes: int) -> np.ndarray:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(_substreams(seed)["pattern"])
-    return generate_pattern(rng, n_codes).codes
+    return generate_pattern(rng, n_codes)
 
 
 @dataclass(frozen=True)
-class BasisBit:
-    """One prepared symbol: measurement basis plus key bit."""
+class DetectorConfig:
+    """Threshold single-photon detector: quantum efficiency plus dark counts."""
 
-    basis: str
-    bit: int
+    efficiency: float = 0.10
+    dark_prob: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.basis not in BASES:
-            raise ValidationError(f"basis must be one of {BASES}, got {self.basis!r}")
-        if self.bit not in (0, 1):
-            raise ValidationError(f"bit must be 0 or 1, got {self.bit!r}")
-
-    @property
-    def coding_phase(self) -> float:
-        """Alice's encoder phase: 0/pi for X, pi/2 / 3*pi/2 for Y."""
-        return (2 * self.bit + BASES.index(self.basis)) * (math.pi / 2.0)
+        if not 0.0 <= self.efficiency <= 1.0:
+            raise ValidationError(f"detector efficiency must be in [0, 1], got {self.efficiency}")
+        if not 0.0 <= self.dark_prob < 1.0:
+            raise ValidationError(f"dark count probability must be in [0, 1), got {self.dark_prob}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,6 @@ class SessionConfig:
     mu_target: float = 0.1
     mu_convention: str = "pair"
     timing: RandomizerTiming = RandomizerTiming()
-    frame_len: int = DEFAULT_FRAME_LEN
     tau_mzi_ns: float = 50.0
     insertion_loss_db: float = 3.0
     fiber_km: float = 5.0
@@ -146,8 +138,6 @@ class SessionConfig:
             raise ValidationError(
                 f"mu_convention must be 'pair' or 'signal', got {self.mu_convention!r}"
             )
-        if self.frame_len < 1:
-            raise ValidationError(f"frame length must be >= 1, got {self.frame_len}")
         if self.tau_mzi_ns <= 0.0:
             raise ValidationError(f"arm delay must be positive, got {self.tau_mzi_ns} ns")
         if self.insertion_loss_db < 0.0:
@@ -189,17 +179,6 @@ class SessionConfig:
         return 0.5 * (self.timing.period_ns - self.tau_mzi_ns - self.timing.roundtrip_ns)
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """Per-bit view assembled on demand from the column store."""
-
-    bit_index: int
-    alice: BasisBit
-    bob_basis: str
-    clicked_d0: bool
-    clicked_d1: bool
-
-
 class DetectionRecords:
     """Column-oriented store of per-bit outcomes for one session.
 
@@ -237,24 +216,6 @@ class DetectionRecords:
 
     def __len__(self) -> int:
         return len(self.alice_basis)
-
-    def __getitem__(self, index: int) -> DetectionRecord:
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(index)
-        return DetectionRecord(
-            bit_index=i,
-            alice=BasisBit(BASES[self.alice_basis[i]], int(self.alice_bit[i])),
-            bob_basis=BASES[self.bob_basis[i]],
-            clicked_d0=bool(self.clicked_d0[i]),
-            clicked_d1=bool(self.clicked_d1[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True)
@@ -305,8 +266,10 @@ def run_session(config: SessionConfig) -> SessionResult:
     substream of ``config.seed``, so toggling the randomizer leaves every
     other random draw untouched.
 
-    Frames retrigger back to back, so the session's codes form one
-    continuous grid of half-open slots: code ``k`` is active on
+    Frames of ``DEFAULT_FRAME_LEN`` codes retrigger back to back, and the
+    session runs whole frames, so its codes form one continuous grid of
+    ``ceil(n_bits / DEFAULT_FRAME_LEN)`` frames of half-open slots: code
+    ``k`` is active on
     ``[delay_ns + k*period_ns, delay_ns + (k+1)*period_ns)``, so a pass
     landing exactly on a step edge takes the code that starts there. Before
     and after the grid the generator idles at code 0. A disabled randomizer
@@ -338,8 +301,8 @@ def run_session(config: SessionConfig) -> SessionResult:
     v0 /= norm
 
     if config.randomizer_enabled:
-        n_frames = -(-n // config.frame_len)
-        codes = pattern_stream(config.seed, n_frames * config.frame_len)
+        n_frames = -(-n // DEFAULT_FRAME_LEN)
+        codes = pattern_stream(config.seed, n_frames * DEFAULT_FRAME_LEN)
     else:
         codes = np.zeros(0, dtype=np.int32)
     t0 = config.first_event_ns()

@@ -1,40 +1,28 @@
-"""Active global-phase randomizer: stepped-pattern generator plus modulator.
+"""Active global-phase randomizer: the stepped-pattern generator and its timing.
 
-A functional generator is armed once per frame. After an adjustable trigger
-delay it steps through one 12-bit code per pulse period and idles at zero
-phase outside the pattern window. The phase modulator it drives is built for
-double-pass operation: each pass phases a single linear polarization axis,
-and the Faraday mirror behind it swaps H and V between the passes, so every
-polarization component is modulated exactly once per reflection. The two
-passes happen ``roundtrip_ns`` apart and generally sample different codes
-when the pattern is stepping at that moment.
+A functional generator steps through one 12-bit code per pulse period,
+starting an adjustable trigger delay after the frame trigger, and idles at
+zero phase outside the pattern window. Frames of ``DEFAULT_FRAME_LEN`` codes
+retrigger back to back. The double-pass modulator it drives, and where each
+pass lands on the code grid, are modelled in :mod:`plugplay_qkd.protocol`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from ._textio import PathOrFile, open_text
 from .errors import ValidationError
-from .optics import PolarizedAmplitude, Pulse
 
 __all__ = [
     "CODE_LEVELS",
     "DEFAULT_FRAME_LEN",
     "PHASE_PER_CODE",
     "RandomizerTiming",
-    "PhasePattern",
     "generate_pattern",
     "code_to_phase",
-    "phase_at",
-    "modulate_pi",
-    "save_pattern",
-    "load_pattern",
 ]
 
 CODE_LEVELS = 4096
@@ -67,40 +55,15 @@ class RandomizerTiming:
             raise ValidationError(f"mirror round trip must be >= 0, got {self.roundtrip_ns} ns")
 
 
-class PhasePattern:
-    """One frame of 12-bit phase codes, one code per pulse period."""
+def generate_pattern(rng: np.random.Generator, n_codes: int) -> np.ndarray:
+    """Draw ``n_codes`` independent uniform codes from ``rng`` as an int32 array.
 
-    __slots__ = ("codes",)
-
-    def __init__(self, codes: Iterable[int]):
-        arr = np.asarray(codes)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError("pattern must be a non-empty 1-d sequence of codes")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValidationError("pattern codes must be integers")
-        if arr.min() < 0 or arr.max() >= CODE_LEVELS:
-            raise ValidationError(f"pattern codes must lie in [0, {CODE_LEVELS - 1}]")
-        arr = arr.astype(np.int32, copy=True)
-        arr.setflags(write=False)
-        self.codes = arr
-
-    def __len__(self) -> int:
-        return int(self.codes.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PhasePattern):
-            return NotImplemented
-        return np.array_equal(self.codes, other.codes)
-
-    def __repr__(self) -> str:
-        return f"PhasePattern(len={len(self)})"
-
-
-def generate_pattern(rng: np.random.Generator, frame_len: int = DEFAULT_FRAME_LEN) -> PhasePattern:
-    """Draw a fresh frame of independent uniform codes from ``rng``."""
-    if frame_len <= 0:
-        raise ValidationError(f"frame length must be positive, got {frame_len}")
-    return PhasePattern(rng.integers(0, CODE_LEVELS, size=frame_len, dtype=np.int32))
+    One draw of ``k * m`` codes equals ``k`` consecutive draws of ``m``, so
+    a stream does not depend on how it is cut into frames.
+    """
+    if n_codes <= 0:
+        raise ValidationError(f"need a positive number of codes, got {n_codes}")
+    return rng.integers(0, CODE_LEVELS, size=n_codes, dtype=np.int32)
 
 
 def code_to_phase(code):
@@ -118,66 +81,3 @@ def code_to_phase(code):
     if np.isscalar(code) or arr.ndim == 0:
         return float(phase)
     return phase
-
-
-def phase_at(t_ns: float, pattern: PhasePattern, timing: RandomizerTiming) -> float:
-    """Generator output phase at time ``t_ns`` within one frame.
-
-    The first code becomes active at ``delay_ns`` and each code holds for one
-    period. Before the pattern starts and after it ends the output idles at
-    zero phase.
-    """
-    slot = math.floor((t_ns - timing.delay_ns) / timing.period_ns)
-    if 0 <= slot < len(pattern):
-        return code_to_phase(int(pattern.codes[slot]))
-    return 0.0
-
-
-def modulate_pi(pulse: Pulse, pattern: PhasePattern, timing: RandomizerTiming) -> Pulse:
-    """Double-pass, polarization-insensitive phase modulation of one pulse.
-
-    The forward pass phases the component that is V-aligned at the modulator;
-    the mirror swaps H and V; the return pass (``roundtrip_ns`` later) phases
-    the other component. Net effect: H and V are exchanged and each picks up
-    the generator phase sampled on its own pass.
-    """
-    phi_fwd = phase_at(pulse.t_ns, pattern, timing)
-    phi_ret = phase_at(pulse.t_ns + timing.roundtrip_ns, pattern, timing)
-    amp = pulse.amplitude
-    out = PolarizedAmplitude(
-        h=amp.v * cmath.exp(1j * phi_ret),
-        v=amp.h * cmath.exp(1j * phi_fwd),
-    )
-    return Pulse(out, pulse.t_ns)
-
-
-def save_pattern(pattern: PhasePattern, destination: PathOrFile) -> None:
-    """Write a pattern as plain text, one decimal code per line."""
-    with open_text(destination) as fh:
-        fh.write("\n".join(str(int(c)) for c in pattern.codes) + "\n")
-
-
-def load_pattern(source: PathOrFile, expected_frame_len: int | None = None) -> PhasePattern:
-    """Read a pattern saved by :func:`save_pattern`, validating every code."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    codes = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            codes.append(int(line))
-        except ValueError:
-            raise ValidationError(f"line {lineno}: not an integer code: {line!r}") from None
-    if not codes:
-        raise ValidationError("pattern file contains no codes")
-    pattern = PhasePattern(np.asarray(codes))
-    if expected_frame_len is not None and len(pattern) != expected_frame_len:
-        raise ValidationError(
-            f"pattern has {len(pattern)} codes, expected {expected_frame_len}"
-        )
-    return pattern

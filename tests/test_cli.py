@@ -193,15 +193,22 @@ def test_verify_uniformity_audits_the_session_pattern_stream(capsys):
     assert first.startswith(
         f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
     )
-    # the stream is one draw, so the frame length does not change it
-    assert main(base + ["--frame-len", "7"]) in (0, 3)
-    assert capsys.readouterr().out == first
+    # the stream is one draw; no frame length option cuts it
+    assert main(base + ["--frame-len", "7"]) == 1
+    assert "unrecognized arguments: --frame-len" in capsys.readouterr().err
 
 
-def test_verify_uniformity_rejects_bad_seed_and_frame_len(capsys):
+def test_verify_uniformity_rejects_bad_seed_and_frame_len(tmp_path, capsys):
     assert main(["verify-uniformity", "--codes", "10000", "--seed", "-1"]) == 1
-    assert main(["verify-uniformity", "--codes", "10000", "--frame-len", "0"]) == 1
     assert capsys.readouterr().err
+    # the frame length is fixed: no flag and no config key sets it
+    for command in ("session", "scan"):
+        assert main([command, "--bits", "500", "--frame-len", "7"]) == 1
+        assert "unrecognized arguments: --frame-len" in capsys.readouterr().err
+    config = tmp_path / "frames.conf"
+    config.write_text("frame_len = 504\n")
+    assert main(["session", "--bits", "500", "--config", str(config)]) == 1
+    assert "unknown option 'frame_len'" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

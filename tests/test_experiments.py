@@ -29,11 +29,10 @@ from plugplay_qkd import (
     fock_density_matrix,
     offdiag_norm,
     run_session,
-    scan_point_seed,
     sift,
     uniformity_chisq,
 )
-from plugplay_qkd.experiments import _chi2_ppf99, _gamma_half, _gamma_q
+from plugplay_qkd.experiments import _chi2_ppf99, _gamma_half, _gamma_q, scan_point_seed
 
 CHI2_P99_DF255 = 310.45738821990585
 # Correctly rounded 99th percentiles for df 1 and 4095: the root of

@@ -1,4 +1,9 @@
-"""Unit tests for the coherent-state optics building blocks."""
+"""Unit tests for the scalar optics of the test oracle (``tests/oracle.py``).
+
+The kernel-vs-oracle comparisons in ``test_protocol.py`` mean something
+only if the oracle's own building blocks obey the textbook laws, which
+these tests pin on single pulses.
+"""
 
 import cmath
 import math
@@ -6,21 +11,17 @@ import math
 import numpy as np
 import pytest
 
-from plugplay_qkd import (
-    DetectorConfig,
-    PolarizedAmplitude,
-    Pulse,
-    PulsePair,
-    ValidationError,
+from oracle import (
     apply_phase,
     attenuate_to_mean_photon,
     click_probability,
-    detect,
     faraday_swap,
     interfere,
     mzi_split,
+    photon_number,
     propagate_fiber,
 )
+from plugplay_qkd import DetectorConfig
 
 # closed-form reference values, frozen
 P_CLICK_ETA01_MU01 = 0.009950166250831893  # 1 - exp(-0.01)
@@ -30,54 +31,39 @@ HALF_POWER_3_0103_DB = 0.4999999950079739  # 10 ** (-3.0103 / 10)
 
 def _random_amplitude(rng):
     re_im = rng.normal(size=4)
-    return PolarizedAmplitude(complex(re_im[0], re_im[1]), complex(re_im[2], re_im[3]))
+    return (complex(re_im[0], re_im[1]), complex(re_im[2], re_im[3]))
 
 
 def test_split_lossless_is_fifty_fifty():
-    pulse = Pulse(PolarizedAmplitude(1.0, 0.0), t_ns=0.0)
-    pair = mzi_split(pulse, insertion_loss_db=0.0, tau_mzi_ns=50.0)
-    assert math.isclose(pair.reference.photon_number, 0.5, rel_tol=1e-12)
-    assert math.isclose(pair.signal.photon_number, 0.5, rel_tol=1e-12)
-    assert pair.signal.t_ns - pair.reference.t_ns == 50.0
+    (ref, t_ref), (sig, t_sig) = mzi_split((1.0, 0.0), 0.0, insertion_loss_db=0.0, tau_mzi_ns=50.0)
+    assert math.isclose(photon_number(ref), 0.5, rel_tol=1e-12)
+    assert math.isclose(photon_number(sig), 0.5, rel_tol=1e-12)
+    assert t_sig - t_ref == 50.0
 
 
 def test_split_insertion_loss_weakens_signal():
-    pulse = Pulse(PolarizedAmplitude(1.0, 0.0), t_ns=0.0)
-    pair = mzi_split(pulse, insertion_loss_db=3.0103, tau_mzi_ns=50.0)
+    (ref, _), (sig, _) = mzi_split((1.0, 0.0), 0.0, insertion_loss_db=3.0103, tau_mzi_ns=50.0)
     # 3.0103 dB halves the power again: 0.5 * 0.5
-    assert math.isclose(pair.signal.photon_number, 0.5 * HALF_POWER_3_0103_DB, rel_tol=1e-12)
-    assert math.isclose(pair.signal.photon_number, 0.25, rel_tol=1e-7)
-    assert pair.signal.photon_number < pair.reference.photon_number
+    assert math.isclose(photon_number(sig), 0.5 * HALF_POWER_3_0103_DB, rel_tol=1e-12)
+    assert math.isclose(photon_number(sig), 0.25, rel_tol=1e-7)
+    assert photon_number(sig) < photon_number(ref)
 
 
 def test_split_vacuum_in_vacuum_out():
-    pair = mzi_split(Pulse(PolarizedAmplitude(0.0, 0.0), 10.0), 3.0, 50.0)
-    assert pair.reference.photon_number == 0.0
-    assert pair.signal.photon_number == 0.0
+    (ref, _), (sig, _) = mzi_split((0.0, 0.0), 10.0, 3.0, 50.0)
+    assert photon_number(ref) == 0.0
+    assert photon_number(sig) == 0.0
 
 
 def test_split_arm_delay_exact():
-    pulse = Pulse(PolarizedAmplitude(0.3, 0.4j), t_ns=123.0)
     for tau in (1.0, 50.0, 77.5):
-        pair = mzi_split(pulse, 3.0, tau)
-        assert pair.signal.t_ns - pair.reference.t_ns == tau
-
-
-def test_split_rejects_bad_parameters():
-    pulse = Pulse(PolarizedAmplitude(1.0, 0.0), 0.0)
-    with pytest.raises(ValidationError):
-        mzi_split(pulse, -0.1, 50.0)
-    with pytest.raises(ValidationError):
-        mzi_split(pulse, 3.0, 0.0)
-    with pytest.raises(ValidationError):
-        mzi_split(pulse, 3.0, -5.0)
+        (_, t_ref), (_, t_sig) = mzi_split((0.3, 0.4j), 123.0, 3.0, tau)
+        assert t_sig - t_ref == tau
 
 
 def test_faraday_swap_examples():
-    assert faraday_swap(PolarizedAmplitude(1.0, 0.0)) == PolarizedAmplitude(0.0, 1.0)
-    swapped = faraday_swap(PolarizedAmplitude(0.6, 0.8j))
-    assert swapped.h == 0.8j
-    assert swapped.v == 0.6
+    assert faraday_swap((1.0, 0.0)) == (0.0, 1.0)
+    assert faraday_swap((0.6, 0.8j)) == (0.8j, 0.6)
 
 
 def test_faraday_swap_is_involution():
@@ -88,13 +74,13 @@ def test_faraday_swap_is_involution():
 
 
 def test_apply_phase_pi_flips_sign():
-    out = apply_phase(PolarizedAmplitude(1.0, 0.0), math.pi, 0.0)
-    assert abs(out.h - (-1.0)) < 1e-12
-    assert out.v == 0.0
+    h, v = apply_phase((1.0, 0.0), math.pi, 0.0)
+    assert abs(h - (-1.0)) < 1e-12
+    assert v == 0.0
 
 
 def test_apply_phase_zero_is_identity():
-    a = PolarizedAmplitude(0.3 + 0.1j, -0.2j)
+    a = (0.3 + 0.1j, -0.2j)
     assert apply_phase(a, 0.0, 0.0) == a
 
 
@@ -103,57 +89,37 @@ def test_apply_phase_preserves_photon_number():
     for _ in range(50):
         a = _random_amplitude(rng)
         out = apply_phase(a, 1.23, 4.56)
-        assert math.isclose(out.photon_number, a.photon_number, rel_tol=1e-12)
-
-
-def test_apply_phase_rejects_nonfinite():
-    with pytest.raises(ValidationError):
-        apply_phase(PolarizedAmplitude(1.0, 0.0), math.nan, 0.0)
-
-
-def _pair(ref_amp, sig_amp, dt=50.0):
-    return PulsePair(Pulse(ref_amp, 0.0), Pulse(sig_amp, dt))
+        assert math.isclose(photon_number(out), photon_number(a), rel_tol=1e-12)
 
 
 def test_attenuate_hits_target_total():
-    pair = _pair(PolarizedAmplitude(1.0, 0.0), PolarizedAmplitude(1.0, 0.0))
-    out = attenuate_to_mean_photon(pair, 0.1)
-    assert math.isclose(out.photon_number, 0.1, rel_tol=1e-12)
+    ref, sig = attenuate_to_mean_photon((1.0, 0.0), (1.0, 0.0), 0.1)
+    assert math.isclose(photon_number(ref) + photon_number(sig), 0.1, rel_tol=1e-12)
     # amplitudes shrink by 1/sqrt(20)
-    assert math.isclose(abs(out.reference.amplitude.h), 1.0 / math.sqrt(20.0), rel_tol=1e-12)
+    assert math.isclose(abs(ref[0]), 1.0 / math.sqrt(20.0), rel_tol=1e-12)
 
 
 def test_attenuate_identity_at_current_total():
-    pair = _pair(PolarizedAmplitude(0.5, 0.0), PolarizedAmplitude(0.0, 0.5j))
-    out = attenuate_to_mean_photon(pair, pair.photon_number)
-    assert math.isclose(out.photon_number, pair.photon_number, rel_tol=1e-12)
-    assert math.isclose(abs(out.reference.amplitude.h), 0.5, rel_tol=1e-12)
+    ref, sig = (0.5, 0.0), (0.0, 0.5j)
+    total = photon_number(ref) + photon_number(sig)
+    out_ref, out_sig = attenuate_to_mean_photon(ref, sig, total)
+    assert math.isclose(photon_number(out_ref) + photon_number(out_sig), total, rel_tol=1e-12)
+    assert math.isclose(abs(out_ref[0]), 0.5, rel_tol=1e-12)
 
 
 def test_attenuate_preserves_power_ratio_and_phase():
-    ref = PolarizedAmplitude(math.sqrt(2.0), 0.0)
-    sig = PolarizedAmplitude(1.0 * cmath.exp(0.7j), 0.0)
-    out = attenuate_to_mean_photon(_pair(ref, sig), 0.09)
-    ratio = out.reference.photon_number / out.signal.photon_number
+    ref = (math.sqrt(2.0), 0.0)
+    sig = (1.0 * cmath.exp(0.7j), 0.0)
+    out_ref, out_sig = attenuate_to_mean_photon(ref, sig, 0.09)
+    ratio = photon_number(out_ref) / photon_number(out_sig)
     assert math.isclose(ratio, 2.0, rel_tol=1e-12)
     # relative phase untouched
-    rel = out.signal.amplitude.h / out.reference.amplitude.h
-    assert math.isclose(cmath.phase(rel), 0.7, rel_tol=1e-12)
-
-
-def test_attenuate_vacuum_cases():
-    vacuum = _pair(PolarizedAmplitude(0.0, 0.0), PolarizedAmplitude(0.0, 0.0))
-    with pytest.raises(ValidationError):
-        attenuate_to_mean_photon(vacuum, 0.1)
-    out = attenuate_to_mean_photon(vacuum, 0.0)
-    assert out.photon_number == 0.0
-    with pytest.raises(ValidationError):
-        attenuate_to_mean_photon(vacuum, -0.1)
+    assert math.isclose(cmath.phase(out_sig[0] / out_ref[0]), 0.7, rel_tol=1e-12)
 
 
 def test_interfere_constructive_destructive():
-    amp = PolarizedAmplitude(math.sqrt(0.05), 0.0)
-    neg = PolarizedAmplitude(-math.sqrt(0.05), 0.0)
+    amp = (math.sqrt(0.05), 0.0)
+    neg = (-math.sqrt(0.05), 0.0)
     mu0, mu1 = interfere(amp, amp)
     assert math.isclose(mu0, 0.1, rel_tol=1e-12)
     assert mu1 == 0.0
@@ -163,16 +129,16 @@ def test_interfere_constructive_destructive():
 
 
 def test_interfere_quadrature_splits_evenly():
-    s = PolarizedAmplitude(math.sqrt(0.05) * cmath.exp(1j * math.pi / 2.0), 0.0)
-    r = PolarizedAmplitude(math.sqrt(0.05), 0.0)
+    s = (math.sqrt(0.05) * cmath.exp(1j * math.pi / 2.0), 0.0)
+    r = (math.sqrt(0.05), 0.0)
     mu0, mu1 = interfere(s, r)
     assert math.isclose(mu0, 0.05, rel_tol=1e-12)
     assert math.isclose(mu1, 0.05, rel_tol=1e-12)
 
 
 def test_interfere_orthogonal_polarizations_do_not_interfere():
-    s = PolarizedAmplitude(math.sqrt(0.05), 0.0)
-    r = PolarizedAmplitude(0.0, math.sqrt(0.05))
+    s = (math.sqrt(0.05), 0.0)
+    r = (0.0, math.sqrt(0.05))
     mu0, mu1 = interfere(s, r)
     assert math.isclose(mu0, 0.05, rel_tol=1e-12)
     assert math.isclose(mu1, 0.05, rel_tol=1e-12)
@@ -184,7 +150,7 @@ def test_interfere_energy_conservation_random_suite():
         s = _random_amplitude(rng)
         r = _random_amplitude(rng)
         mu0, mu1 = interfere(s, r)
-        total = s.photon_number + r.photon_number
+        total = photon_number(s) + photon_number(r)
         assert math.isclose(mu0 + mu1, total, rel_tol=1e-12)
 
 
@@ -206,7 +172,7 @@ def test_interfere_visibility_law():
     for _ in range(1000):
         power = rng.uniform(0.01, 2.0)
         delta = rng.uniform(0.0, 2.0 * math.pi)
-        r = PolarizedAmplitude(math.sqrt(power), 0.0)
+        r = (math.sqrt(power), 0.0)
         s = apply_phase(r, delta, delta)
         mu0, mu1 = interfere(s, r)
         assert math.isclose(mu1 / (mu0 + mu1), math.sin(delta / 2.0) ** 2,
@@ -230,53 +196,12 @@ def test_click_probability_monotone_in_mu():
     assert all(b >= a for a, b in zip(probs, probs[1:]))
 
 
-def test_detect_deterministic_given_stream():
-    cfg = DetectorConfig(efficiency=0.5, dark_prob=0.0)
-    a = [detect(0.5, cfg, np.random.default_rng(99)) for _ in range(1)]
-    b = [detect(0.5, cfg, np.random.default_rng(99)) for _ in range(1)]
-    assert a == b
-    rng = np.random.default_rng(100)
-    outcomes = [detect(2.0, cfg, rng) for _ in range(200)]
-    assert any(outcomes) and not all(outcomes)
-
-
-def test_detect_rejects_negative_mean():
-    with pytest.raises(ValidationError):
-        detect(-0.01, DetectorConfig(), np.random.default_rng(0))
-
-
-def test_detector_config_validation():
-    with pytest.raises(ValidationError):
-        DetectorConfig(efficiency=1.5)
-    with pytest.raises(ValidationError):
-        DetectorConfig(efficiency=-0.1)
-    with pytest.raises(ValidationError):
-        DetectorConfig(dark_prob=1.0)
-
-
 def test_fiber_loss_reference_value():
-    pulse = Pulse(PolarizedAmplitude(1.0, 0.0), 7.0)
-    out = propagate_fiber(pulse, 5.0, 0.2)
-    assert math.isclose(out.photon_number, FIBER_5KM_02DB, rel_tol=1e-12)
-    assert out.t_ns == 7.0
+    out = propagate_fiber((1.0, 0.0), 5.0, 0.2)
+    assert math.isclose(photon_number(out), FIBER_5KM_02DB, rel_tol=1e-12)
 
 
 def test_fiber_identity_cases():
-    pulse = Pulse(PolarizedAmplitude(0.5, 0.5j), 3.0)
-    assert propagate_fiber(pulse, 0.0, 0.2).photon_number == pulse.photon_number
-    assert propagate_fiber(pulse, 5.0, 0.0).photon_number == pulse.photon_number
-
-
-def test_fiber_rejects_negative_parameters():
-    pulse = Pulse(PolarizedAmplitude(1.0, 0.0), 0.0)
-    with pytest.raises(ValidationError):
-        propagate_fiber(pulse, -1.0, 0.2)
-    with pytest.raises(ValidationError):
-        propagate_fiber(pulse, 1.0, -0.2)
-
-
-def test_amplitude_rejects_nonfinite():
-    with pytest.raises(ValidationError):
-        PolarizedAmplitude(math.inf, 0.0)
-    with pytest.raises(ValidationError):
-        PolarizedAmplitude(0.0, complex(0.0, math.nan))
+    amp = (0.5, 0.5j)
+    assert photon_number(propagate_fiber(amp, 0.0, 0.2)) == photon_number(amp)
+    assert photon_number(propagate_fiber(amp, 5.0, 0.0)) == photon_number(amp)

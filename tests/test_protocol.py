@@ -7,51 +7,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracle
 from plugplay_qkd import (
-    BASES,
-    BasisBit,
     DetectionRecords,
     DetectorConfig,
-    PhasePattern,
-    PolarizedAmplitude,
-    Pulse,
-    PulsePair,
     RandomizerTiming,
     SessionConfig,
     ValidationError,
-    apply_phase,
-    attenuate_to_mean_photon,
     estimate_qber,
     export_records_csv,
-    faraday_swap,
-    generate_pattern,
-    interfere,
-    modulate_pi,
-    mzi_split,
-    phase_at,
-    propagate_fiber,
     run_session,
     sift,
 )
-from plugplay_qkd.protocol import _CSV_BLOCK_ROWS, _substreams, pattern_stream
-from plugplay_qkd.randomizer import PHASE_PER_CODE
+from plugplay_qkd.protocol import BASES, _CSV_BLOCK_ROWS, _substreams, pattern_stream
+from plugplay_qkd.randomizer import PHASE_PER_CODE, generate_pattern
 
 SE_HALF_1000 = 0.015811388300841896  # sqrt(0.25 / 1000)
 SE_1PC_1000 = 0.003146426544510455  # sqrt(0.01 * 0.99 / 1000)
 
 
 def test_basis_bit_coding_phases():
-    assert BasisBit("X", 0).coding_phase == 0.0
-    assert BasisBit("X", 1).coding_phase == math.pi
-    assert BasisBit("Y", 0).coding_phase == math.pi / 2.0
-    assert BasisBit("Y", 1).coding_phase == 3.0 * math.pi / 2.0
-
-
-def test_basis_bit_validation():
-    with pytest.raises(ValidationError):
-        BasisBit("Z", 0)
-    with pytest.raises(ValidationError):
-        BasisBit("X", 2)
+    # the BB84 encoder phases the scalar oracle applies, basis index 0 = X
+    assert oracle.coding_phase(0, 0) == 0.0
+    assert oracle.coding_phase(0, 1) == math.pi
+    assert oracle.coding_phase(1, 0) == math.pi / 2.0
+    assert oracle.coding_phase(1, 1) == 3.0 * math.pi / 2.0
 
 
 def test_estimate_qber_reference_values():
@@ -125,14 +105,12 @@ def test_sift_fraction_is_binomial_half():
 def test_detection_records_views():
     records = _records([0, 1], [1, 0], [0, 1], [True, False], [False, True])
     assert len(records) == 2
-    first = records[0]
-    assert first.alice == BasisBit("X", 1)
-    assert first.bob_basis == "X"
-    assert first.clicked_d0 and not first.clicked_d1
-    assert records[-1].bob_basis == "Y"
-    assert [r.bit_index for r in records] == [0, 1]
-    with pytest.raises(IndexError):
-        records[2]
+    assert records.alice_basis.dtype == np.int8 and records.clicked_d0.dtype == bool
+    assert [BASES[b] for b in records.bob_basis] == ["X", "Y"]
+    assert records.alice_bit.tolist() == [1, 0]
+    assert records.clicked_d0.tolist() == [True, False]
+    with pytest.raises(ValidationError):
+        _records([0, 1], [1, 0], [0], [True, False], [False, True])
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])
@@ -206,7 +184,7 @@ def test_emitted_phases_on_dac_grid():
 @pytest.mark.parametrize("seed", [0, 42])
 def test_pattern_stream_is_the_per_frame_session_stream(seed):
     rng = np.random.default_rng(_substreams(seed)["pattern"])
-    frames = np.concatenate([generate_pattern(rng, 504).codes for _ in range(3)])
+    frames = np.concatenate([generate_pattern(rng, 504) for _ in range(3)])
     np.testing.assert_array_equal(pattern_stream(seed, 1000), frames[:1000])
     np.testing.assert_array_equal(pattern_stream(seed, 1512), frames)
 
@@ -225,66 +203,8 @@ def test_pattern_stream_validation():
         pattern_stream(1, 0)
 
 
-def _scalar_session_means(cfg):
-    """Recompute per-bit detector means by chaining the public single-pulse
-    operations, mirroring the physical story one bit at a time."""
-    streams = _substreams(cfg.seed)
-    rng_alice = np.random.default_rng(streams["alice"])
-    rng_bob = np.random.default_rng(streams["bob"])
-    n = cfg.n_bits
-    alice_basis = rng_alice.integers(0, 2, size=n, dtype=np.int8)
-    alice_bit = rng_alice.integers(0, 2, size=n, dtype=np.int8)
-    bob_basis = rng_bob.integers(0, 2, size=n, dtype=np.int8)
-
-    if cfg.polarization is None:
-        z = np.random.default_rng(streams["polarization"]).normal(size=4)
-        h0, v0 = complex(z[0], z[1]), complex(z[2], z[3])
-    else:
-        h0, v0 = (complex(c) for c in cfg.polarization)
-    norm = math.sqrt(abs(h0) ** 2 + abs(v0) ** 2)
-    h0, v0 = h0 / norm, v0 / norm
-
-    rng_pattern = np.random.default_rng(streams["pattern"])
-    n_frames = -(-n // cfg.frame_len)
-    codes = np.concatenate(
-        [generate_pattern(rng_pattern, cfg.frame_len).codes for _ in range(n_frames)]
-    )
-    # back-to-back frames form one continuous stepped pattern
-    chained = PhasePattern(codes)
-
-    long_arm_phase = {0: 0.0, 1: math.pi / 2.0}
-    mus = np.empty((n, 2))
-    emitted = np.empty(n)
-    for i in range(n):
-        t_emit = cfg.first_event_ns() + i * cfg.timing.period_ns
-        source = Pulse(PolarizedAmplitude(h0, v0), t_emit)
-        pair = mzi_split(source, cfg.insertion_loss_db, cfg.tau_mzi_ns)
-        ref = propagate_fiber(pair.reference, cfg.fiber_km, cfg.fiber_loss_db_per_km)
-        sig = propagate_fiber(pair.signal, cfg.fiber_km, cfg.fiber_loss_db_per_km)
-        phi_a = BasisBit(BASES[alice_basis[i]], int(alice_bit[i])).coding_phase
-        sig = Pulse(apply_phase(sig.amplitude, phi_a, phi_a), sig.t_ns)
-        if cfg.randomizer_enabled:
-            ref = modulate_pi(ref, chained, cfg.timing)
-            sig = modulate_pi(sig, chained, cfg.timing)
-        else:
-            ref = Pulse(faraday_swap(ref.amplitude), ref.t_ns)
-            sig = Pulse(faraday_swap(sig.amplitude), sig.t_ns)
-        emitted[i] = phase_at(t_emit, chained, cfg.timing) if cfg.randomizer_enabled else 0.0
-        pair = attenuate_to_mean_photon(PulsePair(ref, sig), cfg.mu_target)
-        ref = propagate_fiber(pair.reference, cfg.fiber_km, cfg.fiber_loss_db_per_km)
-        sig = propagate_fiber(pair.signal, cfg.fiber_km, cfg.fiber_loss_db_per_km)
-        # return trip through Bob: reference crosses the long arm and picks up
-        # the basis phase, signal crosses the short arm
-        phi_b = long_arm_phase[int(bob_basis[i])]
-        ref_amp = apply_phase(ref.amplitude, phi_b, phi_b).scaled(
-            10.0 ** (-cfg.insertion_loss_db / 20.0)
-        )
-        mus[i] = interfere(sig.amplitude, ref_amp)
-    return mus, emitted
-
-
 # 65/135 and -65/-135 put one of a bit's passes exactly on a step edge
-# (phase_at is the half-open oracle); at +-1e12 every pass idles.
+# (oracle.phase_at is the half-open slot rule); at +-1e12 every pass idles.
 @pytest.mark.parametrize(
     "delay",
     [0.0, 35.0, 70.0, 100.0, 120.0, -90.0, 200.0, 65.0, 135.0, -65.0, -135.0, 1e12, -1e12],
@@ -296,7 +216,7 @@ def test_kernel_matches_scalar_op_composition(delay):
         timing=RandomizerTiming(delay_ns=delay),
     )
     records, emitted = run_session(cfg)
-    mus, emitted_ref = _scalar_session_means(cfg)
+    mus, emitted_ref = oracle.session_means(cfg)
     assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
     assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
     assert np.array_equal(emitted, emitted_ref)
@@ -322,7 +242,7 @@ def test_overflowing_slot_quotient_is_the_idle_modulator():
 def test_kernel_matches_scalar_with_randomizer_off():
     cfg = SessionConfig(n_bits=400, seed=9, randomizer_enabled=False)
     records, _ = run_session(cfg)
-    mus, _ = _scalar_session_means(cfg)
+    mus, _ = oracle.session_means(cfg)
     assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
     assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
 
@@ -350,6 +270,52 @@ def test_frame_patterns_are_regenerated():
     # phases of the second frame must not repeat the first
     _, phases = run_session(SessionConfig(n_bits=1008, seed=13))
     assert not np.array_equal(phases[:504], phases[504:1008])
+
+
+# per-bit detector-side energy: the source's unit pulse splits, crosses the
+# fiber twice and the long arm once per interfering path, and is attenuated
+# to mu_target either for the pair or for the signal alone
+@pytest.mark.parametrize("delay", [0.0, 70.0, -90.0])  # aligned, straddling, misaligned
+def test_per_bit_energy_closed_form(delay):
+    base = SessionConfig(
+        n_bits=2000,
+        seed=31,
+        mu_target=0.3,
+        timing=RandomizerTiming(delay_ns=delay),
+        insertion_loss_db=2.2,
+        fiber_km=12.5,
+        fiber_loss_db_per_km=0.25,
+    )
+    fiber = 10.0 ** (-base.fiber_loss_db_per_km * base.fiber_km / 10.0)
+    long_arm = 10.0 ** (-base.insertion_loss_db / 10.0)
+    expected = {
+        "pair": 2.0 * fiber * long_arm * base.mu_target / (1.0 + long_arm),
+        "signal": 2.0 * fiber * base.mu_target,
+    }
+    for convention, total in expected.items():
+        records, _ = run_session(replace(base, mu_convention=convention))
+        np.testing.assert_allclose(records.mu_d0 + records.mu_d1, total, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("delay", [0.0, 70.0])  # two-valued and spread-out means
+def test_click_counts_follow_the_click_law(delay):
+    detector = DetectorConfig(efficiency=0.6, dark_prob=1e-3)
+    cfg = SessionConfig(n_bits=100_000, seed=12, mu_target=2.0, detector=detector,
+                        timing=RandomizerTiming(delay_ns=delay))
+    records, _ = run_session(cfg)
+    for mu_d, clicked in ((records.mu_d0, records.clicked_d0), (records.mu_d1, records.clicked_d1)):
+        p = np.array([oracle.click_probability(m, detector) for m in mu_d.tolist()])
+        sigma = math.sqrt(float((p * (1.0 - p)).sum()))
+        assert abs(int(clicked.sum()) - p.sum()) <= 5.0 * sigma
+
+
+def test_detector_config_validation():
+    with pytest.raises(ValidationError):
+        DetectorConfig(efficiency=1.5)
+    with pytest.raises(ValidationError):
+        DetectorConfig(efficiency=-0.1)
+    with pytest.raises(ValidationError):
+        DetectorConfig(dark_prob=1.0)
 
 
 def _double_click_config(policy):
@@ -391,6 +357,11 @@ def test_config_validation_errors():
         SessionConfig(n_bits=100, double_click_policy="keep").validate()
     with pytest.raises(ValidationError):
         SessionConfig(n_bits=100, polarization=(0.0, 0.0)).validate()
+    # the source, splitter, fiber and long-arm parameters are range-checked
+    for bad in ({"insertion_loss_db": -0.1}, {"fiber_km": -1.0}, {"fiber_loss_db_per_km": -0.2},
+                {"tau_mzi_ns": 0.0}, {"tau_mzi_ns": -1.0}, {"polarization": (math.nan, 0.0)}):
+        with pytest.raises(ValidationError):
+            SessionConfig(n_bits=100, **bad).validate()
     # all four modulation passes must fit within one pattern step
     with pytest.raises(ValidationError):
         SessionConfig(n_bits=100, tau_mzi_ns=190.0).validate()

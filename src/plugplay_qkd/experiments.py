@@ -323,8 +323,8 @@ def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> FockDensityMa
     diagonal (Poissonian) mixture, N discrete phases keep every n = m (mod N)
     coherence, and a fixed phase keeps the pure coherent state.
     """
-    if mu < 0.0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mu}")
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu}")
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     dim = n_max + 1
@@ -333,9 +333,16 @@ def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> FockDensityMa
         amps = np.zeros(dim)
         amps[0] = 1.0
     else:
-        # log-space keeps large n stable: amp_n = e^{-mu/2} mu^{n/2} / sqrt(n!)
-        log_fact = np.array([math.lgamma(n + 1.0) for n in range(dim)])
-        amps = np.exp(-mu / 2.0 + 0.5 * (ns * math.log(mu) - log_fact))
+        # amp_n = e^{-mu/2} mu^{n/2} / sqrt(n!) by the recurrence
+        # amp_n = amp_{n-1} sqrt(mu/n), an ulp or so per step where exp of a
+        # log-space sum loses about log(n!) ulps. The recurrence needs
+        # e^{-mu/2} as a normal float; beyond mu ~ 1417 log space remains.
+        weight = math.exp(-mu / 2.0)
+        if weight >= np.finfo(np.float64).tiny:
+            amps = np.cumprod(np.concatenate(([weight], np.sqrt(mu / ns[1:]))))
+        else:
+            log_fact = np.array([math.lgamma(n + 1.0) for n in range(dim)])
+            amps = np.exp(-mu / 2.0 + 0.5 * (ns * math.log(mu) - log_fact))
     order = ns[:, None] - ns[None, :]
     entries = np.outer(amps, amps) * phase_dist.circular_moment(order)
     return FockDensityMatrix(entries=entries, mu=float(mu), n_max=int(n_max))

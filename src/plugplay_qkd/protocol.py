@@ -28,14 +28,13 @@ wrong detector.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._textio import PathOrFile, open_text
+from ._textio import PathOrFile, open_ascii
 from .errors import ValidationError
 from .randomizer import (
     CODE_LEVELS,
@@ -396,30 +395,38 @@ def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEst
     return QberEstimate(qber=qber, std_error=std_error, n_sifted=n, n_errors=n_errors)
 
 
-# Everything after the bit index of a records CSV row, indexed by the 5-bit
-# key (alice basis, alice bit, bob basis, click d0, click d1).
-_ROW_TAILS = np.array(
-    [f",{BASES[k >> 4 & 1]},{k >> 3 & 1},{BASES[k >> 2 & 1]},{k >> 1 & 1},{k & 1}\n" for k in range(32)],
-    dtype=object,
-)
+# Everything after the bit index of a records CSV row, as one row of ASCII
+# bytes per 5-bit key (alice basis, alice bit, bob basis, click d0, click d1).
+_ROW_TAILS = np.frombuffer(
+    "".join(
+        f",{BASES[k >> 4 & 1]},{k >> 3 & 1},{BASES[k >> 2 & 1]},{k >> 1 & 1},{k & 1}\n" for k in range(32)
+    ).encode(),
+    dtype=np.uint8,
+).reshape(32, -1)
 # Rows formatted per write: bounds the text held at once to a few MB.
 _CSV_BLOCK_ROWS = 65_536
 
 
-def _write_records_csv(records: DetectionRecords, fh: IO[str]) -> None:
-    fh.write("bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
+def export_records_csv(records: DetectionRecords, destination: PathOrFile) -> None:
+    """Write one CSV row per bit: index, bases as letters, clicks as 0/1."""
     key = records.alice_basis.astype(np.uint8) << 4
     key |= records.alice_bit.astype(np.uint8) << 3
     key |= records.bob_basis.astype(np.uint8) << 2
     key |= records.clicked_d0.astype(np.uint8) << 1
     key |= records.clicked_d1.astype(np.uint8)
-    for lo in range(0, key.size, _CSV_BLOCK_ROWS):
-        hi = min(key.size, lo + _CSV_BLOCK_ROWS)
-        tails = _ROW_TAILS[key[lo:hi]].tolist()
-        fh.write("".join(itertools.chain.from_iterable(zip(map(str, range(lo, hi)), tails))))
-
-
-def export_records_csv(records: DetectionRecords, destination: PathOrFile) -> None:
-    """Write one CSV row per bit: index, bases as letters, clicks as 0/1."""
-    with open_text(destination) as fh:
-        _write_records_csv(records, fh)
+    with open_ascii(destination) as write:
+        write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
+        start = 0
+        while start < key.size:
+            width = len(str(start))
+            # a group stops short of the next power of ten, so its rows share one width
+            stop = min(key.size, start + _CSV_BLOCK_ROWS, 10**width)
+            rows = np.empty((stop - start, width + _ROW_TAILS.shape[1]), dtype=np.uint8)
+            index = np.arange(start, stop)
+            for col in range(width - 1, -1, -1):
+                index, digit = np.divmod(index, 10)
+                rows[:, col] = digit
+            rows[:, :width] += ord("0")
+            rows[:, width:] = _ROW_TAILS[key[start:stop]]
+            write(rows)
+            start = stop

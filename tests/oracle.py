@@ -5,14 +5,18 @@ whole sessions at once, on integer phase codes and a cosine table. This
 module states the same physics a second way: one pulse at a time, as
 complex Jones vectors ``(h, v)`` over the linear polarization basis in units
 of sqrt(photons), with explicit arrival times in nanoseconds at the
-randomizer. The tests compare the two bit by bit.
+randomizer. The tests compare the two bit by bit. It also holds the exact
+Poisson photon-number distribution that the Fock-space picture must match.
 
 Nothing here validates its inputs; callers pass values a valid
 :class:`~plugplay_qkd.protocol.SessionConfig` allows.
 """
 
 import cmath
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,3 +163,17 @@ def session_means(cfg):
         ref = scaled(apply_phase(ref, phi_b, phi_b), _db_to_amplitude(loss_db))
         mus[i] = interfere(sig, ref)
     return mus, emitted
+
+
+def poisson_deviation(diagonal, mu):
+    """Largest relative distance of ``diagonal`` from the Poisson pmf of the
+    float ``mu``: exp(-mu) to 50 digits times mu**n / n! held exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        weight = (-Decimal(mu)).exp()
+        worst = Decimal(0)
+        for n, value in enumerate(diagonal.tolist()):
+            term = Fraction(mu) ** n / math.factorial(n)
+            pmf = weight * Decimal(term.numerator) / Decimal(term.denominator)
+            worst = max(worst, abs(Decimal(value) / pmf - 1))
+    return float(worst)

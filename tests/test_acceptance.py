@@ -5,16 +5,13 @@ PASS/FAIL line (collected into the terminal summary by conftest). Seeds are
 pinned so every run works through identical random draws.
 """
 
-import decimal
 import math
-from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracle import apply_phase, interfere, photon_number
+from oracle import apply_phase, interfere, photon_number, poisson_deviation
 from plugplay_qkd import (
     DiscreteUniformPhase,
     FixedPhase,
@@ -153,27 +150,13 @@ def test_criterion_4_interference_energy_and_visibility():
     )
 
 
-def _poisson_deviation(diagonal, mu):
-    """Largest relative distance of ``diagonal`` from the Poisson pmf of the
-    float ``mu``: exp(-mu) to 50 digits times mu**n / n! held exactly."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        weight = (-Decimal(mu)).exp()
-        worst = Decimal(0)
-        for n, value in enumerate(diagonal.tolist()):
-            term = Fraction(mu) ** n / math.factorial(n)
-            pmf = weight * Decimal(term.numerator) / Decimal(term.denominator)
-            worst = max(worst, abs(Decimal(value) / pmf - 1))
-    return float(worst)
-
-
 def test_criterion_5_photon_number_matrix_dephasing():
     worst_offdiag = 0.0
     worst_poisson = 0.0
     for mu in (0.1, 0.5, 1.0):
         rho = fock_density_matrix(mu, UniformPhase(), n_max=20)
         worst_offdiag = max(worst_offdiag, offdiag_norm(rho))
-        worst_poisson = max(worst_poisson, _poisson_deviation(rho.diagonal, mu))
+        worst_poisson = max(worst_poisson, poisson_deviation(rho.diagonal, mu))
     uniform_ok = worst_offdiag <= 1e-15 and worst_poisson <= 1e-12
 
     fixed = fock_density_matrix(0.1, FixedPhase(0.0), n_max=20)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from oracle import poisson_deviation
+
 from plugplay_qkd import (
     DelayScanResult,
     DetectorConfig,
@@ -318,6 +320,27 @@ def test_density_matrix_equals_gammaln_form(mu):
         np.testing.assert_array_equal(rho.entries == 0, expected == 0)
 
 
+@pytest.mark.parametrize("mu", [0.1, 0.5, 1.0])
+def test_density_diagonal_is_the_exact_poisson_pmf(mu):
+    # the product recurrence stays within 9.8e-16 of the exact pmf here; a
+    # log-space form (exp of lgamma sums) drifts to 1.1e-14 by n = 20
+    rho = fock_density_matrix(mu, UniformPhase(), n_max=20)
+    assert poisson_deviation(rho.diagonal, mu) <= 2e-15
+
+
+@pytest.mark.parametrize(
+    "mu, cdf",
+    # Poisson cdf at 1600, summed exactly at 80 digits
+    [(1400.0, 0.99999992062719213690), (1480.0, 0.99901726279206337143), (1500.0, 0.99492914164116584589)],
+)
+def test_density_trace_near_the_underflow_is_the_poisson_cdf(mu, cdf):
+    # e^{-700} is a normal float, e^{-740} a subnormal one with about three
+    # significant digits and e^{-750} zero: no recurrence may start from
+    # the last two, so they keep log space (1.1e-13 off at mu 1500)
+    rho = fock_density_matrix(mu, UniformPhase(), n_max=1600)
+    assert math.isclose(rho.trace, cdf, rel_tol=1e-12)
+
+
 def test_vacuum_density_matrix():
     for dist in (UniformPhase(), FixedPhase(1.0), DiscreteUniformPhase(5)):
         rho = fock_density_matrix(0.0, dist, n_max=4)
@@ -336,6 +359,11 @@ def test_fock_validation():
     with pytest.raises(ValidationError):
         FixedPhase(math.inf)
 
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_fock_rejects_non_finite_mu(mu):
+    with pytest.raises(ValidationError):
+        fock_density_matrix(mu, UniformPhase())
 
 def test_offdiag_norm_examples():
     flat = fock_density_matrix(0.3, UniformPhase(), n_max=8)

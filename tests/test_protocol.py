@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -394,7 +395,9 @@ def _records_csv_by_row(records):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n", [1, 10, 1001, _CSV_BLOCK_ROWS + 1])
+# rows change index width at each power of ten; at 100,001 rows the last
+# change (row 100,000) falls inside the second 65,536-row block
+@pytest.mark.parametrize("n", [1, 10, 1001, _CSV_BLOCK_ROWS + 1, 0, 9, 11, 100, 101, 100_001])
 def test_records_csv_matches_row_by_row_reference(n, tmp_path):
     rng = np.random.default_rng(n)
     records = _records(*(rng.integers(0, 2, size=(5, n)).astype(bool)))
@@ -405,6 +408,33 @@ def test_records_csv_matches_row_by_row_reference(n, tmp_path):
     target = tmp_path / "records.csv"
     export_records_csv(records, target)
     assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+def test_records_csv_to_a_text_handle(encoding):
+    # the rows land after text the caller wrote first, in the handle's encoding
+    records = _records(*(np.random.default_rng(3).integers(0, 2, size=(5, 1001)).astype(bool)))
+    raw = io.BytesIO()
+    fh = io.TextIOWrapper(raw, encoding=encoding)
+    fh.write("# note\n")
+    export_records_csv(records, fh)
+    fh.flush()
+    assert raw.getvalue().decode(encoding) == "# note\n" + _records_csv_by_row(records)
+
+
+def test_records_csv_export_memory_is_bounded(tmp_path):
+    # the paper's 843,000-bit session writes 14.7 MB of text; the export
+    # formats it a block at a time, so its own allocations stay a few MB
+    records, _ = run_session(SessionConfig(n_bits=843_000, seed=42))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        export_records_csv(records, tmp_path / "records.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "records.csv").stat().st_size > 14_000_000
+    assert peak < 6_000_000
 
 
 def test_records_csv_export():

@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 bad usage or invalid parameters, 2 I/O failure,
 3 statistical rejection (uniformity audit failed).
 
 Options may also come from a config file of ``key = value`` lines (``#``
-starts a comment); explicit flags win over file values.
+starts a comment), keyed by long flag name with ``_`` for ``-``: each line is
+read as that flag, ahead of the given flags, which win.
 """
 
 from __future__ import annotations
@@ -54,48 +55,20 @@ EXIT_IO = 2
 EXIT_REJECTED = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse parser that reports errors via exception, not sys.exit."""
 
     def error(self, message: str):  # noqa: D102 - argparse hook
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValidationError(f"{self.prog}: {message}")
 
 
-_DEFAULTS = {
-    "seed": 42,
-    "bits": 843_000,
-    "mean_photon": 0.1,
-    "mu_convention": "pair",
-    "delay_ns": 0.0,
-    "period_ns": 200.0,
-    "roundtrip_ns": 20.0,
-    "tau_mzi_ns": 50.0,
-    "insertion_loss_db": 3.0,
-    "fiber_km": 5.0,
-    "fiber_loss_db_per_km": 0.2,
-    "efficiency": 0.10,
-    "dark_prob": 1e-5,
-    "randomizer": "on",
-    "double_click_policy": "discard",
-    "polarization": "random",
-    "scan_range_ns": 200.0,
-    "scan_step_ns": 10.0,
-    "threads": 1,
-    "codes": 1_000_000,
-    "bins": 256,
-    "n_max": 20,
-    "phase_dist": "uniform",
-}
+def _config_flags(path: str, command: str, file_flags: dict[str, set[str]]) -> list[str]:
+    """The ``key = value`` lines of ``path`` as ``--key=value`` tokens for ``command``.
 
-_CONFIG_KEYS = frozenset(_DEFAULTS)
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+    A key only another subcommand takes (see ``file_flags``) is skipped, so
+    one file can serve every subcommand.
+    """
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -106,10 +79,13 @@ def _load_config_file(path: str) -> dict[str, str]:
             val = val.strip()
             if not sep or not key or not val:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _CONFIG_KEYS:
+            flag = "--" + key.replace("_", "-")
+            if "-" in key or not any(flag in flags for flags in file_flags.values()):
                 raise ValidationError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = val
-    return values
+            if flag in file_flags[command]:
+                # the '=' form keeps a value such as -inf from reading as a flag
+                tokens.append(f"{flag}={val}")
+    return tokens
 
 
 def _parse_polarization(text: str) -> Optional[tuple[complex, complex]]:
@@ -135,92 +111,56 @@ def _parse_polarization(text: str) -> Optional[tuple[complex, complex]]:
     )
 
 
-class _Options:
-    """Merge of flags, config-file values and defaults, flags winning."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(self, key: str, conv):
-        flag_value = getattr(self.args, key, None)
-        if flag_value is not None:
-            return flag_value
-        if key in self.file_values:
-            raw = self.file_values[key]
-            try:
-                return conv(raw)
-            except ValidationError:
-                raise
-            except (ValueError, TypeError):
-                raise ValidationError(f"config value for {key!r} is invalid: {raw!r}") from None
-        return _DEFAULTS[key]
+def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
+    """Keyword arguments for the options that were set, keyed by ``names`` or
+    by the keys of ``renamed``; unset ones are left to the callee's defaults."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    given = {key: getattr(args, dest, None) for key, dest in pairs}
+    return {key: value for key, value in given.items() if value is not None}
 
 
-def _choice(options: Sequence[str]):
-    def conv(raw: str) -> str:
-        if raw not in options:
-            raise ValidationError(f"expected one of {list(options)}, got {raw!r}")
-        return raw
-
-    return conv
-
-
-def _session_config(opts: _Options, delay_ns: Optional[float] = None) -> SessionConfig:
-    timing = RandomizerTiming(
-        period_ns=opts.pick("period_ns", float),
-        delay_ns=delay_ns if delay_ns is not None else opts.pick("delay_ns", float),
-        roundtrip_ns=opts.pick("roundtrip_ns", float),
+def _session_config(args: argparse.Namespace) -> SessionConfig:
+    fields = _given(
+        args, "seed", "mu_convention", "tau_mzi_ns", "insertion_loss_db", "fiber_km",
+        "fiber_loss_db_per_km", "double_click_policy", n_bits="bits", mu_target="mean_photon",
     )
-    detector = DetectorConfig(
-        efficiency=opts.pick("efficiency", float),
-        dark_prob=opts.pick("dark_prob", float),
-    )
+    if args.randomizer is not None:
+        fields["randomizer_enabled"] = args.randomizer == "on"
+    if args.polarization is not None:
+        fields["polarization"] = _parse_polarization(args.polarization)
     return SessionConfig(
-        n_bits=opts.pick("bits", int),
-        seed=opts.pick("seed", int),
-        mu_target=opts.pick("mean_photon", float),
-        mu_convention=opts.pick("mu_convention", _choice(("pair", "signal"))),
-        timing=timing,
-        tau_mzi_ns=opts.pick("tau_mzi_ns", float),
-        insertion_loss_db=opts.pick("insertion_loss_db", float),
-        fiber_km=opts.pick("fiber_km", float),
-        fiber_loss_db_per_km=opts.pick("fiber_loss_db_per_km", float),
-        detector=detector,
-        randomizer_enabled=opts.pick("randomizer", _choice(("on", "off"))) == "on",
-        double_click_policy=opts.pick("double_click_policy", _choice(("discard", "random"))),
-        polarization=_parse_polarization(opts.pick("polarization", str)),
+        timing=RandomizerTiming(**_given(args, "period_ns", "delay_ns", "roundtrip_ns")),
+        detector=DetectorConfig(**_given(args, "efficiency", "dark_prob")),
+        **fields,
     )
 
 
 def _add_session_flags(parser: argparse.ArgumentParser, with_delay: bool) -> None:
     add = parser.add_argument
     add("--config", metavar="PATH", help="read defaults from a key = value file")
-    add("--seed", type=int, help="base RNG seed")
+    add("--seed", type=int, default=42, help="base RNG seed")
     add("--bits", type=int, help="number of signal bits per session")
-    add("--mean-photon", type=float, dest="mean_photon", help="mean photon number target")
-    add("--mu-convention", choices=("pair", "signal"), dest="mu_convention",
+    add("--mean-photon", type=float, help="mean photon number target")
+    add("--mu-convention", choices=("pair", "signal"),
         help="whether the target counts both pulses or the signal alone")
     if with_delay:
-        add("--delay-ns", type=float, dest="delay_ns", help="generator trigger delay")
-    add("--period-ns", type=float, dest="period_ns", help="pulse period")
-    add("--roundtrip-ns", type=float, dest="roundtrip_ns", help="modulator-mirror round trip")
-    add("--tau-mzi-ns", type=float, dest="tau_mzi_ns", help="interferometer arm delay")
-    add("--insertion-loss-db", type=float, dest="insertion_loss_db", help="long-arm loss")
-    add("--fiber-km", type=float, dest="fiber_km", help="one-way fiber length")
-    add("--fiber-loss-db-per-km", type=float, dest="fiber_loss_db_per_km", help="fiber loss")
+        add("--delay-ns", type=float, help="generator trigger delay")
+    add("--period-ns", type=float, help="pulse period")
+    add("--roundtrip-ns", type=float, help="modulator-mirror round trip")
+    add("--tau-mzi-ns", type=float, help="interferometer arm delay")
+    add("--insertion-loss-db", type=float, help="long-arm loss")
+    add("--fiber-km", type=float, help="one-way fiber length")
+    add("--fiber-loss-db-per-km", type=float, help="fiber loss")
     add("--efficiency", type=float, help="detector quantum efficiency")
-    add("--dark-prob", type=float, dest="dark_prob", help="dark count probability per gate")
+    add("--dark-prob", type=float, help="dark count probability per gate")
     add("--randomizer", choices=("on", "off"), help="toggle the global-phase randomizer")
-    add("--double-click-policy", choices=("discard", "random"), dest="double_click_policy",
+    add("--double-click-policy", choices=("discard", "random"),
         help="how sifting treats both-detector events")
     add("--polarization", help="random, h, v, d, a, or 'h_re,h_im,v_re,v_im'")
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    config = _session_config(opts)
-    records, _ = run_session(config)
+    records, _ = run_session(_session_config(args))
     estimate = estimate_qber(sift(records))
     if args.output:
         export_records_csv(records, args.output)
@@ -233,8 +173,11 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 
 def _scan_delays(range_ns: float, step_ns: float) -> list[float]:
-    if range_ns <= 0 or step_ns <= 0:
-        raise ValidationError("scan range and step must be positive")
+    # NaN fails every comparison, so this also rejects it
+    if not (0.0 < range_ns < math.inf and 0.0 < step_ns < math.inf):
+        raise ValidationError(
+            f"scan range and step must be finite and positive, got {range_ns} and {step_ns}"
+        )
     n_steps = int(round(2.0 * range_ns / step_ns))
     if abs(n_steps * step_ns - 2.0 * range_ns) > 1e-9 * max(1.0, range_ns):
         raise ValidationError("scan range must be a whole number of steps")
@@ -242,35 +185,28 @@ def _scan_delays(range_ns: float, step_ns: float) -> list[float]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    config = _session_config(opts, delay_ns=0.0)
-    delays = _scan_delays(opts.pick("scan_range_ns", float), opts.pick("scan_step_ns", float))
-    threads = opts.pick("threads", int)
-    result = delay_scan(config, delays, max_workers=threads)
-    output = args.output or "qber_vs_delay.csv"
-    export_csv(result, output)
+    delays = _scan_delays(args.scan_range_ns, args.scan_step_ns)
+    result = delay_scan(_session_config(args), delays, **_given(args, max_workers="threads"))
+    export_csv(result, args.output)
     for delay, est in zip(result.delays_ns, result.estimates):
         print(f"delay_ns={delay:g} qber={est.qber:.6f} n_sifted={est.n_sifted}")
-    print(f"wrote {len(result)} points to {output}")
+    print(f"wrote {len(result)} points to {args.output}")
     return EXIT_OK
 
 
 def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    n_codes = opts.pick("codes", int)
-    n_bins = opts.pick("bins", int)
-    if n_codes < 1:
-        raise ValidationError(f"need at least one code, got {n_codes}")
+    if args.codes < 1:
+        raise ValidationError(f"need at least one code, got {args.codes}")
     if args.constant_code is not None:
-        codes = np.full(n_codes, args.constant_code, dtype=np.int64)
+        codes = np.full(args.codes, args.constant_code, dtype=np.int64)
     else:
         # audit the same stream a session would feed to the modulator
-        codes = pattern_stream(opts.pick("seed", int), n_codes)
+        codes = pattern_stream(args.seed, args.codes)
     phases = code_to_phase(codes)
-    statistic, threshold = uniformity_chisq(np.asarray(phases), n_bins=n_bins)
+    statistic, threshold = uniformity_chisq(np.asarray(phases), n_bins=args.bins)
     print(
         f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
-        f"({n_bins} bins, {n_codes} codes)"
+        f"({args.bins} bins, {args.codes} codes)"
     )
     if statistic > threshold:
         print("phase sample REJECTED as non-uniform")
@@ -302,18 +238,14 @@ def _parse_phase_dist(form: str):
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    mu = opts.pick("mean_photon", float)
-    n_max = opts.pick("n_max", int)
-    dist = _parse_phase_dist(opts.pick("phase_dist", str))
-    rho = fock_density_matrix(mu, dist, n_max=n_max)
-    output = args.output or "density.csv"
-    export_density_csv(rho, output)
+    dist = _parse_phase_dist(args.phase_dist)
+    rho = fock_density_matrix(args.mean_photon, dist, **_given(args, "n_max"))
+    export_density_csv(rho, args.output)
     print(
-        f"mu={mu:g} dist={opts.pick('phase_dist', str)} trace={rho.trace:.9f} "
+        f"mu={args.mean_photon:g} dist={args.phase_dist} trace={rho.trace:.9f} "
         f"max_offdiag={offdiag_norm(rho):.6e}"
     )
-    print(f"wrote ({rho.n_max + 1})x({rho.n_max + 1}) matrix to {output}")
+    print(f"wrote ({rho.n_max + 1})x({rho.n_max + 1}) matrix to {args.output}")
     return EXIT_OK
 
 
@@ -328,49 +260,69 @@ def _build_parser() -> _Parser:
 
     p_scan = sub.add_parser("scan", help="error rate versus generator trigger delay")
     _add_session_flags(p_scan, with_delay=False)
-    p_scan.add_argument("--scan-range-ns", type=float, dest="scan_range_ns",
+    p_scan.add_argument("--scan-range-ns", type=float, default=200.0,
                         help="sweep from -range to +range")
-    p_scan.add_argument("--scan-step-ns", type=float, dest="scan_step_ns", help="sweep step")
+    p_scan.add_argument("--scan-step-ns", type=float, default=10.0, help="sweep step")
     p_scan.add_argument("--threads", type=int, help="worker threads for scan points")
-    p_scan.add_argument("--output", metavar="PATH", help="CSV destination (default qber_vs_delay.csv)")
+    p_scan.add_argument("--output", metavar="PATH", default="qber_vs_delay.csv",
+                        help="CSV destination (default qber_vs_delay.csv)")
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_verify = sub.add_parser("verify-uniformity", help="chi-square audit of emitted phases")
     p_verify.add_argument("--config", metavar="PATH", help="read defaults from a key = value file")
-    p_verify.add_argument("--seed", type=int, help="base RNG seed")
-    p_verify.add_argument("--codes", type=int, help="number of codes to audit")
-    p_verify.add_argument("--bins", type=int, help="histogram bins over [0, 2*pi)")
-    p_verify.add_argument("--constant-code", type=int, dest="constant_code", metavar="CODE",
+    p_verify.add_argument("--seed", type=int, default=42, help="base RNG seed")
+    p_verify.add_argument("--codes", type=int, default=1_000_000, help="number of codes to audit")
+    p_verify.add_argument("--bins", type=int, default=256, help="histogram bins over [0, 2*pi)")
+    p_verify.add_argument("--constant-code", type=int, metavar="CODE",
                           help="audit a degenerate constant-code stream instead")
     p_verify.set_defaults(handler=_cmd_verify_uniformity)
 
     p_density = sub.add_parser("density", help="photon-number density matrix")
     p_density.add_argument("--config", metavar="PATH", help="read defaults from a key = value file")
-    p_density.add_argument("--mean-photon", type=float, dest="mean_photon", help="mean photon number")
-    p_density.add_argument("--n-max", type=int, dest="n_max", help="truncation photon number")
-    p_density.add_argument("--phase-dist", dest="phase_dist",
+    p_density.add_argument("--mean-photon", type=float, default=0.1, help="mean photon number")
+    p_density.add_argument("--n-max", type=int, help="truncation photon number")
+    p_density.add_argument("--phase-dist", default="uniform",
                            help="uniform, discrete:N or fixed:PHI")
-    p_density.add_argument("--output", metavar="PATH", help="CSV destination (default density.csv)")
+    p_density.add_argument("--output", metavar="PATH", default="density.csv",
+                           help="CSV destination (default density.csv)")
     p_density.set_defaults(handler=_cmd_density)
 
     parser.set_defaults(handler=None)
+    # the long flags a config file may set, per subcommand
+    parser.file_flags = {
+        name: {flag for action in p._actions for flag in action.option_strings
+               if flag.startswith("--")} - {"--help", "--config"}
+        for name, p in sub.choices.items()
+    }
     return parser
 
 
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with its ``--config`` file's lines as flags placed right
+    after the command name, so argparse checks them alike and given flags win."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    tokens = _config_flags(args.config, args.command, parser.file_flags)
+    at = argv.index(args.command) + 1
+    try:
+        return parser.parse_args(argv[:at] + tokens + argv[at:])
+    except ValidationError as exc:
+        # argv parsed on its own, so the file holds the fault
+        raise ValidationError(f"{args.config}: {exc}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _parse(parser, argv)
+        if args.handler is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if args.handler is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

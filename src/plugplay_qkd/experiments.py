@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._textio import PathOrFile, open_text
+from ._textio import PathOrFile, open_ascii
 from .errors import ValidationError
 from .protocol import QberEstimate, SessionConfig, estimate_qber, run_session, sift
 
@@ -58,10 +58,6 @@ class DelayScanResult:
     def __post_init__(self) -> None:
         if len(self.delays_ns) != len(self.estimates):
             raise ValidationError("delay and estimate counts differ")
-        if len(self.delays_ns) > 1:
-            deltas = np.diff(np.asarray(self.delays_ns))
-            if not np.all(deltas > 0):
-                raise ValidationError("scan delays must be strictly increasing")
 
     @property
     def qbers(self) -> np.ndarray:
@@ -102,7 +98,6 @@ def delay_scan(
         raise ValidationError("scan delays must be strictly increasing")
     if max_workers < 1:
         raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
-    config.validate()
 
     def one_point(index: int) -> QberEstimate:
         delay = delays[index]
@@ -366,8 +361,8 @@ def export_csv(result: DelayScanResult, destination: PathOrFile) -> None:
         lines.append(
             f"{delay:.9g},{est.qber:.9g},{est.std_error:.9g},{est.n_sifted},{est.n_errors}"
         )
-    with open_text(destination) as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open_ascii(destination) as write:
+        write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def export_density_csv(rho: FockDensityMatrix, destination: PathOrFile) -> None:
@@ -378,5 +373,5 @@ def export_density_csv(rho: FockDensityMatrix, destination: PathOrFile) -> None:
         for m in range(dim):
             z = rho.entries[n, m]
             lines.append(f"{n},{m},{z.real:.12g},{z.imag:.12g}")
-    with open_text(destination) as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open_ascii(destination) as write:
+        write(("\n".join(lines) + "\n").encode("ascii"))

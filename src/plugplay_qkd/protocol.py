@@ -122,7 +122,7 @@ class SessionConfig:
     double_click_policy: str = "discard"
     polarization: tuple[complex, complex] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("mu_target", "tau_mzi_ns", "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -274,7 +274,6 @@ def run_session(config: SessionConfig) -> SessionResult:
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
     """
-    config.validate()
     n = config.n_bits
     timing = config.timing
     streams = _substreams(config.seed)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,16 @@ def test_scan_rejects_ragged_grid(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     assert main(_scan_args(target) + ["--scan-step-ns", "7"]) == 1
     assert "whole number of steps" in capsys.readouterr().err
+    # a non-finite range or step is refused before any session runs
+    for flag, value in (("--scan-range-ns", "nan"), ("--scan-range-ns", "inf"),
+                        ("--scan-step-ns", "nan"), ("--scan-step-ns", "inf")):
+        assert main(_scan_args(target) + [flag, value]) == 1, (flag, value)
+        assert "scan range and step must be finite and positive" in capsys.readouterr().err
+    config = tmp_path / "scan.conf"
+    config.write_text("scan_step_ns = nan\n")
+    assert main(["scan", "--bits", "2000", "--config", str(config)]) == 1
+    assert "scan range and step must be finite and positive" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_config_file_equivalent_to_flags(tmp_path, capsys):
@@ -124,6 +135,9 @@ def test_config_file_equivalent_to_flags(tmp_path, capsys):
         "bits = 3000\n"
         "mean_photon = 0.2\n"
         "polarization = d\n"
+        "# keys only other subcommands take are skipped, so one file serves all\n"
+        "codes = 30000\n"
+        "threads = 2\n"
     )
     assert main(["session", "--config", str(config)]) == 0
     from_file = capsys.readouterr().out
@@ -161,6 +175,81 @@ def test_config_file_errors(tmp_path, capsys):
 
     assert main(["session", "--config", str(tmp_path / "missing.conf")]) == 2
     assert "i/o error" in capsys.readouterr().err
+
+
+# One cheap command line per subcommand, bright and misaligned enough that
+# every value below shows in its output, and one other value per long flag
+# it takes (--config and --help aside).
+_BRIGHT = {"mean_photon": "1", "efficiency": "0.9"}
+_CLI_BASE = {
+    "session": {"bits": "3000", **_BRIGHT, "delay_ns": "70", "output": "records.csv"},
+    "scan": {"bits": "3000", **_BRIGHT, "scan_range_ns": "100", "scan_step_ns": "25"},
+    "verify-uniformity": {"codes": "20000"},
+    "density": {"n_max": "4"},
+}
+_SESSION_VALUES = {
+    "seed": "7", "bits": "1500", "mean_photon": "0.3", "mu_convention": "signal",
+    "period_ns": "250", "roundtrip_ns": "0", "tau_mzi_ns": "10", "insertion_loss_db": "1",
+    "fiber_km": "10", "fiber_loss_db_per_km": "0.3", "efficiency": "0.5", "dark_prob": "0.01",
+    "randomizer": "off", "double_click_policy": "random", "polarization": "0.6, 0, 0, 0.8",
+}
+_CLI_VALUES = {
+    "session": {**_SESSION_VALUES, "delay_ns": "100", "output": "other.csv"},
+    "scan": {**_SESSION_VALUES, "scan_range_ns": "50", "scan_step_ns": "50", "threads": "2",
+             "output": "scan.csv"},
+    "verify-uniformity": {"seed": "3", "codes": "30000", "bins": "64", "constant_code": "7"},
+    "density": {"mean_photon": "0.4", "n_max": "3", "phase_dist": "discrete:2",
+                "output": "rho.csv"},
+}
+
+
+def _run_cli(directory, command, flags, monkeypatch, capsys, config=None):
+    """Run ``command`` in ``directory``; return its exit code, stdout and files."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    argv = [command]
+    for key, value in flags.items():
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    if config is not None:
+        argv += ["--config", str(config)]
+    code = main(argv)
+    files = {path.name: path.read_bytes() for path in directory.iterdir()}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize(
+    "command,key", [(command, key) for command, values in _CLI_VALUES.items() for key in values]
+)
+def test_config_key_acts_like_its_flag(tmp_path, monkeypatch, capsys, command, key):
+    value = _CLI_VALUES[command][key]
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {value}\n")
+    base = _CLI_BASE[command]
+    by_flag = _run_cli(tmp_path / "flag", command, {**base, key: value}, monkeypatch, capsys)
+    from_file = _run_cli(tmp_path / "file", command, {k: v for k, v in base.items() if k != key},
+                         monkeypatch, capsys, config=config)
+    assert by_flag[0] in (0, 3)
+    assert from_file == by_flag
+    if key != "threads":  # the worker count never changes a result
+        assert _run_cli(tmp_path / "base", command, base, monkeypatch, capsys) != by_flag
+
+
+def test_config_keys_cover_every_flag(tmp_path, capsys):
+    for command, values in _CLI_VALUES.items():
+        assert main([command, "--help"]) == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags - {"--help", "--config"} == {f"--{k.replace('_', '-')}" for k in values}
+    # a bad file value fails like the same bad flag, naming the file
+    for line in ("bits = plenty", "randomizer = maybe"):
+        config = tmp_path / "bad.conf"
+        config.write_text(line + "\n")
+        assert main(["session", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and "invalid" in err
+    # --config names the file; a file cannot name another
+    config.write_text("config = other.conf\n")
+    assert main(["session", "--config", str(config)]) == 1
+    assert "unknown option 'config'" in capsys.readouterr().err
 
 
 def test_verify_uniformity_accepts_default_stream(capsys):

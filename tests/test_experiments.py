@@ -125,8 +125,6 @@ def test_scan_result_validation():
     est = QberEstimate(0.0, 0.0, 1, 0)
     with pytest.raises(ValidationError):
         DelayScanResult(delays_ns=(0.0, 1.0), estimates=(est,))
-    with pytest.raises(ValidationError):
-        DelayScanResult(delays_ns=(1.0, 0.0), estimates=(est, est))
     assert len(DelayScanResult(delays_ns=(), estimates=())) == 0
 
 

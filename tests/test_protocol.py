@@ -347,25 +347,25 @@ def test_double_click_random_policy_rewrites_to_single():
 
 def test_config_validation_errors():
     with pytest.raises(ValidationError):
-        SessionConfig(n_bits=0).validate()
+        SessionConfig(n_bits=0)
     with pytest.raises(ValidationError):
-        SessionConfig(n_bits=100, seed=-1).validate()
+        SessionConfig(n_bits=100, seed=-1)
     with pytest.raises(ValidationError):
-        SessionConfig(n_bits=100, mu_target=-0.1).validate()
+        SessionConfig(n_bits=100, mu_target=-0.1)
     with pytest.raises(ValidationError):
-        SessionConfig(n_bits=100, mu_convention="both").validate()
+        SessionConfig(n_bits=100, mu_convention="both")
     with pytest.raises(ValidationError):
-        SessionConfig(n_bits=100, double_click_policy="keep").validate()
+        SessionConfig(n_bits=100, double_click_policy="keep")
     with pytest.raises(ValidationError):
-        SessionConfig(n_bits=100, polarization=(0.0, 0.0)).validate()
+        SessionConfig(n_bits=100, polarization=(0.0, 0.0))
     # the source, splitter, fiber and long-arm parameters are range-checked
     for bad in ({"insertion_loss_db": -0.1}, {"fiber_km": -1.0}, {"fiber_loss_db_per_km": -0.2},
                 {"tau_mzi_ns": 0.0}, {"tau_mzi_ns": -1.0}, {"polarization": (math.nan, 0.0)}):
         with pytest.raises(ValidationError):
-            SessionConfig(n_bits=100, **bad).validate()
+            SessionConfig(n_bits=100, **bad)
     # all four modulation passes must fit within one pattern step
     with pytest.raises(ValidationError):
-        SessionConfig(n_bits=100, tau_mzi_ns=190.0).validate()
+        SessionConfig(n_bits=100, tau_mzi_ns=190.0)
     with pytest.raises(ValidationError):
         run_session(SessionConfig(n_bits=100, tau_mzi_ns=190.0))
 
@@ -381,7 +381,7 @@ def test_config_rejects_non_finite_floats(field, value):
         if field in ("period_ns", "delay_ns", "roundtrip_ns"):
             RandomizerTiming(**{field: value})
         else:
-            SessionConfig(n_bits=100, **{field: value}).validate()
+            SessionConfig(n_bits=100, **{field: value})
 
 
 def _records_csv_by_row(records):

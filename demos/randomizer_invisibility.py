@@ -9,13 +9,18 @@ see bit by bit.
 
 import numpy as np
 
-from plugplay_qkd import SessionConfig, estimate_qber, run_session, sift
+from plugplay_qkd import SessionConfig, code_to_phase, estimate_qber, pattern_stream, run_session, sift
 
 on_cfg = SessionConfig(n_bits=50_000, seed=7)
 off_cfg = SessionConfig(n_bits=50_000, seed=7, randomizer_enabled=False)
 
-on, phases_on = run_session(on_cfg)
-off, phases_off = run_session(off_cfg)
+on = run_session(on_cfg)
+off = run_session(off_cfg)
+
+# At zero trigger delay bit i's reference pulse leaves with the phase of
+# pattern step i; an idle generator holds code 0.
+phases_on = code_to_phase(pattern_stream(on_cfg.seed, on_cfg.n_bits))
+phases_off = np.zeros(off_cfg.n_bits)
 
 # The emitted global phase is wildly different...
 print(f"distinct emitted phases, randomizer on:  {len(np.unique(phases_on))}")

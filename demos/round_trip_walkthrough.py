@@ -3,20 +3,23 @@ One bit, step by step
 =====================
 
 Follow a few bits of a short session through the optical round trip and
-watch the photon numbers. The stages come from the session configuration;
-the randomizer phases and the detector means come from the records that
-run_session returns.
+watch the photon numbers. The stages come from the session configuration,
+the randomizer phases from the session's pattern stream, and the detector
+means from the records that run_session returns.
 """
 
 import math
 
-from plugplay_qkd import SessionConfig, run_session
+from plugplay_qkd import SessionConfig, code_to_phase, pattern_stream, run_session
 
 BASES = "XY"
 
 # Eight bits with the source fixed to H polarization.
 config = SessionConfig(n_bits=8, seed=3, polarization=(1.0, 0.0))
-records, emitted_phases = run_session(config)
+records = run_session(config)
+# At zero trigger delay bit i's reference pulse makes its forward pass
+# through the randomizer in pattern step i, so it takes code i of the stream.
+randomizer_phases = code_to_phase(pattern_stream(config.seed, config.n_bits))
 
 # Bob fires a one-photon pulse into his unbalanced interferometer. The short
 # arm gives the leading "reference", the long arm (3 dB lossier, 50 ns later)
@@ -40,17 +43,16 @@ print(f"leaving Alice:       pair total {config.mu_target:.4f} ph")
 # Back through the same fiber, then through Bob's interferometer the other
 # way around: the reference now takes the long arm (loss + his basis phase),
 # the signal the short arm. After that both have crossed long+short once.
-det = config.detector
 print()
 print("bit  Alice  phase    Bob  randomizer  mu(D0)     mu(D1)     click probs")
 for i in range(len(records)):
     basis, bit = int(records.alice_basis[i]), int(records.alice_bit[i])
     coding_phase = (2 * bit + basis) * math.pi / 2.0
     mu_d0, mu_d1 = float(records.mu_d0[i]), float(records.mu_d1[i])
-    p0 = 1.0 - (1.0 - det.dark_prob) * math.exp(-det.efficiency * mu_d0)
-    p1 = 1.0 - (1.0 - det.dark_prob) * math.exp(-det.efficiency * mu_d1)
+    p0 = 1.0 - (1.0 - config.dark_prob) * math.exp(-config.efficiency * mu_d0)
+    p1 = 1.0 - (1.0 - config.dark_prob) * math.exp(-config.efficiency * mu_d1)
     print(f"{i:3d}  {BASES[basis]}{bit}     {coding_phase:.4f}   {BASES[records.bob_basis[i]]}    "
-          f"{emitted_phases[i]:.4f}      {mu_d0:.3e}  {mu_d1:.3e}  {p0:.2e} / {p1:.2e}")
+          f"{randomizer_phases[i]:.4f}      {mu_d0:.3e}  {mu_d1:.3e}  {p0:.2e} / {p1:.2e}")
 
 # Matched basis: everything lands on the port that decodes Alice's bit (D1
 # for bit 1) and the wrong port holds exactly zero, whatever phase the

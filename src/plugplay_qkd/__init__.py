@@ -27,17 +27,15 @@ from .experiments import (
 )
 from .protocol import (
     DetectionRecords,
-    DetectorConfig,
     QberEstimate,
     SessionConfig,
-    SessionResult,
     estimate_qber,
     export_records_csv,
     pattern_stream,
     run_session,
     sift,
 )
-from .randomizer import RandomizerTiming, code_to_phase
+from .randomizer import code_to_phase
 
 __version__ = "0.1.0"
 
@@ -45,10 +43,7 @@ __version__ = "0.1.0"
 # types those return. Everything else is reached through its module.
 __all__ = [
     "ValidationError",
-    "RandomizerTiming",
-    "DetectorConfig",
     "SessionConfig",
-    "SessionResult",
     "DetectionRecords",
     "QberEstimate",
     "run_session",

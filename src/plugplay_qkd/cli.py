@@ -37,7 +37,6 @@ from .experiments import (
     uniformity_chisq,
 )
 from .protocol import (
-    DetectorConfig,
     SessionConfig,
     estimate_qber,
     export_records_csv,
@@ -45,7 +44,7 @@ from .protocol import (
     run_session,
     sift,
 )
-from .randomizer import RandomizerTiming, code_to_phase
+from .randomizer import code_to_phase
 
 __all__ = ["main"]
 
@@ -68,23 +67,27 @@ def _config_flags(path: str, command: str, file_flags: dict[str, set[str]]) -> l
     A key only another subcommand takes (see ``file_flags``) is skipped, so
     one file can serve every subcommand.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if not sep or not key or not val:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            flag = "--" + key.replace("_", "-")
-            if "-" in key or not any(flag in flags for flags in file_flags.values()):
-                raise ValidationError(f"{path}:{lineno}: unknown option {key!r}")
-            if flag in file_flags[command]:
-                # the '=' form keeps a value such as -inf from reading as a flag
-                tokens.append(f"{flag}={val}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        key = key.strip()
+        val = val.strip()
+        if not sep or not key or not val:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        flag = "--" + key.replace("_", "-")
+        if "-" in key or not any(flag in flags for flags in file_flags.values()):
+            raise ValidationError(f"{path}:{lineno}: unknown option {key!r}")
+        if flag in file_flags[command]:
+            # the '=' form keeps a value such as -inf from reading as a flag
+            tokens.append(f"{flag}={val}")
     return tokens
 
 
@@ -121,18 +124,15 @@ def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
 
 def _session_config(args: argparse.Namespace) -> SessionConfig:
     fields = _given(
-        args, "seed", "mu_convention", "tau_mzi_ns", "insertion_loss_db", "fiber_km",
-        "fiber_loss_db_per_km", "double_click_policy", n_bits="bits", mu_target="mean_photon",
+        args, "seed", "mu_convention", "period_ns", "delay_ns", "roundtrip_ns", "tau_mzi_ns",
+        "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km", "efficiency", "dark_prob",
+        "double_click_policy", n_bits="bits", mu_target="mean_photon",
     )
     if args.randomizer is not None:
         fields["randomizer_enabled"] = args.randomizer == "on"
     if args.polarization is not None:
         fields["polarization"] = _parse_polarization(args.polarization)
-    return SessionConfig(
-        timing=RandomizerTiming(**_given(args, "period_ns", "delay_ns", "roundtrip_ns")),
-        detector=DetectorConfig(**_given(args, "efficiency", "dark_prob")),
-        **fields,
-    )
+    return SessionConfig(**fields)
 
 
 def _add_session_flags(parser: argparse.ArgumentParser, with_delay: bool) -> None:
@@ -160,7 +160,7 @@ def _add_session_flags(parser: argparse.ArgumentParser, with_delay: bool) -> Non
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
-    records, _ = run_session(_session_config(args))
+    records = run_session(_session_config(args))
     estimate = estimate_qber(sift(records))
     if args.output:
         export_records_csv(records, args.output)

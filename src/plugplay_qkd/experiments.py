@@ -101,14 +101,9 @@ def delay_scan(
 
     def one_point(index: int) -> QberEstimate:
         delay = delays[index]
-        point_config = replace(
-            config,
-            seed=scan_point_seed(config.seed, index),
-            timing=replace(config.timing, delay_ns=delay),
-        )
+        point_config = replace(config, seed=scan_point_seed(config.seed, index), delay_ns=delay)
         try:
-            records, _ = run_session(point_config)
-            return estimate_qber(sift(records))
+            return estimate_qber(sift(run_session(point_config)))
         except ValidationError as exc:
             raise ValidationError(f"scan point at {delay} ns: {exc}") from exc
 
@@ -224,6 +219,8 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
     arr = np.asarray(phases, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError("phase sample must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValidationError("phase sample must be finite")
     if n_bins < 2:
         raise ValidationError(f"need at least 2 bins, got {n_bins}")
     if arr.size < 10 * n_bins:
@@ -232,8 +229,9 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
         )
     two_pi = 2.0 * math.pi
     wrapped = np.mod(arr, two_pi)
-    # multiply before dividing: exact for the 4096-step DAC grid, so grid
-    # phases never land in a neighbouring bin through rounding
+    # multiply before dividing: for a power-of-two bin count (2 to 4096) this
+    # bins the 4096-step DAC grid exactly; other counts can put a grid code
+    # one bin low through rounding (code 2048 at 26 bins)
     idx = np.floor(wrapped * (n_bins / two_pi)).astype(np.int64)
     np.clip(idx, 0, n_bins - 1, out=idx)
     counts = np.bincount(idx, minlength=n_bins)

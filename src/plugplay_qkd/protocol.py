@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -40,17 +40,14 @@ from .randomizer import (
     CODE_LEVELS,
     DEFAULT_FRAME_LEN,
     PHASE_PER_CODE,
-    RandomizerTiming,
     generate_pattern,
 )
 
 __all__ = [
     "BASES",
-    "DetectorConfig",
     "SessionConfig",
     "DetectionRecords",
     "QberEstimate",
-    "SessionResult",
     "pattern_stream",
     "run_session",
     "sift",
@@ -91,38 +88,46 @@ def pattern_stream(seed: int, n_codes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    """Threshold single-photon detector: quantum efficiency plus dark counts."""
-
-    efficiency: float = 0.10
-    dark_prob: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValidationError(f"detector efficiency must be in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValidationError(f"dark count probability must be in [0, 1), got {self.dark_prob}")
-
-
-@dataclass(frozen=True)
 class SessionConfig:
-    """Everything needed to reproduce one key exchange session."""
+    """Everything needed to reproduce one key exchange session.
+
+    The pattern generator steps every ``period_ns``, starting ``delay_ns``
+    after its trigger (scanning that delay verifies the alignment), and
+    ``roundtrip_ns`` separates the two modulation passes of one pulse.
+    """
 
     n_bits: int = 843_000
     seed: int = 0
     mu_target: float = 0.1
     mu_convention: str = "pair"
-    timing: RandomizerTiming = RandomizerTiming()
+    period_ns: float = 200.0
+    delay_ns: float = 0.0
+    roundtrip_ns: float = 20.0
     tau_mzi_ns: float = 50.0
     insertion_loss_db: float = 3.0
     fiber_km: float = 5.0
     fiber_loss_db_per_km: float = 0.2
-    detector: DetectorConfig = DetectorConfig()
+    efficiency: float = 0.10
+    dark_prob: float = 1e-5
     randomizer_enabled: bool = True
     double_click_policy: str = "discard"
     polarization: tuple[complex, complex] | None = None
 
     def __post_init__(self) -> None:
+        # timing first, then the detectors, then the rest: a config with
+        # several faults always reports the same one
+        for name in ("period_ns", "delay_ns", "roundtrip_ns"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+        if self.period_ns <= 0.0:
+            raise ValidationError(f"pattern step period must be positive, got {self.period_ns} ns")
+        if self.roundtrip_ns < 0.0:
+            raise ValidationError(f"mirror round trip must be >= 0, got {self.roundtrip_ns} ns")
+        if not 0.0 <= self.efficiency <= 1.0:
+            raise ValidationError(f"detector efficiency must be in [0, 1], got {self.efficiency}")
+        if not 0.0 <= self.dark_prob < 1.0:
+            raise ValidationError(f"dark count probability must be in [0, 1), got {self.dark_prob}")
         for name in ("mu_target", "tau_mzi_ns", "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -150,11 +155,11 @@ class SessionConfig:
                 f"fiber loss must be >= 0 dB/km, got {self.fiber_loss_db_per_km}"
             )
         # all four modulation passes of a bit must fit inside one pattern step
-        span = self.tau_mzi_ns + self.timing.roundtrip_ns
-        if span >= self.timing.period_ns:
+        span = self.tau_mzi_ns + self.roundtrip_ns
+        if span >= self.period_ns:
             raise ValidationError(
                 "arm delay plus mirror round trip must be shorter than the pulse period "
-                f"({span} ns >= {self.timing.period_ns} ns)"
+                f"({span} ns >= {self.period_ns} ns)"
             )
         if self.double_click_policy not in ("discard", "random"):
             raise ValidationError(
@@ -175,7 +180,7 @@ class SessionConfig:
         one pattern step when the trigger delay is zero; 'aligned' then means
         pattern transitions fall halfway between consecutive bits.
         """
-        return 0.5 * (self.timing.period_ns - self.tau_mzi_ns - self.timing.roundtrip_ns)
+        return 0.5 * (self.period_ns - self.tau_mzi_ns - self.roundtrip_ns)
 
 
 class DetectionRecords:
@@ -227,26 +232,14 @@ class QberEstimate:
     n_errors: int
 
 
-class SessionResult(NamedTuple):
-    """Output of :func:`run_session`.
-
-    ``emitted_phases`` is the generator phase active when each bit's leading
-    (reference) pulse made its forward pass; all zeros when the randomizer is
-    disabled. It is what a phase audit of the outgoing light would sample.
-    """
-
-    records: DetectionRecords
-    emitted_phases: np.ndarray
-
-
-def _pass_codes(codes: np.ndarray, n: int, first_ns: float, timing: RandomizerTiming) -> np.ndarray:
+def _pass_codes(codes: np.ndarray, n: int, first_ns: float, config: SessionConfig) -> np.ndarray:
     """Code each of ``n`` bits sees on one modulation pass, where bit 0 makes
     that pass at ``first_ns`` (slot grid: see :func:`run_session`).
 
     Consecutive bits pass one period apart, so bit ``i`` samples slot
     ``i + shift`` for one constant ``shift``; outside the grid the code is 0.
     """
-    quotient = (first_ns - timing.delay_ns) / timing.period_ns
+    quotient = (first_ns - config.delay_ns) / config.period_ns
     # clipping keeps a far-off (even infinite) quotient off the grid without
     # building a huge integer; every clipped shift still idles all n bits
     shift = math.floor(min(max(quotient, -n), codes.size))
@@ -257,8 +250,8 @@ def _pass_codes(codes: np.ndarray, n: int, first_ns: float, timing: RandomizerTi
     return out
 
 
-def run_session(config: SessionConfig) -> SessionResult:
-    """Simulate one session and return per-bit records plus emitted phases.
+def run_session(config: SessionConfig) -> DetectionRecords:
+    """Simulate one session and return its per-bit records.
 
     Alice's and Bob's random choices, the pattern codes, the shared
     polarization drift and the detector noise each come from an independent
@@ -275,7 +268,6 @@ def run_session(config: SessionConfig) -> SessionResult:
     is the same computation with every pass idle.
     """
     n = config.n_bits
-    timing = config.timing
     streams = _substreams(config.seed)
     rng_alice = np.random.default_rng(streams["alice"])
     rng_bob = np.random.default_rng(streams["bob"])
@@ -304,11 +296,10 @@ def run_session(config: SessionConfig) -> SessionResult:
     else:
         codes = np.zeros(0, dtype=np.int32)
     t0 = config.first_event_ns()
-    ref_fwd = _pass_codes(codes, n, t0, timing)
-    ref_ret = _pass_codes(codes, n, t0 + timing.roundtrip_ns, timing)
-    sig_fwd = _pass_codes(codes, n, t0 + config.tau_mzi_ns, timing)
-    sig_ret = _pass_codes(codes, n, t0 + config.tau_mzi_ns + timing.roundtrip_ns, timing)
-    emitted_phases = ref_fwd * PHASE_PER_CODE
+    ref_fwd = _pass_codes(codes, n, t0, config)
+    ref_ret = _pass_codes(codes, n, t0 + config.roundtrip_ns, config)
+    sig_fwd = _pass_codes(codes, n, t0 + config.tau_mzi_ns, config)
+    sig_ret = _pass_codes(codes, n, t0 + config.tau_mzi_ns + config.roundtrip_ns, config)
 
     long_arm = 10.0 ** (-config.insertion_loss_db / 20.0)
     fiber = 10.0 ** (-config.fiber_loss_db_per_km * config.fiber_km / 20.0)
@@ -342,8 +333,8 @@ def run_session(config: SessionConfig) -> SessionResult:
     mu_d0 = a_h * (1.0 + cos_h) + a_v * (1.0 + cos_v)
     mu_d1 = a_h * (1.0 - cos_h) + a_v * (1.0 - cos_v)
 
-    eta = config.detector.efficiency
-    dark = config.detector.dark_prob
+    eta = config.efficiency
+    dark = config.dark_prob
     p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0)
     p1 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d1)
     clicked_d0 = rng_det.random(n) < p0
@@ -354,7 +345,7 @@ def run_session(config: SessionConfig) -> SessionResult:
         clicked_d0 = np.where(both, keep0, clicked_d0)
         clicked_d1 = np.where(both, ~keep0, clicked_d1)
 
-    records = DetectionRecords(
+    return DetectionRecords(
         alice_basis=alice_basis,
         alice_bit=alice_bit,
         bob_basis=bob_basis,
@@ -363,7 +354,6 @@ def run_session(config: SessionConfig) -> SessionResult:
         mu_d0=mu_d0,
         mu_d1=mu_d1,
     )
-    return SessionResult(records=records, emitted_phases=emitted_phases)
 
 
 def sift(records: DetectionRecords) -> np.ndarray:

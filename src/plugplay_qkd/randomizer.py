@@ -1,16 +1,17 @@
-"""Active global-phase randomizer: the stepped-pattern generator and its timing.
+"""Active global-phase randomizer: the stepped-pattern generator and its DAC grid.
 
 A functional generator steps through one 12-bit code per pulse period,
 starting an adjustable trigger delay after the frame trigger, and idles at
 zero phase outside the pattern window. Frames of ``DEFAULT_FRAME_LEN`` codes
-retrigger back to back. The double-pass modulator it drives, and where each
-pass lands on the code grid, are modelled in :mod:`plugplay_qkd.protocol`.
+retrigger back to back. The generator's clocking (period, trigger delay,
+mirror round trip) is part of :class:`plugplay_qkd.protocol.SessionConfig`,
+and the double-pass modulator it drives, with where each pass lands on the
+code grid, is modelled in :mod:`plugplay_qkd.protocol`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,6 @@ __all__ = [
     "CODE_LEVELS",
     "DEFAULT_FRAME_LEN",
     "PHASE_PER_CODE",
-    "RandomizerTiming",
     "generate_pattern",
     "code_to_phase",
 ]
@@ -28,31 +28,6 @@ __all__ = [
 CODE_LEVELS = 4096
 DEFAULT_FRAME_LEN = 504
 PHASE_PER_CODE = 2.0 * math.pi / CODE_LEVELS
-
-
-@dataclass(frozen=True)
-class RandomizerTiming:
-    """Clocking of the pattern generator relative to the pulse train.
-
-    ``delay_ns`` is the trigger-to-first-step offset knob; scanning it is how
-    the alignment between phase steps and pulse arrivals is verified.
-    ``roundtrip_ns`` is the modulator-to-mirror-and-back flight time
-    separating the two modulation passes of one pulse.
-    """
-
-    period_ns: float = 200.0
-    delay_ns: float = 0.0
-    roundtrip_ns: float = 20.0
-
-    def __post_init__(self) -> None:
-        for name in ("period_ns", "delay_ns", "roundtrip_ns"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        if self.period_ns <= 0.0:
-            raise ValidationError(f"pattern step period must be positive, got {self.period_ns} ns")
-        if self.roundtrip_ns < 0.0:
-            raise ValidationError(f"mirror round trip must be >= 0, got {self.roundtrip_ns} ns")
 
 
 def generate_pattern(rng: np.random.Generator, n_codes: int) -> np.ndarray:

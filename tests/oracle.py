@@ -69,24 +69,25 @@ def coding_phase(basis, bit):
     return (2 * bit + basis) * (math.pi / 2.0)
 
 
-def phase_at(t_ns, codes, timing):
-    """Generator phase at ``t_ns``: code ``k`` holds on the half-open slot
-    ``[delay + k*period, delay + (k+1)*period)``; off the codes it idles at 0."""
-    slot = math.floor((t_ns - timing.delay_ns) / timing.period_ns)
+def phase_at(t_ns, codes, cfg):
+    """Generator phase at ``t_ns`` under the session config ``cfg``: code
+    ``k`` holds on the half-open slot ``[delay + k*period, delay + (k+1)*period)``;
+    off the codes it idles at 0."""
+    slot = math.floor((t_ns - cfg.delay_ns) / cfg.period_ns)
     if 0 <= slot < len(codes):
         return code_to_phase(int(codes[slot]))
     return 0.0
 
 
-def modulate_pi(amp, t_ns, codes, timing):
+def modulate_pi(amp, t_ns, codes, cfg):
     """Double-pass modulator in front of the Faraday mirror.
 
     The forward pass phases the component that is V at the modulator, the
     mirror swaps H and V, and the return pass ``roundtrip_ns`` later phases
     the other one: H and V are exchanged and each takes its own pass's phase.
     """
-    phi_fwd = phase_at(t_ns, codes, timing)
-    phi_ret = phase_at(t_ns + timing.roundtrip_ns, codes, timing)
+    phi_fwd = phase_at(t_ns, codes, cfg)
+    phi_ret = phase_at(t_ns + cfg.roundtrip_ns, codes, cfg)
     return (amp[1] * cmath.exp(1j * phi_ret), amp[0] * cmath.exp(1j * phi_fwd))
 
 
@@ -104,14 +105,15 @@ def interfere(signal, reference):
     return mu_d0, mu_d1
 
 
-def click_probability(mu_d, detector):
-    """Gated threshold detector on a Poissonian mean of ``mu_d`` photons."""
-    return 1.0 - (1.0 - detector.dark_prob) * math.exp(-detector.efficiency * mu_d)
+def click_probability(mu_d, cfg):
+    """Gated threshold detector of the session config ``cfg`` on a Poissonian
+    mean of ``mu_d`` photons."""
+    return 1.0 - (1.0 - cfg.dark_prob) * math.exp(-cfg.efficiency * mu_d)
 
 
 def session_means(cfg):
-    """Per-bit ``(mu_d0, mu_d1)`` and emitted phases of the session ``cfg``,
-    one bit at a time through the scalar operations above.
+    """Per-bit ``(mu_d0, mu_d1)`` of the session ``cfg``, one bit at a time
+    through the scalar operations above.
 
     Alice's and Bob's choices and the polarization come from the session's
     own substreams. The pattern is drawn frame by frame, as the hardware
@@ -143,17 +145,15 @@ def session_means(cfg):
     loss_db, tau = cfg.insertion_loss_db, cfg.tau_mzi_ns
     km, db_per_km = cfg.fiber_km, cfg.fiber_loss_db_per_km
     mus = np.empty((n, 2))
-    emitted = np.empty(n)
     for i in range(n):
-        t_emit = cfg.first_event_ns() + i * cfg.timing.period_ns
+        t_emit = cfg.first_event_ns() + i * cfg.period_ns
         (ref, t_ref), (sig, t_sig) = mzi_split(source, t_emit, loss_db, tau)
         ref = propagate_fiber(ref, km, db_per_km)
         sig = propagate_fiber(sig, km, db_per_km)
         phi_a = coding_phase(int(alice_basis[i]), int(alice_bit[i]))
         sig = apply_phase(sig, phi_a, phi_a)
-        ref = modulate_pi(ref, t_ref, codes, cfg.timing)
-        sig = modulate_pi(sig, t_sig, codes, cfg.timing)
-        emitted[i] = phase_at(t_ref, codes, cfg.timing)
+        ref = modulate_pi(ref, t_ref, codes, cfg)
+        sig = modulate_pi(sig, t_sig, codes, cfg)
         ref, sig = attenuate_to_mean_photon(ref, sig, cfg.mu_target)
         ref = propagate_fiber(ref, km, db_per_km)
         sig = propagate_fiber(sig, km, db_per_km)
@@ -162,7 +162,7 @@ def session_means(cfg):
         phi_b = coding_phase(int(bob_basis[i]), 0)
         ref = scaled(apply_phase(ref, phi_b, phi_b), _db_to_amplitude(loss_db))
         mus[i] = interfere(sig, ref)
-    return mus, emitted
+    return mus
 
 
 def poisson_deviation(diagonal, mu):

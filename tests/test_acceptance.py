@@ -15,7 +15,6 @@ from oracle import apply_phase, interfere, photon_number, poisson_deviation
 from plugplay_qkd import (
     DiscreteUniformPhase,
     FixedPhase,
-    RandomizerTiming,
     SessionConfig,
     UniformPhase,
     code_to_phase,
@@ -51,7 +50,7 @@ def roundtrip_scans():
         config = SessionConfig(
             n_bits=N_BITS,
             seed=ACCEPT_SEED,
-            timing=RandomizerTiming(roundtrip_ns=rt),
+            roundtrip_ns=rt,
         )
         scans[rt] = delay_scan(config, SCAN_DELAYS, max_workers=4)
     return scans
@@ -84,9 +83,9 @@ def test_criterion_2_fully_misaligned_error_rate_is_one_half():
     config = SessionConfig(
         n_bits=1_200_000,
         seed=0,
-        timing=RandomizerTiming(delay_ns=100.0),
+        delay_ns=100.0,
     )
-    records, _ = run_session(config)
+    records = run_session(config)
     est = estimate_qber(sift(records))
     deviation = abs(est.qber - 0.5)
     stat_ok = deviation <= 3.0 * est.std_error
@@ -106,8 +105,8 @@ def test_criterion_2_fully_misaligned_error_rate_is_one_half():
 
 
 def test_criterion_3_randomization_invisible_at_the_detectors():
-    on, _ = run_session(SessionConfig(n_bits=10_000, seed=ACCEPT_SEED))
-    off, _ = run_session(
+    on = run_session(SessionConfig(n_bits=10_000, seed=ACCEPT_SEED))
+    off = run_session(
         SessionConfig(n_bits=10_000, seed=ACCEPT_SEED, randomizer_enabled=False)
     )
     worst = max(

@@ -176,6 +176,12 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["session", "--config", str(tmp_path / "missing.conf")]) == 2
     assert "i/o error" in capsys.readouterr().err
 
+    not_utf8 = tmp_path / "not_utf8.conf"
+    not_utf8.write_bytes(b"seed = 5\n\xff\xfe\n")
+    assert main(["session", "--config", str(not_utf8)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(not_utf8) in err and "UTF-8" in err
+
 
 # One cheap command line per subcommand, bright and misaligned enough that
 # every value below shows in its output, and one other value per long flag

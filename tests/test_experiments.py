@@ -15,7 +15,6 @@ from oracle import poisson_deviation
 
 from plugplay_qkd import (
     DelayScanResult,
-    DetectorConfig,
     DiscreteUniformPhase,
     FixedPhase,
     FockDensityMatrix,
@@ -68,13 +67,8 @@ def test_scan_point_seed_frozen_values():
 def test_single_point_scan_matches_plain_session():
     cfg = _scan_config()
     result = delay_scan(cfg, [70.0])
-    point_cfg = replace(
-        cfg,
-        seed=scan_point_seed(cfg.seed, 0),
-        timing=replace(cfg.timing, delay_ns=70.0),
-    )
-    records, _ = run_session(point_cfg)
-    assert result.estimates[0] == estimate_qber(sift(records))
+    point_cfg = replace(cfg, seed=scan_point_seed(cfg.seed, 0), delay_ns=70.0)
+    assert result.estimates[0] == estimate_qber(sift(run_session(point_cfg)))
     assert result.delays_ns == (70.0,)
 
 
@@ -114,9 +108,7 @@ def test_scan_validation():
 
 def test_scan_point_failure_names_the_delay():
     # blind detectors never click, so the point has nothing to sift
-    cfg = _scan_config(
-        n_bits=50, detector=DetectorConfig(efficiency=0.0, dark_prob=0.0)
-    )
+    cfg = _scan_config(n_bits=50, efficiency=0.0, dark_prob=0.0)
     with pytest.raises(ValidationError, match=r"scan point at 70(\.0)? ns"):
         delay_scan(cfg, [70.0])
 
@@ -135,10 +127,10 @@ def test_reference_split_waist_rate_is_one_quarter():
     cfg = SessionConfig(
         n_bits=1_000_000,
         seed=1,
-        timing=replace(SessionConfig().timing, delay_ns=70.0),
+        delay_ns=70.0,
         polarization=(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
     )
-    records, _ = run_session(cfg)
+    records = run_session(cfg)
     est = estimate_qber(sift(records))
     sigma = math.sqrt(0.25 * 0.75 / est.n_sifted)
     assert abs(est.qber - 0.25) <= 3.0 * sigma
@@ -195,11 +187,13 @@ def test_chisq_degenerate_sample_hits_closed_form():
 
 
 def test_chisq_dac_grid_bins_exactly():
-    # each 16-code run of the 4096-level grid must land in its own bin,
-    # with no boundary code leaking into a neighbour through rounding
-    phases = code_to_phase(np.arange(4096))
-    statistic, _ = uniformity_chisq(phases)
-    assert statistic == 0.0
+    # at every power-of-two bin count each equal run of the 4096-level grid
+    # must land in its own bin, with no boundary code leaking into a
+    # neighbour through rounding; the grid is tiled to 10 samples per bin
+    for n_bins in (2**k for k in range(1, 13)):
+        codes = np.tile(np.arange(4096), -(-10 * n_bins // 4096))
+        statistic, _ = uniformity_chisq(code_to_phase(codes), n_bins=n_bins)
+        assert statistic == 0.0, n_bins
 
 
 def test_chisq_invariant_under_whole_turn_shifts():
@@ -228,6 +222,12 @@ def test_chisq_validation():
         uniformity_chisq(np.zeros(2559))
     with pytest.raises(ValidationError):
         uniformity_chisq(np.zeros(100), n_bins=1)
+    # non-finite samples would otherwise be counted in bin 0
+    for bad in (math.nan, math.inf, -math.inf):
+        phases = np.zeros(2560)
+        phases[7] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            uniformity_chisq(phases)
 
 
 # ---------------------------------------------------------------------------

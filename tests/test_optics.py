@@ -21,7 +21,7 @@ from oracle import (
     photon_number,
     propagate_fiber,
 )
-from plugplay_qkd import DetectorConfig
+from plugplay_qkd import SessionConfig
 
 # closed-form reference values, frozen
 P_CLICK_ETA01_MU01 = 0.009950166250831893  # 1 - exp(-0.01)
@@ -180,17 +180,17 @@ def test_interfere_visibility_law():
 
 
 def test_click_probability_reference_values():
-    off = DetectorConfig(efficiency=0.1, dark_prob=0.0)
+    off = SessionConfig(efficiency=0.1, dark_prob=0.0)
     assert click_probability(0.0, off) == 0.0
     assert math.isclose(click_probability(0.1, off), P_CLICK_ETA01_MU01, rel_tol=1e-12)
-    assert click_probability(1e9, DetectorConfig(efficiency=0.5, dark_prob=0.0)) == pytest.approx(1.0)
-    dark_only = DetectorConfig(efficiency=0.1, dark_prob=1e-5)
+    assert click_probability(1e9, SessionConfig(efficiency=0.5, dark_prob=0.0)) == pytest.approx(1.0)
+    dark_only = SessionConfig(efficiency=0.1, dark_prob=1e-5)
     # 1 - (1 - d) loses a few low bits to cancellation
     assert math.isclose(click_probability(0.0, dark_only), 1e-5, rel_tol=1e-11)
 
 
 def test_click_probability_monotone_in_mu():
-    cfg = DetectorConfig(efficiency=0.25, dark_prob=1e-4)
+    cfg = SessionConfig(efficiency=0.25, dark_prob=1e-4)
     mus = np.linspace(0.0, 5.0, 101)
     probs = [click_probability(float(m), cfg) for m in mus]
     assert all(b >= a for a, b in zip(probs, probs[1:]))

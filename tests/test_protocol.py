@@ -11,8 +11,6 @@ import pytest
 import oracle
 from plugplay_qkd import (
     DetectionRecords,
-    DetectorConfig,
-    RandomizerTiming,
     SessionConfig,
     ValidationError,
     estimate_qber,
@@ -21,7 +19,7 @@ from plugplay_qkd import (
     sift,
 )
 from plugplay_qkd.protocol import BASES, _CSV_BLOCK_ROWS, _substreams, pattern_stream
-from plugplay_qkd.randomizer import PHASE_PER_CODE, generate_pattern
+from plugplay_qkd.randomizer import generate_pattern
 
 SE_HALF_1000 = 0.015811388300841896  # sqrt(0.25 / 1000)
 SE_1PC_1000 = 0.003146426544510455  # sqrt(0.01 * 0.99 / 1000)
@@ -129,10 +127,11 @@ def test_ideal_components_wrong_detector_exactly_zero():
     cfg = SessionConfig(
         n_bits=4000,
         seed=21,
-        detector=DetectorConfig(efficiency=1.0, dark_prob=0.0),
+        efficiency=1.0,
+        dark_prob=0.0,
         polarization=(1.0, 0.0),
     )
-    records, _ = run_session(cfg)
+    records = run_session(cfg)
     matched = records.alice_basis == records.bob_basis
     combos = set()
     for basis in (0, 1):
@@ -153,33 +152,18 @@ def test_ideal_components_wrong_detector_exactly_zero():
 
 def test_run_session_deterministic():
     cfg = SessionConfig(n_bits=5000, seed=77)
-    a, phases_a = run_session(cfg)
-    b, phases_b = run_session(cfg)
-    assert np.array_equal(phases_a, phases_b)
+    a = run_session(cfg)
+    b = run_session(cfg)
     for col in ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1",
                 "mu_d0", "mu_d1"):
         assert np.array_equal(getattr(a, col), getattr(b, col))
 
 
 def test_randomizer_toggle_leaves_detector_means_unchanged():
-    on, _ = run_session(SessionConfig(n_bits=3000, seed=5))
-    off, _ = run_session(SessionConfig(n_bits=3000, seed=5, randomizer_enabled=False))
+    on = run_session(SessionConfig(n_bits=3000, seed=5))
+    off = run_session(SessionConfig(n_bits=3000, seed=5, randomizer_enabled=False))
     assert np.abs(on.mu_d0 - off.mu_d0).max() <= 1e-12
     assert np.abs(on.mu_d1 - off.mu_d1).max() <= 1e-12
-
-
-def test_emitted_phases_zero_when_disabled():
-    _, phases = run_session(SessionConfig(n_bits=100, seed=1, randomizer_enabled=False))
-    assert np.all(phases == 0.0)
-
-
-def test_emitted_phases_on_dac_grid():
-    _, phases = run_session(SessionConfig(n_bits=2000, seed=3))
-    step = 2.0 * math.pi / 4096.0
-    codes = phases / step
-    assert np.allclose(codes, np.round(codes), atol=1e-9)
-    assert phases.min() >= 0.0 and phases.max() < 2.0 * math.pi
-    assert len(np.unique(phases)) > 1000  # actually randomized
 
 
 @pytest.mark.parametrize("seed", [0, 42])
@@ -188,13 +172,6 @@ def test_pattern_stream_is_the_per_frame_session_stream(seed):
     frames = np.concatenate([generate_pattern(rng, 504) for _ in range(3)])
     np.testing.assert_array_equal(pattern_stream(seed, 1000), frames[:1000])
     np.testing.assert_array_equal(pattern_stream(seed, 1512), frames)
-
-
-def test_run_session_draws_the_pattern_stream():
-    # at zero delay bit i's reference makes its forward pass inside slot i
-    cfg = SessionConfig(n_bits=2000, seed=11)
-    _, emitted = run_session(cfg)
-    assert np.array_equal(emitted, pattern_stream(cfg.seed, cfg.n_bits) * PHASE_PER_CODE)
 
 
 def test_pattern_stream_validation():
@@ -214,15 +191,16 @@ def test_kernel_matches_scalar_op_composition(delay):
     cfg = SessionConfig(
         n_bits=1200,
         seed=int(abs(delay)) + 11,
-        timing=RandomizerTiming(delay_ns=delay),
+        delay_ns=delay,
     )
-    records, emitted = run_session(cfg)
-    mus, emitted_ref = oracle.session_means(cfg)
+    records = run_session(cfg)
+    mus = oracle.session_means(cfg)
     assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
     assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
-    assert np.array_equal(emitted, emitted_ref)
     if abs(delay) >= 1e12:
-        assert not emitted.any()
+        idle = run_session(replace(cfg, randomizer_enabled=False))
+        assert np.array_equal(records.mu_d0, idle.mu_d0)
+        assert np.array_equal(records.mu_d1, idle.mu_d1)
 
 
 def test_overflowing_slot_quotient_is_the_idle_modulator():
@@ -230,20 +208,21 @@ def test_overflowing_slot_quotient_is_the_idle_modulator():
     cfg = SessionConfig(
         n_bits=600,
         seed=3,
-        timing=RandomizerTiming(period_ns=1e-300, delay_ns=1e300, roundtrip_ns=0.0),
+        period_ns=1e-300,
+        delay_ns=1e300,
+        roundtrip_ns=0.0,
         tau_mzi_ns=1e-301,
     )
-    records, emitted = run_session(cfg)
-    idle, _ = run_session(replace(cfg, randomizer_enabled=False))
-    assert not emitted.any()
+    records = run_session(cfg)
+    idle = run_session(replace(cfg, randomizer_enabled=False))
     assert np.array_equal(records.mu_d0, idle.mu_d0)
     assert np.array_equal(records.mu_d1, idle.mu_d1)
 
 
 def test_kernel_matches_scalar_with_randomizer_off():
     cfg = SessionConfig(n_bits=400, seed=9, randomizer_enabled=False)
-    records, _ = run_session(cfg)
-    mus, _ = oracle.session_means(cfg)
+    records = run_session(cfg)
+    mus = oracle.session_means(cfg)
     assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
     assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
 
@@ -251,8 +230,8 @@ def test_kernel_matches_scalar_with_randomizer_off():
 def test_signal_mu_convention_scales_totals():
     pair_cfg = SessionConfig(n_bits=500, seed=4, polarization=(1.0, 0.0))
     sig_cfg = replace(pair_cfg, mu_convention="signal")
-    pair_rec, _ = run_session(pair_cfg)
-    sig_rec, _ = run_session(sig_cfg)
+    pair_rec = run_session(pair_cfg)
+    sig_rec = run_session(sig_cfg)
     pair_total = (pair_rec.mu_d0 + pair_rec.mu_d1).mean()
     sig_total = (sig_rec.mu_d0 + sig_rec.mu_d1).mean()
     # signal-pulse normalization emits (1 + 10^(loss/10)) more total light
@@ -261,16 +240,16 @@ def test_signal_mu_convention_scales_totals():
 
 
 def test_polarization_norm_is_irrelevant():
-    a, _ = run_session(SessionConfig(n_bits=300, seed=8, polarization=(1.0, 0.5j)))
-    b, _ = run_session(SessionConfig(n_bits=300, seed=8, polarization=(4.0, 2.0j)))
+    a = run_session(SessionConfig(n_bits=300, seed=8, polarization=(1.0, 0.5j)))
+    b = run_session(SessionConfig(n_bits=300, seed=8, polarization=(4.0, 2.0j)))
     assert np.allclose(a.mu_d0, b.mu_d0, rtol=1e-12)
     assert np.allclose(a.mu_d1, b.mu_d1, rtol=1e-12)
 
 
 def test_frame_patterns_are_regenerated():
-    # phases of the second frame must not repeat the first
-    _, phases = run_session(SessionConfig(n_bits=1008, seed=13))
-    assert not np.array_equal(phases[:504], phases[504:1008])
+    # the codes of a session's second frame must not repeat the first
+    codes = pattern_stream(13, 1008)
+    assert not np.array_equal(codes[:504], codes[504:1008])
 
 
 # per-bit detector-side energy: the source's unit pulse splits, crosses the
@@ -282,7 +261,7 @@ def test_per_bit_energy_closed_form(delay):
         n_bits=2000,
         seed=31,
         mu_target=0.3,
-        timing=RandomizerTiming(delay_ns=delay),
+        delay_ns=delay,
         insertion_loss_db=2.2,
         fiber_km=12.5,
         fiber_loss_db_per_km=0.25,
@@ -294,29 +273,28 @@ def test_per_bit_energy_closed_form(delay):
         "signal": 2.0 * fiber * base.mu_target,
     }
     for convention, total in expected.items():
-        records, _ = run_session(replace(base, mu_convention=convention))
+        records = run_session(replace(base, mu_convention=convention))
         np.testing.assert_allclose(records.mu_d0 + records.mu_d1, total, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("delay", [0.0, 70.0])  # two-valued and spread-out means
 def test_click_counts_follow_the_click_law(delay):
-    detector = DetectorConfig(efficiency=0.6, dark_prob=1e-3)
-    cfg = SessionConfig(n_bits=100_000, seed=12, mu_target=2.0, detector=detector,
-                        timing=RandomizerTiming(delay_ns=delay))
-    records, _ = run_session(cfg)
+    cfg = SessionConfig(n_bits=100_000, seed=12, mu_target=2.0, efficiency=0.6, dark_prob=1e-3,
+                        delay_ns=delay)
+    records = run_session(cfg)
     for mu_d, clicked in ((records.mu_d0, records.clicked_d0), (records.mu_d1, records.clicked_d1)):
-        p = np.array([oracle.click_probability(m, detector) for m in mu_d.tolist()])
+        p = np.array([oracle.click_probability(m, cfg) for m in mu_d.tolist()])
         sigma = math.sqrt(float((p * (1.0 - p)).sum()))
         assert abs(int(clicked.sum()) - p.sum()) <= 5.0 * sigma
 
 
 def test_detector_config_validation():
     with pytest.raises(ValidationError):
-        DetectorConfig(efficiency=1.5)
+        SessionConfig(efficiency=1.5)
     with pytest.raises(ValidationError):
-        DetectorConfig(efficiency=-0.1)
+        SessionConfig(efficiency=-0.1)
     with pytest.raises(ValidationError):
-        DetectorConfig(dark_prob=1.0)
+        SessionConfig(dark_prob=1.0)
 
 
 def _double_click_config(policy):
@@ -324,13 +302,14 @@ def _double_click_config(policy):
         n_bits=4000,
         seed=17,
         mu_target=40.0,
-        detector=DetectorConfig(efficiency=1.0, dark_prob=0.0),
+        efficiency=1.0,
+        dark_prob=0.0,
         double_click_policy=policy,
     )
 
 
 def test_double_clicks_discarded_by_sift():
-    records, _ = run_session(_double_click_config("discard"))
+    records = run_session(_double_click_config("discard"))
     doubles = records.clicked_d0 & records.clicked_d1
     assert doubles.any()  # bright pulses force coincidences
     pairs = sift(records)
@@ -340,7 +319,7 @@ def test_double_clicks_discarded_by_sift():
 
 
 def test_double_click_random_policy_rewrites_to_single():
-    records, _ = run_session(_double_click_config("random"))
+    records = run_session(_double_click_config("random"))
     assert not np.any(records.clicked_d0 & records.clicked_d1)
     assert records.clicked_d0.any() and records.clicked_d1.any()
 
@@ -366,6 +345,11 @@ def test_config_validation_errors():
     # all four modulation passes must fit within one pattern step
     with pytest.raises(ValidationError):
         SessionConfig(n_bits=100, tau_mzi_ns=190.0)
+    # timing is checked before the detectors, and both before the rest
+    with pytest.raises(ValidationError, match="period_ns"):
+        SessionConfig(period_ns=math.inf, efficiency=2.0, fiber_km=-1.0)
+    with pytest.raises(ValidationError, match="efficiency"):
+        SessionConfig(efficiency=2.0, fiber_km=-1.0, tau_mzi_ns=190.0)
     with pytest.raises(ValidationError):
         run_session(SessionConfig(n_bits=100, tau_mzi_ns=190.0))
 
@@ -378,10 +362,7 @@ def test_config_validation_errors():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_floats(field, value):
     with pytest.raises(ValidationError, match=field):
-        if field in ("period_ns", "delay_ns", "roundtrip_ns"):
-            RandomizerTiming(**{field: value})
-        else:
-            SessionConfig(n_bits=100, **{field: value})
+        SessionConfig(n_bits=100, **{field: value})
 
 
 def _records_csv_by_row(records):
@@ -425,7 +406,7 @@ def test_records_csv_to_a_text_handle(encoding):
 def test_records_csv_export_memory_is_bounded(tmp_path):
     # the paper's 843,000-bit session writes 14.7 MB of text; the export
     # formats it a block at a time, so its own allocations stay a few MB
-    records, _ = run_session(SessionConfig(n_bits=843_000, seed=42))
+    records = run_session(SessionConfig(n_bits=843_000, seed=42))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -438,7 +419,7 @@ def test_records_csv_export_memory_is_bounded(tmp_path):
 
 
 def test_records_csv_export():
-    records, _ = run_session(SessionConfig(n_bits=8, seed=2))
+    records = run_session(SessionConfig(n_bits=8, seed=2))
     buf = io.StringIO()
     export_records_csv(records, buf)
     lines = buf.getvalue().strip().split("\n")

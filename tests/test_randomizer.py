@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracle import apply_phase, faraday_swap, interfere, modulate_pi, phase_at, photon_number
-from plugplay_qkd import RandomizerTiming, ValidationError, code_to_phase
+from plugplay_qkd import SessionConfig, ValidationError, code_to_phase
 from plugplay_qkd.randomizer import CODE_LEVELS, generate_pattern
 
 CHI2_P999_DF255 = 330.51974363400586  # 0.999 quantile of chi-square, 255 dof
@@ -87,28 +87,28 @@ def test_code_to_phase_validates_range():
 
 def test_phase_at_slot_boundaries():
     pattern = np.array([100, 200, 300])
-    timing = RandomizerTiming(period_ns=200.0, delay_ns=40.0)
-    assert phase_at(40.0, pattern, timing) == code_to_phase(100)
-    assert phase_at(240.0, pattern, timing) == code_to_phase(200)
-    assert phase_at(39.0, pattern, timing) == 0.0  # pre-trigger hold
-    assert phase_at(40.0 + 3 * 200.0, pattern, timing) == 0.0  # past the end
+    cfg = SessionConfig(period_ns=200.0, delay_ns=40.0)
+    assert phase_at(40.0, pattern, cfg) == code_to_phase(100)
+    assert phase_at(240.0, pattern, cfg) == code_to_phase(200)
+    assert phase_at(39.0, pattern, cfg) == 0.0  # pre-trigger hold
+    assert phase_at(40.0 + 3 * 200.0, pattern, cfg) == 0.0  # past the end
 
 
 def test_phase_at_piecewise_constant():
     rng = np.random.default_rng(5)
     pattern = generate_pattern(rng, 8)
-    timing = RandomizerTiming(period_ns=200.0, delay_ns=-35.0)
+    cfg = SessionConfig(period_ns=200.0, delay_ns=-35.0)
     for slot in range(8):
         start = -35.0 + slot * 200.0
         expected = code_to_phase(int(pattern[slot]))
         for offset in (0.0, 1e-6, 100.0, 199.999999):
-            assert phase_at(start + offset, pattern, timing) == expected
+            assert phase_at(start + offset, pattern, cfg) == expected
 
 
 def test_phase_at_translation_by_one_period():
     pattern = generate_pattern(np.random.default_rng(6), 16)
-    base = RandomizerTiming(period_ns=200.0, delay_ns=10.0)
-    shifted = RandomizerTiming(period_ns=200.0, delay_ns=210.0)
+    base = SessionConfig(period_ns=200.0, delay_ns=10.0)
+    shifted = SessionConfig(period_ns=200.0, delay_ns=210.0)
     for t in np.linspace(-300.0, 3600.0, 131):
         assert phase_at(float(t) + 200.0, pattern, shifted) == phase_at(float(t), pattern, base)
 
@@ -121,13 +121,13 @@ def test_modulate_common_phase_equals_swap_plus_phase():
     rt = 20.0
     amp = (0.6, 0.8j)
     for delay in np.arange(-250.0, 650.0, 7.0):
-        timing = RandomizerTiming(period_ns=200.0, delay_ns=float(delay), roundtrip_ns=rt)
+        cfg = SessionConfig(period_ns=200.0, delay_ns=float(delay), roundtrip_ns=rt)
         for t in np.arange(0.0, 600.0, 13.0):
-            phi_fwd = phase_at(float(t), pattern, timing)
-            phi_ret = phase_at(float(t) + rt, pattern, timing)
+            phi_fwd = phase_at(float(t), pattern, cfg)
+            phi_ret = phase_at(float(t) + rt, pattern, cfg)
             if phi_fwd != phi_ret:
                 continue  # transition inside the window, not the common case
-            out = modulate_pi(amp, float(t), pattern, timing)
+            out = modulate_pi(amp, float(t), pattern, cfg)
             ref = faraday_swap(apply_phase(amp, phi_fwd, phi_fwd))
             assert out == ref
             assert math.isclose(photon_number(out), photon_number(amp), rel_tol=1e-12)
@@ -135,8 +135,8 @@ def test_modulate_common_phase_equals_swap_plus_phase():
 
 def test_modulate_pure_h_takes_forward_phase_then_swaps():
     pattern = np.array([1024, 0])  # code 1024 -> pi/2
-    timing = RandomizerTiming(period_ns=200.0, delay_ns=0.0, roundtrip_ns=20.0)
-    h, v = modulate_pi((1.0, 0.0), 50.0, pattern, timing)
+    cfg = SessionConfig(period_ns=200.0, delay_ns=0.0, roundtrip_ns=20.0)
+    h, v = modulate_pi((1.0, 0.0), 50.0, pattern, cfg)
     assert h == 0.0
     assert abs(v - cmath.exp(1j * math.pi / 2.0)) < 1e-12
 
@@ -146,7 +146,7 @@ def test_modulate_split_window_visibility_oracle():
     the power fraction of the mismatched component: wrong-port fraction is
     f * sin^2(delta/2)."""
     rng = np.random.default_rng(90)
-    timing = RandomizerTiming(period_ns=200.0, delay_ns=0.0, roundtrip_ns=20.0)
+    cfg = SessionConfig(period_ns=200.0, delay_ns=0.0, roundtrip_ns=20.0)
     for _ in range(200):
         code_a, code_b = (int(c) for c in rng.integers(0, CODE_LEVELS, size=2))
         pattern = np.array([code_a, code_b])
@@ -154,8 +154,8 @@ def test_modulate_split_window_visibility_oracle():
         norm = math.sqrt((z**2).sum())
         amp = (complex(z[0], z[1]) / norm, complex(z[2], z[3]) / norm)
         # reference: both passes inside slot 0; signal: passes straddle slots
-        ref = modulate_pi(amp, 100.0, pattern, timing)
-        sig = modulate_pi(amp, 190.0, pattern, timing)
+        ref = modulate_pi(amp, 100.0, pattern, cfg)
+        sig = modulate_pi(amp, 190.0, pattern, cfg)
         mu0, mu1 = interfere(sig, ref)
         delta = code_to_phase(code_b) - code_to_phase(code_a)
         f_mismatch = abs(amp[1]) ** 2  # swapped onto H, phased on the return pass
@@ -164,11 +164,12 @@ def test_modulate_split_window_visibility_oracle():
 
 
 def test_timing_validation():
-    with pytest.raises(ValidationError):
-        RandomizerTiming(period_ns=0.0)
-    with pytest.raises(ValidationError):
-        RandomizerTiming(period_ns=-200.0)
-    with pytest.raises(ValidationError):
-        RandomizerTiming(roundtrip_ns=-1.0)
-    with pytest.raises(ValidationError):
-        RandomizerTiming(delay_ns=math.inf)
+    # the generator's timing lives in the session config, checked first
+    with pytest.raises(ValidationError, match="pattern step period"):
+        SessionConfig(period_ns=0.0)
+    with pytest.raises(ValidationError, match="pattern step period"):
+        SessionConfig(period_ns=-200.0)
+    with pytest.raises(ValidationError, match="mirror round trip must be >= 0"):
+        SessionConfig(roundtrip_ns=-1.0)
+    with pytest.raises(ValidationError, match="delay_ns"):
+        SessionConfig(delay_ns=math.inf)

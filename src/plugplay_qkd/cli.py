@@ -329,6 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ wrong detector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -65,6 +66,11 @@ _COS[[CODE_LEVELS // 4, 3 * CODE_LEVELS // 4]] = 0.0
 _COS[CODE_LEVELS // 2] = -1.0
 _COS.setflags(write=False)
 _QUARTER_TURN_CODES = CODE_LEVELS // 4
+
+# The most bits whose float64 record columns numpy can size at all.
+_MAX_BITS = np.iinfo(np.intp).max // 8
+# Bits per kernel block: its float64 temporaries stay in a 2 MB L2 cache.
+_KERNEL_BLOCK = 1 << 15
 
 _SUBSTREAM_ROLES = ("pattern", "alice", "bob", "polarization", "detection")
 
@@ -134,6 +140,10 @@ class SessionConfig:
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.n_bits < 1:
             raise ValidationError(f"n_bits must be >= 1, got {self.n_bits}")
+        if self.n_bits > _MAX_BITS:
+            raise ValidationError(
+                f"n_bits must be <= {_MAX_BITS} (numpy's largest float64 column), got {self.n_bits}"
+            )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.mu_target < 0.0:
@@ -232,21 +242,24 @@ class QberEstimate:
     n_errors: int
 
 
-def _pass_codes(codes: np.ndarray, n: int, first_ns: float, config: SessionConfig) -> np.ndarray:
-    """Code each of ``n`` bits sees on one modulation pass, where bit 0 makes
-    that pass at ``first_ns`` (slot grid: see :func:`run_session`).
-
-    Consecutive bits pass one period apart, so bit ``i`` samples slot
-    ``i + shift`` for one constant ``shift``; outside the grid the code is 0.
-    """
+def _pass_shift(first_ns: float, n: int, n_codes: int, config: SessionConfig) -> int:
+    """Slot shift of a pass that bit 0 makes at ``first_ns``: bits pass one period
+    apart, so bit ``i`` samples slot ``i + shift`` (slot grid: see :func:`run_session`)."""
     quotient = (first_ns - config.delay_ns) / config.period_ns
     # clipping keeps a far-off (even infinite) quotient off the grid without
     # building a huge integer; every clipped shift still idles all n bits
-    shift = math.floor(min(max(quotient, -n), codes.size))
-    out = np.zeros(n, dtype=np.int32)
-    lo, hi = max(0, -shift), min(n, codes.size - shift)
+    return math.floor(min(max(quotient, -n), n_codes))
+
+
+def _pass_codes(codes: np.ndarray, shift: int, start: int, stop: int) -> np.ndarray:
+    """Codes bits ``[start, stop)`` see on a pass of slot shift ``shift``;
+    outside the grid the code is 0."""
+    lo, hi = max(start, -shift), min(stop, codes.size - shift)
+    if lo == start and hi == stop:
+        return codes[start + shift : stop + shift]
+    out = np.zeros(stop - start, dtype=np.int32)
     if lo < hi:
-        out[lo:hi] = codes[lo + shift : hi + shift]
+        out[lo - start : hi - start] = codes[lo + shift : hi + shift]
     return out
 
 
@@ -266,12 +279,18 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     landing exactly on a step edge takes the code that starts there. Before
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
+
+    The choices and the codes are drawn whole; the means and the clicks are
+    then computed in blocks of ``_KERNEL_BLOCK`` bits, so no full-length
+    temporary is built. Of the detection substream's uniform draws, D0's
+    clicks take ``[0, n)``, D1's ``[n, 2n)`` and the 'random' policy's coins
+    ``[2n, 3n)``; each draw is one 64-bit output, so the blocks read the
+    same numbers as three whole-session draws.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
     rng_alice = np.random.default_rng(streams["alice"])
     rng_bob = np.random.default_rng(streams["bob"])
-    rng_det = np.random.default_rng(streams["detection"])
 
     alice_basis = rng_alice.integers(0, 2, size=n, dtype=np.int8)
     alice_bit = rng_alice.integers(0, 2, size=n, dtype=np.int8)
@@ -280,10 +299,8 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     # One polarization state for the whole session: the fiber drifts slowly
     # compared to a frame. With no override it is drawn uniformly (Haar).
     if config.polarization is None:
-        rng_pol = np.random.default_rng(streams["polarization"])
-        z = rng_pol.normal(size=4)
-        h0 = complex(z[0], z[1])
-        v0 = complex(z[2], z[3])
+        z = np.random.default_rng(streams["polarization"]).normal(size=4)
+        h0, v0 = complex(z[0], z[1]), complex(z[2], z[3])
     else:
         h0, v0 = (complex(c) for c in config.polarization)
     norm = math.sqrt(abs(h0) ** 2 + abs(v0) ** 2)
@@ -296,10 +313,9 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     else:
         codes = np.zeros(0, dtype=np.int32)
     t0 = config.first_event_ns()
-    ref_fwd = _pass_codes(codes, n, t0, config)
-    ref_ret = _pass_codes(codes, n, t0 + config.roundtrip_ns, config)
-    sig_fwd = _pass_codes(codes, n, t0 + config.tau_mzi_ns, config)
-    sig_ret = _pass_codes(codes, n, t0 + config.tau_mzi_ns + config.roundtrip_ns, config)
+    # the passes in order: reference forward and return, signal forward and return
+    shifts = [_pass_shift(first_ns, n, codes.size, config) for first_ns in (
+        t0, t0 + config.roundtrip_ns, t0 + config.tau_mzi_ns, t0 + config.tau_mzi_ns + config.roundtrip_ns)]
 
     long_arm = 10.0 ** (-config.insertion_loss_db / 20.0)
     fiber = 10.0 ** (-config.fiber_loss_db_per_km * config.fiber_km / 20.0)
@@ -325,35 +341,36 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     # plus Alice's coding phase minus Bob's basis phase, in quarter turns.
     a_h = abs(v0 * path_amp) ** 2
     a_v = abs(h0 * path_amp) ** 2
-    # int32: 1024 * 3 overflows the int8 choice columns
-    quarter_turns = (2 * alice_bit + alice_basis - bob_basis).astype(np.int32)
-    coding = quarter_turns * _QUARTER_TURN_CODES
-    cos_h = _COS[(sig_ret - ref_ret + coding) & (CODE_LEVELS - 1)]
-    cos_v = _COS[(sig_fwd - ref_fwd + coding) & (CODE_LEVELS - 1)]
-    mu_d0 = a_h * (1.0 + cos_h) + a_v * (1.0 + cos_v)
-    mu_d1 = a_h * (1.0 - cos_h) + a_v * (1.0 - cos_v)
-
     eta = config.efficiency
     dark = config.dark_prob
-    p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0)
-    p1 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d1)
-    clicked_d0 = rng_det.random(n) < p0
-    clicked_d1 = rng_det.random(n) < p1
-    if config.double_click_policy == "random":
-        both = clicked_d0 & clicked_d1
-        keep0 = rng_det.random(n) < 0.5
-        clicked_d0 = np.where(both, keep0, clicked_d0)
-        clicked_d1 = np.where(both, ~keep0, clicked_d1)
 
-    return DetectionRecords(
-        alice_basis=alice_basis,
-        alice_bit=alice_bit,
-        bob_basis=bob_basis,
-        clicked_d0=clicked_d0,
-        clicked_d1=clicked_d1,
-        mu_d0=mu_d0,
-        mu_d1=mu_d1,
-    )
+    rng_d0, rng_d1, rng_coin = (  # detection draws [0, n), [n, 2n) and [2n, 3n)
+        np.random.Generator(np.random.PCG64(streams["detection"]).advance(k * n)) for k in range(3))
+    mu_d0, mu_d1 = np.empty(n), np.empty(n)
+    clicked_d0, clicked_d1 = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for start in range(0, n, _KERNEL_BLOCK):
+        stop = min(n, start + _KERNEL_BLOCK)
+        block = slice(start, stop)
+        ref_fwd, ref_ret, sig_fwd, sig_ret = (_pass_codes(codes, shift, start, stop) for shift in shifts)
+        # int32: 1024 * 3 overflows the int8 choice columns
+        quarter_turns = (2 * alice_bit[block] + alice_basis[block] - bob_basis[block]).astype(np.int32)
+        coding = quarter_turns * _QUARTER_TURN_CODES
+        cos_h = _COS[(sig_ret - ref_ret + coding) & (CODE_LEVELS - 1)]
+        cos_v = _COS[(sig_fwd - ref_fwd + coding) & (CODE_LEVELS - 1)]
+        np.add(a_h * (1.0 + cos_h), a_v * (1.0 + cos_v), out=mu_d0[block])
+        np.add(a_h * (1.0 - cos_h), a_v * (1.0 - cos_v), out=mu_d1[block])
+
+        p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0[block])
+        p1 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d1[block])
+        np.less(rng_d0.random(stop - start), p0, out=clicked_d0[block])
+        np.less(rng_d1.random(stop - start), p1, out=clicked_d1[block])
+        if config.double_click_policy == "random":
+            both = clicked_d0[block] & clicked_d1[block]
+            keep0 = rng_coin.random(stop - start) < 0.5
+            clicked_d0[block][both] = keep0[both]
+            clicked_d1[block][both] = ~keep0[both]
+
+    return DetectionRecords(alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1, mu_d0, mu_d1)
 
 
 def sift(records: DetectionRecords) -> np.ndarray:
@@ -384,38 +401,41 @@ def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEst
     return QberEstimate(qber=qber, std_error=std_error, n_sifted=n, n_errors=n_errors)
 
 
-# Everything after the bit index of a records CSV row, as one row of ASCII
-# bytes per 5-bit key (alice basis, alice bit, bob basis, click d0, click d1).
-_ROW_TAILS = np.frombuffer(
-    "".join(
-        f",{BASES[k >> 4 & 1]},{k >> 3 & 1},{BASES[k >> 2 & 1]},{k >> 1 & 1},{k & 1}\n" for k in range(32)
-    ).encode(),
-    dtype=np.uint8,
-).reshape(32, -1)
-# Rows formatted per write: bounds the text held at once to a few MB.
-_CSV_BLOCK_ROWS = 65_536
+# Rows formatted per write: bounds the text held at once to a few MB. From
+# row 100,000 on, blocks start at its multiples, as every power of ten there
+# does, so the rows of a block share one index width.
+_CSV_BLOCK_ROWS = 100_000
+
+
+@functools.cache
+def _low_digits() -> np.ndarray:
+    """The five low ASCII digits of the indexes 0 to 99,999, one row each."""
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    table = np.stack([np.tile(np.repeat(ascii_digits, 10 ** (4 - k)), 10**k) for k in range(5)], axis=1)
+    table.setflags(write=False)
+    return table
 
 
 def export_records_csv(records: DetectionRecords, destination: PathOrFile) -> None:
     """Write one CSV row per bit: index, bases as letters, clicks as 0/1."""
-    key = records.alice_basis.astype(np.uint8) << 4
-    key |= records.alice_bit.astype(np.uint8) << 3
-    key |= records.bob_basis.astype(np.uint8) << 2
-    key |= records.clicked_d0.astype(np.uint8) << 1
-    key |= records.clicked_d1.astype(np.uint8)
+    n = len(records)
+    # below 100,000 rows a block ends at each power of ten instead
+    edges = [e for e in (0, 10, 100, 1_000, 10_000) if e < n]
+    edges += [*range(_CSV_BLOCK_ROWS, n, _CSV_BLOCK_ROWS), n]
+    # each field after the index, with the character of its 0 ('Y' follows 'X')
+    fields = ((records.alice_basis, BASES[0]), (records.alice_bit, "0"), (records.bob_basis, BASES[0]),
+              (records.clicked_d0, "0"), (records.clicked_d1, "0"))
     with open_ascii(destination) as write:
         write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
-        start = 0
-        while start < key.size:
+        for start, stop in zip(edges, edges[1:]):
             width = len(str(start))
-            # a group stops short of the next power of ten, so its rows share one width
-            stop = min(key.size, start + _CSV_BLOCK_ROWS, 10**width)
-            rows = np.empty((stop - start, width + _ROW_TAILS.shape[1]), dtype=np.uint8)
-            index = np.arange(start, stop)
-            for col in range(width - 1, -1, -1):
-                index, digit = np.divmod(index, 10)
-                rows[:, col] = digit
-            rows[:, :width] += ord("0")
-            rows[:, width:] = _ROW_TAILS[key[start:stop]]
+            # after the index: five one-character fields, each after a comma, and "\n"
+            rows = np.empty((stop - start, width + 11), dtype=np.uint8)
+            low, offset = min(width, 5), start % _CSV_BLOCK_ROWS
+            rows[:, width - low : width] = _low_digits()[offset : offset + stop - start, 5 - low :]
+            if width > 5:
+                rows[:, : width - 5] = np.frombuffer(str(start // _CSV_BLOCK_ROWS).encode(), np.uint8)
+            rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
+            for k, (values, zero) in enumerate(fields):
+                np.add(values[start:stop].view(np.uint8), ord(zero), out=rows[:, width + 1 + 2 * k])
             write(rows)
-            start = stop

@@ -344,6 +344,21 @@ def test_density_rejects_bad_distribution(capsys):
     assert capsys.readouterr().err
 
 
+def test_huge_sessions_are_errors(monkeypatch, capsys):
+    assert main(["session", "--bits", str(10**20)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "n_bits" in captured.err
+    assert captured.out == ""
+
+    # a size numpy can describe but the machine cannot hold
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 931. GiB for an array")
+
+    monkeypatch.setattr(plugplay_qkd.cli, "run_session", out_of_memory)
+    assert main(["session", "--bits", str(10**12)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 931. GiB for an array\n"
+
+
 def test_unwritable_output_is_an_io_error(tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "out.csv"
     assert main(["density", "--n-max", "3", "--output", str(target)]) == 2

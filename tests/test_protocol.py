@@ -1,6 +1,8 @@
 """Unit tests for the session kernel, sifting and error estimation."""
 
+import hashlib
 import io
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -18,7 +20,8 @@ from plugplay_qkd import (
     run_session,
     sift,
 )
-from plugplay_qkd.protocol import BASES, _CSV_BLOCK_ROWS, _substreams, pattern_stream
+from plugplay_qkd import protocol
+from plugplay_qkd.protocol import BASES, _KERNEL_BLOCK, _substreams, pattern_stream
 from plugplay_qkd.randomizer import generate_pattern
 
 SE_HALF_1000 = 0.015811388300841896  # sqrt(0.25 / 1000)
@@ -159,6 +162,61 @@ def test_run_session_deterministic():
         assert np.array_equal(getattr(a, col), getattr(b, col))
 
 
+def _records_digest(records):
+    """SHA-256 of the bytes of all seven record columns, in slot order."""
+    digest = hashlib.sha256()
+    for name in DetectionRecords.__slots__:
+        digest.update(getattr(records, name).tobytes())
+    return digest.hexdigest()
+
+
+# Records of 100,003-bit sessions (a multiple of neither 8 nor the kernel
+# block), pinned so any change to the draw layout or to the order of the
+# float arithmetic fails here. At 0, 65 and -135 ns all four passes of a bit
+# share one slot, so those sessions equal the randomizer-off one; at the
+# default settings double clicks are too rare for the policy to change a record.
+_IDLE_DIGESTS = {
+    0: "fa25c30ba4e574e445cf185332e1a3e054f85f0e031124422eeaca202f5977bf",
+    42: "300a96c5841736756376cd421f2b702eb0e83aef352e48549cc4eda9e3f725eb",
+}
+_STRADDLED_DIGESTS = {  # 70 ns, randomizer on
+    0: "fce573caacf731a0aab0f4490e274340a55b3e25a8b0d01e9b088c970d380184",
+    42: "a3430a361b2216c6184dad0fd43263b6dcc9c8f2e03cf72296fb93d32b06c15b",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("delay", [0.0, 65.0, 70.0, -135.0])
+def test_records_match_golden_digests(seed, delay):
+    for enabled, policy in itertools.product((True, False), ("discard", "random")):
+        cfg = SessionConfig(n_bits=100_003, seed=seed, delay_ns=delay,
+                            randomizer_enabled=enabled, double_click_policy=policy)
+        digests = _STRADDLED_DIGESTS if enabled and delay == 70.0 else _IDLE_DIGESTS
+        assert _records_digest(run_session(cfg)) == digests[seed], (enabled, policy)
+
+
+# 20 photons on perfect detectors at a straddling delay: most bits click on
+# both detectors, so the 'random' policy's coin draws shape the records
+@pytest.mark.parametrize(
+    ("seed", "policy", "digest"),
+    [
+        (0, "discard", "f2c8dcd3506e459569cc72562dcde78d4d6dd5b9333cf0764a1243af688bb990"),
+        (42, "discard", "76f5764d2b2b4ac9bd19153a083c197d00b9c1a30176b30d6f9e874395d300d8"),
+        (0, "random", "c5c715a4a249bbc1918b70165896ac07baf4796ae79fadc8fc288b3a7e401a2b"),
+        (42, "random", "66c47be9a5b7322873bc52a23cddd4e49cc9c24266936c1ed0cdece664c82f77"),
+    ],
+)
+def test_double_click_records_match_golden_digests(seed, policy, digest):
+    cfg = SessionConfig(n_bits=100_003, seed=seed, delay_ns=70.0, mu_target=20.0,
+                        efficiency=1.0, double_click_policy=policy)
+    assert _records_digest(run_session(cfg)) == digest
+
+
+def test_paper_session_matches_golden_digest():
+    records = run_session(SessionConfig(n_bits=843_000, seed=42))
+    assert _records_digest(records) == "aa28a1cbcdb32bf37df6969396825d489ca8be8ae9e4a55c86aadd0b66df4dd9"
+
+
 def test_randomizer_toggle_leaves_detector_means_unchanged():
     on = run_session(SessionConfig(n_bits=3000, seed=5))
     off = run_session(SessionConfig(n_bits=3000, seed=5, randomizer_enabled=False))
@@ -201,6 +259,43 @@ def test_kernel_matches_scalar_op_composition(delay):
         idle = run_session(replace(cfg, randomizer_enabled=False))
         assert np.array_equal(records.mu_d0, idle.mu_d0)
         assert np.array_equal(records.mu_d1, idle.mu_d1)
+
+
+# a straddling delay gives the V pair two different slot shifts, so every
+# block must take its codes from the right place on both passes
+@pytest.mark.parametrize("n_bits", [_KERNEL_BLOCK - 1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1])
+def test_kernel_matches_scalar_across_block_edges(n_bits):
+    cfg = SessionConfig(n_bits=n_bits, seed=81, delay_ns=70.0)
+    records = run_session(cfg)
+    mus = oracle.session_means(cfg)
+    assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
+    assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("delay", [70.0, 200.0, -1e12])
+def test_records_do_not_depend_on_the_kernel_block(delay, monkeypatch):
+    # blocks of 7 bits cut every frame, pass slice and grid edge differently;
+    # double clicks are common, so the 'random' coins are read block by block
+    cfg = SessionConfig(n_bits=1200, seed=6, delay_ns=delay, mu_target=20.0,
+                        efficiency=1.0, double_click_policy="random")
+    whole = run_session(cfg)
+    monkeypatch.setattr(protocol, "_KERNEL_BLOCK", 7)
+    assert _records_digest(run_session(cfg)) == _records_digest(whole)
+
+
+def test_session_memory_is_bounded():
+    # beyond the 21 B/bit of records it returns, the kernel holds the 4 B/bit
+    # of pattern codes and one block of temporaries, never a full-length one
+    n_bits = 843_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        records = run_session(SessionConfig(n_bits=n_bits, seed=42))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(records) == n_bits
+    assert peak / n_bits < 32
 
 
 def test_overflowing_slot_quotient_is_the_idle_modulator():
@@ -354,6 +449,17 @@ def test_config_validation_errors():
         run_session(SessionConfig(n_bits=100, tau_mzi_ns=190.0))
 
 
+def test_config_rejects_more_bits_than_numpy_can_hold():
+    # checked before anything is allocated: 10**20 bits used to end in a
+    # numpy "maximum allowed dimension" traceback
+    with pytest.raises(ValidationError, match="n_bits"):
+        SessionConfig(n_bits=10**20)
+    largest = np.iinfo(np.intp).max // 8  # bits in the largest float64 column
+    assert SessionConfig(n_bits=largest).n_bits == largest
+    with pytest.raises(ValidationError, match="n_bits"):
+        SessionConfig(n_bits=largest + 1)
+
+
 @pytest.mark.parametrize(
     "field",
     ["mu_target", "tau_mzi_ns", "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km",
@@ -368,17 +474,19 @@ def test_config_rejects_non_finite_floats(field, value):
 def _records_csv_by_row(records):
     """Reference export: one formatted line per bit."""
     lines = ["bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1"]
-    for i in range(len(records)):
-        lines.append(
-            f"{i},{BASES[records.alice_basis[i]]},{records.alice_bit[i]},"
-            f"{BASES[records.bob_basis[i]]},{int(records.clicked_d0[i])},{int(records.clicked_d1[i])}"
-        )
+    cols = (records.alice_basis.tolist(), records.alice_bit.tolist(), records.bob_basis.tolist(),
+            records.clicked_d0.tolist(), records.clicked_d1.tolist())
+    for i, (a_basis, a_bit, b_basis, d0, d1) in enumerate(zip(*cols)):
+        lines.append(f"{i},{BASES[a_basis]},{a_bit},{BASES[b_basis]},{int(d0)},{int(d1)}")
     return "\n".join(lines) + "\n"
 
 
-# rows change index width at each power of ten; at 100,001 rows the last
-# change (row 100,000) falls inside the second 65,536-row block
-@pytest.mark.parametrize("n", [1, 10, 1001, _CSV_BLOCK_ROWS + 1, 0, 9, 11, 100, 101, 100_001])
+# rows change index width at each power of ten, and from row 100,000 on the
+# export formats aligned blocks of 100,000 rows; 1,000,001 rows reach width 7
+@pytest.mark.parametrize(
+    "n",
+    [1, 10, 1001, 65_537, 0, 9, 11, 100, 101, 100_001, 99_999, 100_000, 200_001, 1_000_001],
+)
 def test_records_csv_matches_row_by_row_reference(n, tmp_path):
     rng = np.random.default_rng(n)
     records = _records(*(rng.integers(0, 2, size=(5, n)).astype(bool)))

@@ -10,6 +10,8 @@ phase kills them and leaves a plain Poissonian mixture.
 
 import math
 
+import numpy as np
+
 from plugplay_qkd import (
     DiscreteUniformPhase,
     FixedPhase,
@@ -33,7 +35,7 @@ print()
 rho = fock_density_matrix(MU, UniformPhase(), n_max=6)
 poisson = [math.exp(-MU) * MU**n / math.factorial(n) for n in range(7)]
 print("n    diagonal      Poisson pmf")
-for n, (d, p) in enumerate(zip(rho.diagonal, poisson)):
+for n, (d, p) in enumerate(zip(np.diag(rho).real, poisson)):
     print(f"{n}    {d:.3e}    {p:.3e}")
 
 # The first rows: the fixed-phase pulse keeps a 0.286 coherence between the

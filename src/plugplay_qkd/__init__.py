@@ -16,7 +16,6 @@ from .experiments import (
     DelayScanResult,
     DiscreteUniformPhase,
     FixedPhase,
-    FockDensityMatrix,
     UniformPhase,
     delay_scan,
     export_csv,
@@ -59,7 +58,6 @@ __all__ = [
     "UniformPhase",
     "DiscreteUniformPhase",
     "FixedPhase",
-    "FockDensityMatrix",
     "fock_density_matrix",
     "offdiag_norm",
     "export_density_csv",

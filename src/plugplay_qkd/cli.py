@@ -37,6 +37,7 @@ from .experiments import (
     uniformity_chisq,
 )
 from .protocol import (
+    _MAX_FLOAT64S,
     SessionConfig,
     estimate_qber,
     export_records_csv,
@@ -178,7 +179,10 @@ def _scan_delays(range_ns: float, step_ns: float) -> list[float]:
         raise ValidationError(
             f"scan range and step must be finite and positive, got {range_ns} and {step_ns}"
         )
-    n_steps = int(round(2.0 * range_ns / step_ns))
+    steps = 2.0 * range_ns / step_ns
+    if not math.isfinite(steps):
+        raise ValidationError(f"scan grid of {range_ns} ns in {step_ns} ns steps has too many points")
+    n_steps = round(steps)
     if abs(n_steps * step_ns - 2.0 * range_ns) > 1e-9 * max(1.0, range_ns):
         raise ValidationError("scan range must be a whole number of steps")
     return [-range_ns + k * step_ns for k in range(n_steps + 1)]
@@ -195,15 +199,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
-    if args.codes < 1:
-        raise ValidationError(f"need at least one code, got {args.codes}")
+    if not 1 <= args.codes <= _MAX_FLOAT64S:
+        raise ValidationError(
+            f"codes must be in [1, {_MAX_FLOAT64S}] (numpy's largest float64 array), got {args.codes}"
+        )
     if args.constant_code is not None:
         codes = np.full(args.codes, args.constant_code, dtype=np.int64)
     else:
         # audit the same stream a session would feed to the modulator
         codes = pattern_stream(args.seed, args.codes)
-    phases = code_to_phase(codes)
-    statistic, threshold = uniformity_chisq(np.asarray(phases), n_bins=args.bins)
+    statistic, threshold = uniformity_chisq(code_to_phase(codes), n_bins=args.bins)
     print(
         f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
         f"({args.bins} bins, {args.codes} codes)"
@@ -242,10 +247,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
     rho = fock_density_matrix(args.mean_photon, dist, **_given(args, "n_max"))
     export_density_csv(rho, args.output)
     print(
-        f"mu={args.mean_photon:g} dist={args.phase_dist} trace={rho.trace:.9f} "
+        f"mu={args.mean_photon:g} dist={args.phase_dist} trace={np.trace(rho).real:.9f} "
         f"max_offdiag={offdiag_norm(rho):.6e}"
     )
-    print(f"wrote ({rho.n_max + 1})x({rho.n_max + 1}) matrix to {args.output}")
+    print(f"wrote ({len(rho)})x({len(rho)}) matrix to {args.output}")
     return EXIT_OK
 
 

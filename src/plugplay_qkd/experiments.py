@@ -26,22 +26,7 @@ import numpy as np
 
 from ._textio import PathOrFile, open_ascii
 from .errors import ValidationError
-from .protocol import QberEstimate, SessionConfig, estimate_qber, run_session, sift
-
-__all__ = [
-    "DelayScanResult",
-    "delay_scan",
-    "scan_point_seed",
-    "uniformity_chisq",
-    "UniformPhase",
-    "DiscreteUniformPhase",
-    "FixedPhase",
-    "FockDensityMatrix",
-    "fock_density_matrix",
-    "offdiag_norm",
-    "export_csv",
-    "export_density_csv",
-]
+from .protocol import _MAX_FLOAT64S, QberEstimate, SessionConfig, estimate_qber, run_session, sift
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +63,8 @@ def scan_point_seed(base_seed: int, point_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def delay_scan(
-    config: SessionConfig,
-    delays_ns: Sequence[float],
-    max_workers: int = 1,
-) -> DelayScanResult:
+def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
+               max_workers: int = 1) -> DelayScanResult:
     """Run one session per trigger delay and collect sifted error rates.
 
     ``config`` supplies everything but the trigger delay and per-point seed.
@@ -107,12 +89,8 @@ def delay_scan(
         except ValidationError as exc:
             raise ValidationError(f"scan point at {delay} ns: {exc}") from exc
 
-    indexes = range(len(delays))
-    if max_workers == 1:
-        estimates = [one_point(i) for i in indexes]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            estimates = list(pool.map(one_point, indexes))
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        estimates = list(pool.map(one_point, range(len(delays))))
     return DelayScanResult(delays_ns=tuple(delays), estimates=tuple(estimates))
 
 
@@ -143,20 +121,14 @@ def _gamma_half(df: int) -> Decimal:
 
 
 def _gamma_q(a: Decimal, y: Decimal, gamma_a: Decimal, tol: Decimal) -> tuple[Decimal, Decimal]:
-    """Regularized upper incomplete gamma Q(a, y) and the gamma(a) density at y.
+    """Regularized upper incomplete gamma Q(a, y) and the gamma(a) density at y,
+    for y >= a + 1, in the current decimal context.
 
-    Uses the series of P = 1 - Q below y = a + 1 and the continued fraction
-    of Q (modified Lentz) above it, in the current decimal context.
+    Evaluates the continued fraction of Q (modified Lentz), which converges
+    fast there. The 99th percentile lies above a + 1, and the Newton iterates
+    of :func:`_chi2_ppf99` stay above it too (a test spies on them).
     """
     density = (a * y.ln() - y).exp() / (gamma_a * y)
-    if y < a + 1:
-        term = total = 1 / a
-        shape = a
-        while term >= total * tol:
-            shape += 1
-            term = term * y / shape
-            total += term
-        return 1 - density * y * total, density
     tiny = Decimal("1e-300")
     b = y + 1 - a
     c = 1 / tiny
@@ -178,7 +150,7 @@ def _gamma_q(a: Decimal, y: Decimal, gamma_a: Decimal, tol: Decimal) -> tuple[De
             return density * y * frac, density
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _chi2_ppf99(df: int) -> float:
     """99th percentile of chi-square with ``df`` degrees of freedom, correctly rounded.
 
@@ -249,9 +221,7 @@ class UniformPhase:
     """Perfect continuous phase randomization on [0, 2*pi)."""
 
     def circular_moment(self, k):
-        k_arr = np.asarray(k)
-        out = np.where(k_arr == 0, 1.0 + 0.0j, 0.0 + 0.0j)
-        return complex(out) if k_arr.ndim == 0 else out
+        return np.where(np.asarray(k) == 0, 1.0 + 0.0j, 0.0 + 0.0j)
 
     def __repr__(self) -> str:
         return "UniformPhase()"
@@ -268,9 +238,7 @@ class DiscreteUniformPhase:
             raise ValidationError(f"need at least 1 phase value, got {self.n_values}")
 
     def circular_moment(self, k):
-        k_arr = np.asarray(k)
-        out = np.where(k_arr % self.n_values == 0, 1.0 + 0.0j, 0.0 + 0.0j)
-        return complex(out) if k_arr.ndim == 0 else out
+        return np.where(np.asarray(k) % self.n_values == 0, 1.0 + 0.0j, 0.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -284,30 +252,13 @@ class FixedPhase:
             raise ValidationError("phase must be finite")
 
     def circular_moment(self, k):
-        k_arr = np.asarray(k, dtype=np.float64)
-        out = np.exp(1j * k_arr * self.phi)
-        return complex(out) if np.asarray(k).ndim == 0 else out
+        return np.exp(1j * np.asarray(k, dtype=np.float64) * self.phi)
 
 
-@dataclass(frozen=True)
-class FockDensityMatrix:
-    """Photon-number-basis density matrix truncated at ``n_max`` photons."""
 
-    entries: np.ndarray
-    mu: float
-    n_max: int
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.entries)).copy()
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
-
-
-def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> FockDensityMatrix:
-    """Density matrix of a coherent pulse whose global phase is randomized.
+def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> np.ndarray:
+    """Density matrix of a coherent pulse whose global phase is randomized, as
+    the ``(n_max + 1, n_max + 1)`` complex array over photon numbers 0 to ``n_max``.
 
     Entry (n, m) of a coherent state with mean photon number ``mu`` and phase
     phi is ``exp(-mu) * mu**((n+m)/2) / sqrt(n! m!) * exp(i (n-m) phi)``;
@@ -318,8 +269,9 @@ def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> FockDensityMa
     """
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValidationError(f"mean photon number must be finite and >= 0, got {mu}")
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    # complex128 entries: two float64s each
+    if not 1 <= n_max < math.isqrt(_MAX_FLOAT64S // 2):
+        raise ValidationError(f"n_max must be >= 1 and within numpy's array size limit, got {n_max}")
     dim = n_max + 1
     ns = np.arange(dim)
     if mu == 0.0:
@@ -337,14 +289,12 @@ def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> FockDensityMa
             log_fact = np.array([math.lgamma(n + 1.0) for n in range(dim)])
             amps = np.exp(-mu / 2.0 + 0.5 * (ns * math.log(mu) - log_fact))
     order = ns[:, None] - ns[None, :]
-    entries = np.outer(amps, amps) * phase_dist.circular_moment(order)
-    return FockDensityMatrix(entries=entries, mu=float(mu), n_max=int(n_max))
+    return np.outer(amps, amps) * phase_dist.circular_moment(order)
 
 
-def offdiag_norm(rho: FockDensityMatrix) -> float:
+def offdiag_norm(rho: np.ndarray) -> float:
     """Largest magnitude among off-diagonal entries; zero iff fully dephased."""
-    mat = np.asarray(rho.entries)
-    off = mat - np.diag(np.diag(mat))
+    off = rho - np.diag(np.diag(rho))
     return float(np.abs(off).max())
 
 
@@ -363,13 +313,10 @@ def export_csv(result: DelayScanResult, destination: PathOrFile) -> None:
         write(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def export_density_csv(rho: FockDensityMatrix, destination: PathOrFile) -> None:
+def export_density_csv(rho: np.ndarray, destination: PathOrFile) -> None:
     """Write a density matrix as CSV rows n,m,real,imag."""
     lines = ["n,m,real,imag"]
-    dim = rho.n_max + 1
-    for n in range(dim):
-        for m in range(dim):
-            z = rho.entries[n, m]
-            lines.append(f"{n},{m},{z.real:.12g},{z.imag:.12g}")
+    for (n, m), z in np.ndenumerate(rho):
+        lines.append(f"{n},{m},{z.real:.12g},{z.imag:.12g}")
     with open_ascii(destination) as write:
         write(("\n".join(lines) + "\n").encode("ascii"))

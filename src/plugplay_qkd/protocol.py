@@ -44,18 +44,6 @@ from .randomizer import (
     generate_pattern,
 )
 
-__all__ = [
-    "BASES",
-    "SessionConfig",
-    "DetectionRecords",
-    "QberEstimate",
-    "pattern_stream",
-    "run_session",
-    "sift",
-    "estimate_qber",
-    "export_records_csv",
-]
-
 BASES = ("X", "Y")
 
 # cos(2*pi*k / 4096) for every code difference k. The quarter points are
@@ -67,8 +55,9 @@ _COS[CODE_LEVELS // 2] = -1.0
 _COS.setflags(write=False)
 _QUARTER_TURN_CODES = CODE_LEVELS // 4
 
-# The most bits whose float64 record columns numpy can size at all.
-_MAX_BITS = np.iinfo(np.intp).max // 8
+# The longest float64 array numpy can size at all (a session's record
+# columns, an audit's phases).
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 # Bits per kernel block: its float64 temporaries stay in a 2 MB L2 cache.
 _KERNEL_BLOCK = 1 << 15
 
@@ -140,9 +129,9 @@ class SessionConfig:
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.n_bits < 1:
             raise ValidationError(f"n_bits must be >= 1, got {self.n_bits}")
-        if self.n_bits > _MAX_BITS:
+        if self.n_bits > _MAX_FLOAT64S:
             raise ValidationError(
-                f"n_bits must be <= {_MAX_BITS} (numpy's largest float64 column), got {self.n_bits}"
+                f"n_bits must be <= {_MAX_FLOAT64S} (numpy's largest float64 column), got {self.n_bits}"
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
@@ -175,6 +164,7 @@ class SessionConfig:
             raise ValidationError(
                 f"double_click_policy must be 'discard' or 'random', got {self.double_click_policy!r}"
             )
+        _path_amplitude(self)
         if self.polarization is not None:
             if len(self.polarization) != 2:
                 raise ValidationError("polarization must be a (h, v) pair")
@@ -263,6 +253,38 @@ def _pass_codes(codes: np.ndarray, shift: int, start: int, stop: int) -> np.ndar
     return out
 
 
+def _path_amplitude(config: SessionConfig) -> float:
+    """Amplitude of each interfering path at Bob's coupler, per unit source amplitude.
+
+    At the coupler the reference has crossed short-then-long (insertion loss
+    and basis phase on the way back), the signal long-then-short. Both paths
+    see the long arm exactly once, so one shared amplitude keeps the balance
+    exact down to the last bit. A loss budget whose attenuation or detector
+    means leave float64 range is a ``ValidationError``.
+    """
+    long_arm = 10.0 ** (-config.insertion_loss_db / 20.0)
+    fiber = 10.0 ** (-config.fiber_loss_db_per_km * config.fiber_km / 20.0)
+    half = 1.0 / math.sqrt(2.0)
+    ref_out = half * fiber  # per unit source amplitude, arriving at Alice
+    sig_out = half * long_arm * fiber
+    try:
+        if config.mu_convention == "pair":
+            att = math.sqrt(config.mu_target / (ref_out**2 + sig_out**2))
+        else:
+            att = math.sqrt(config.mu_target) / sig_out
+    except ZeroDivisionError:
+        att = math.inf
+    path_amp = half * fiber * att * fiber * long_arm
+    # a detector mean peaks at 2 * path_amp**2
+    if not math.isfinite(2.0 * path_amp * path_amp):
+        raise ValidationError(
+            f"loss budget out of float64 range at mean photon target {config.mu_target}: "
+            f"{config.insertion_loss_db} dB insertion loss, {config.fiber_km} km of fiber "
+            f"at {config.fiber_loss_db_per_km} dB/km"
+        )
+    return path_amp
+
+
 def run_session(config: SessionConfig) -> DetectionRecords:
     """Simulate one session and return its per-bit records.
 
@@ -317,22 +339,7 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     shifts = [_pass_shift(first_ns, n, codes.size, config) for first_ns in (
         t0, t0 + config.roundtrip_ns, t0 + config.tau_mzi_ns, t0 + config.tau_mzi_ns + config.roundtrip_ns)]
 
-    long_arm = 10.0 ** (-config.insertion_loss_db / 20.0)
-    fiber = 10.0 ** (-config.fiber_loss_db_per_km * config.fiber_km / 20.0)
-    half = 1.0 / math.sqrt(2.0)
-    ref_out = half * fiber  # per unit source amplitude, arriving at Alice
-    sig_out = half * long_arm * fiber
-
-    if config.mu_convention == "pair":
-        att = math.sqrt(config.mu_target / (ref_out**2 + sig_out**2))
-    else:
-        att = math.sqrt(config.mu_target) / sig_out
-
-    # At Bob's coupler the reference has crossed short-then-long (insertion
-    # loss and basis phase on the way back), the signal long-then-short. Both
-    # paths see the long arm exactly once, so one shared amplitude keeps the
-    # balance exact down to the last bit.
-    path_amp = half * fiber * att * fiber * long_arm
+    path_amp = _path_amplitude(config)
 
     # The mirror swaps H and V: the H component leaving Alice was V on the
     # way in and took its phase on the return pass, V on the forward pass.

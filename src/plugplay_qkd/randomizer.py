@@ -17,14 +17,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = [
-    "CODE_LEVELS",
-    "DEFAULT_FRAME_LEN",
-    "PHASE_PER_CODE",
-    "generate_pattern",
-    "code_to_phase",
-]
-
 CODE_LEVELS = 4096
 DEFAULT_FRAME_LEN = 504
 PHASE_PER_CODE = 2.0 * math.pi / CODE_LEVELS
@@ -42,7 +34,8 @@ def generate_pattern(rng: np.random.Generator, n_codes: int) -> np.ndarray:
 
 
 def code_to_phase(code):
-    """Map a 12-bit code (scalar or array) to its phase in radians.
+    """Map 12-bit codes to their phases in radians, as float64 (a scalar
+    code gives an ``np.float64``).
 
     The DAC grid is linear: code ``c`` maps to ``2*pi*c / 4096``, covering
     [0, 2*pi) in 4096 equal steps.
@@ -52,7 +45,4 @@ def code_to_phase(code):
         raise ValidationError("phase codes must be integers")
     if arr.size and (arr.min() < 0 or arr.max() >= CODE_LEVELS):
         raise ValidationError(f"phase codes must lie in [0, {CODE_LEVELS - 1}]")
-    phase = arr * PHASE_PER_CODE
-    if np.isscalar(code) or arr.ndim == 0:
-        return float(phase)
-    return phase
+    return arr * PHASE_PER_CODE

@@ -155,16 +155,16 @@ def test_criterion_5_photon_number_matrix_dephasing():
     for mu in (0.1, 0.5, 1.0):
         rho = fock_density_matrix(mu, UniformPhase(), n_max=20)
         worst_offdiag = max(worst_offdiag, offdiag_norm(rho))
-        worst_poisson = max(worst_poisson, poisson_deviation(rho.diagonal, mu))
+        worst_poisson = max(worst_poisson, poisson_deviation(np.diag(rho).real, mu))
     uniform_ok = worst_offdiag <= 1e-15 and worst_poisson <= 1e-12
 
     fixed = fock_density_matrix(0.1, FixedPhase(0.0), n_max=20)
-    rho01_dev = abs(fixed.entries[0, 1].real / RHO01_MU01 - 1.0)
+    rho01_dev = abs(fixed[0, 1].real / RHO01_MU01 - 1.0)
     fixed_ok = rho01_dev <= 1e-12
 
     fine = fock_density_matrix(0.1, DiscreteUniformPhase(4096), n_max=20)
     flat = fock_density_matrix(0.1, UniformPhase(), n_max=20)
-    discrete_ok = bool(np.array_equal(fine.entries, flat.entries))
+    discrete_ok = bool(np.array_equal(fine, flat))
 
     _report(
         5,

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plugplay_qkd
@@ -14,6 +17,16 @@ from plugplay_qkd.cli import main
 from plugplay_qkd.protocol import pattern_stream
 
 FAST_SESSION = ["session", "--bits", "3000", "--seed", "5"]
+
+# SHA-256 of the stdout of `density --mean-photon 0.1 --n-max 20 --phase-dist
+# DIST --output density.csv` followed by the CSV it writes, and of the stdout
+# of `verify-uniformity --seed 9`. A refactor must keep these bytes.
+DENSITY_DIGESTS = {
+    "uniform": "42e4a8f8b3f42059a36b6aa06240089d977ae049246ff0f1a2efa0b3dfba9569",
+    "discrete:4096": "0bc1f11cd35151da8ca57e5e5769ab87f726a251f36019999c13b096f5c5601f",
+    "fixed:0.3": "4fda1dfa253261650ace1c71818de085b6716e5868be725badff3e2b6999a8cb",
+}
+AUDIT_DIGEST = "21813c195289ca8c584272f768bbaf670cb7abc915e7aad694bb514b57aa2d1b"
 
 
 def test_session_happy_path(capsys):
@@ -48,6 +61,18 @@ def test_session_rejects_invalid_parameters(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["session", "--mean-photon", "-1"]) == 1
     assert main(["session", "--polarization", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--fiber-km", "16000"], ["--fiber-km", "16200"],
+                                   ["--insertion-loss-db", "10000", "--mu-convention", "signal"]])
+def test_loss_budget_beyond_float64_range_is_an_error(flags, tmp_path, capsys):
+    # 16,000 km overflows the attenuation (inf times a zero gives NaN means);
+    # the others underflow a pulse amplitude to zero and divide by it
+    target = tmp_path / "records.csv"
+    assert main(["session", "--bits", "1000", *flags, "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: loss budget out of float64 range")
+    assert captured.out == "" and not target.exists()
 
 
 def test_session_rejects_non_finite_parameters(capsys):
@@ -120,6 +145,9 @@ def test_scan_rejects_ragged_grid(tmp_path, capsys):
                         ("--scan-step-ns", "nan"), ("--scan-step-ns", "inf")):
         assert main(_scan_args(target) + [flag, value]) == 1, (flag, value)
         assert "scan range and step must be finite and positive" in capsys.readouterr().err
+    # finite range and step whose step count overflows float64
+    assert main(_scan_args(target) + ["--scan-range-ns", "1e300", "--scan-step-ns", "1e-300"]) == 1
+    assert "has too many points" in capsys.readouterr().err
     config = tmp_path / "scan.conf"
     config.write_text("scan_step_ns = nan\n")
     assert main(["scan", "--bits", "2000", "--config", str(config)]) == 1
@@ -337,6 +365,20 @@ def test_density_distribution_forms(tmp_path):
         assert target.exists()
 
 
+@pytest.mark.parametrize("dist", sorted(DENSITY_DIGESTS))
+def test_density_output_matches_golden_digest(dist, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["density", "--mean-photon", "0.1", "--n-max", "20", "--phase-dist", dist,
+                 "--output", "density.csv"]) == 0
+    output = capsys.readouterr().out.encode() + (tmp_path / "density.csv").read_bytes()
+    assert hashlib.sha256(output).hexdigest() == DENSITY_DIGESTS[dist]
+
+
+def test_verify_uniformity_output_matches_golden_digest(capsys):
+    assert main(["verify-uniformity", "--seed", "9"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == AUDIT_DIGEST
+
+
 def test_density_rejects_bad_distribution(capsys):
     assert main(["density", "--phase-dist", "weird"]) == 1
     assert main(["density", "--phase-dist", "discrete:few"]) == 1
@@ -357,6 +399,24 @@ def test_huge_sessions_are_errors(monkeypatch, capsys):
     monkeypatch.setattr(plugplay_qkd.cli, "run_session", out_of_memory)
     assert main(["session", "--bits", str(10**12)]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 931. GiB for an array\n"
+
+
+def test_huge_audits_and_matrices_are_errors(tmp_path, capsys):
+    # refused before anything is allocated: each used to end in a numpy
+    # "maximum allowed" ValueError traceback
+    largest = np.iinfo(np.intp).max // 8  # the longest float64 array
+    for codes in (10**20, largest + 1):
+        for extra in ([], ["--constant-code", "5"]):
+            assert main(["verify-uniformity", "--codes", str(codes), *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: codes must be in [1, ") and captured.out == ""
+    target = tmp_path / "rho.csv"
+    # the (n_max + 1)^2 complex128 entries pass numpy's limit
+    for n_max in (10**20, math.isqrt(largest // 2)):
+        assert main(["density", "--n-max", str(n_max), "--output", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: n_max must be >= 1") and captured.out == ""
+    assert not target.exists()
 
 
 def test_unwritable_output_is_an_io_error(tmp_path, capsys):

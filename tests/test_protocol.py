@@ -449,6 +449,19 @@ def test_config_validation_errors():
         run_session(SessionConfig(n_bits=100, tau_mzi_ns=190.0))
 
 
+def test_loss_budget_must_keep_the_means_in_float64_range():
+    # 16,000 km overflows the attenuation to inf, which would give NaN means;
+    # 16,200 km and 10,000 dB underflow a pulse amplitude to zero
+    for fields in ({"fiber_km": 16_000.0}, {"fiber_km": 16_200.0},
+                   {"insertion_loss_db": 10_000.0, "mu_convention": "signal"}):
+        with pytest.raises(ValidationError, match="loss budget"):
+            SessionConfig(n_bits=100, **fields)
+    # 15,000 km is lossy but representable: tiny finite means, no warning
+    records = run_session(SessionConfig(n_bits=100, fiber_km=15_000.0))
+    assert np.isfinite(records.mu_d0).all() and np.isfinite(records.mu_d1).all()
+    assert 0.0 < (records.mu_d0 + records.mu_d1).max() < 1e-300
+
+
 def test_config_rejects_more_bits_than_numpy_can_hold():
     # checked before anything is allocated: 10**20 bits used to end in a
     # numpy "maximum allowed dimension" traceback

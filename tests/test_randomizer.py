@@ -59,6 +59,8 @@ def test_generate_pattern_uniformity_chisq():
 
 
 def test_code_to_phase_reference_points():
+    # a scalar code gives an np.float64, which is a float
+    assert isinstance(code_to_phase(0), float)
     assert code_to_phase(0) == 0.0
     assert code_to_phase(2048) == math.pi
     assert code_to_phase(1024) == math.pi / 2.0

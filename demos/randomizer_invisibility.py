@@ -9,7 +9,15 @@ see bit by bit.
 
 import numpy as np
 
-from plugplay_qkd import SessionConfig, code_to_phase, estimate_qber, pattern_stream, run_session, sift
+from plugplay_qkd import (
+    SessionConfig,
+    code_to_phase,
+    detector_means,
+    estimate_qber,
+    pattern_stream,
+    run_session,
+    sift,
+)
 
 on_cfg = SessionConfig(n_bits=50_000, seed=7)
 off_cfg = SessionConfig(n_bits=50_000, seed=7, randomizer_enabled=False)
@@ -29,8 +37,9 @@ print(f"distinct emitted phases, randomizer off: {len(np.unique(phases_off))}")
 # ...but the light reaching the detectors is identical, because both
 # interfering paths reflect off the same mirror within one pattern step and
 # the common phase drops out of the interference.
-d0 = np.abs(on.mu_d0 - off.mu_d0).max()
-d1 = np.abs(on.mu_d1 - off.mu_d1).max()
+(on_d0, on_d1), (off_d0, off_d1) = detector_means(on_cfg), detector_means(off_cfg)
+d0 = np.abs(on_d0 - off_d0).max()
+d1 = np.abs(on_d1 - off_d1).max()
 print(f"largest per-bit detector-mean difference: D0 {d0:.3e}, D1 {d1:.3e}")
 
 est_on = estimate_qber(sift(on))

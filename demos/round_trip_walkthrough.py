@@ -5,18 +5,19 @@ One bit, step by step
 Follow a few bits of a short session through the optical round trip and
 watch the photon numbers. The stages come from the session configuration,
 the randomizer phases from the session's pattern stream, and the detector
-means from the records that run_session returns.
+means from detector_means, which computes them exactly as run_session does.
 """
 
 import math
 
-from plugplay_qkd import SessionConfig, code_to_phase, pattern_stream, run_session
+from plugplay_qkd import SessionConfig, code_to_phase, detector_means, pattern_stream, run_session
 
 BASES = "XY"
 
 # Eight bits with the source fixed to H polarization.
 config = SessionConfig(n_bits=8, seed=3, polarization=(1.0, 0.0))
 records = run_session(config)
+means_d0, means_d1 = detector_means(config)
 # At zero trigger delay bit i's reference pulse makes its forward pass
 # through the randomizer in pattern step i, so it takes code i of the stream.
 randomizer_phases = code_to_phase(pattern_stream(config.seed, config.n_bits))
@@ -48,7 +49,7 @@ print("bit  Alice  phase    Bob  randomizer  mu(D0)     mu(D1)     click probs")
 for i in range(len(records)):
     basis, bit = int(records.alice_basis[i]), int(records.alice_bit[i])
     coding_phase = (2 * bit + basis) * math.pi / 2.0
-    mu_d0, mu_d1 = float(records.mu_d0[i]), float(records.mu_d1[i])
+    mu_d0, mu_d1 = float(means_d0[i]), float(means_d1[i])
     p0 = 1.0 - (1.0 - config.dark_prob) * math.exp(-config.efficiency * mu_d0)
     p1 = 1.0 - (1.0 - config.dark_prob) * math.exp(-config.efficiency * mu_d1)
     print(f"{i:3d}  {BASES[basis]}{bit}     {coding_phase:.4f}   {BASES[records.bob_basis[i]]}    "

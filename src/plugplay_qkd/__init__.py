@@ -28,6 +28,7 @@ from .protocol import (
     DetectionRecords,
     QberEstimate,
     SessionConfig,
+    detector_means,
     estimate_qber,
     export_records_csv,
     pattern_stream,
@@ -46,6 +47,7 @@ __all__ = [
     "DetectionRecords",
     "QberEstimate",
     "run_session",
+    "detector_means",
     "sift",
     "estimate_qber",
     "export_records_csv",

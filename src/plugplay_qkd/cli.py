@@ -54,6 +54,12 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_REJECTED = 3
 
+# Most points a delay scan may have. Each point runs a whole session, and a
+# grid this fine (about a 1 ns step across +-50 us) is far past any
+# alignment scan. The grid is refused from its step count, before its list
+# of delays is built.
+_MAX_SCAN_POINTS = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser that reports errors via exception, not sys.exit."""
@@ -183,6 +189,11 @@ def _scan_delays(range_ns: float, step_ns: float) -> list[float]:
     if not math.isfinite(steps):
         raise ValidationError(f"scan grid of {range_ns} ns in {step_ns} ns steps has too many points")
     n_steps = round(steps)
+    if n_steps + 1 > _MAX_SCAN_POINTS:
+        raise ValidationError(
+            f"scan grid of {range_ns} ns in {step_ns} ns steps has too many points "
+            f"({n_steps + 1}, at most {_MAX_SCAN_POINTS})"
+        )
     if abs(n_steps * step_ns - 2.0 * range_ns) > 1e-9 * max(1.0, range_ns):
         raise ValidationError("scan range must be a whole number of steps")
     return [-range_ns + k * step_ns for k in range(n_steps + 1)]

@@ -186,12 +186,13 @@ class SessionConfig:
 class DetectionRecords:
     """Column-oriented store of per-bit outcomes for one session.
 
-    Bases are stored as int8 indexes into :data:`BASES`. ``mu_d0``/``mu_d1``
-    hold the pre-detection mean photon numbers at the two ports, which is
-    what phase-randomization invariance is stated about.
+    Bases are stored as int8 indexes into :data:`BASES`, bits as int8 and
+    clicks as bool: 5 bytes per bit. The pre-detection mean photon numbers,
+    which phase-randomization invariance is stated about, are not kept here;
+    :func:`detector_means` returns them.
     """
 
-    __slots__ = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1", "mu_d0", "mu_d1")
+    __slots__ = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
 
     def __init__(
         self,
@@ -200,10 +201,8 @@ class DetectionRecords:
         bob_basis: np.ndarray,
         clicked_d0: np.ndarray,
         clicked_d1: np.ndarray,
-        mu_d0: np.ndarray,
-        mu_d1: np.ndarray,
     ):
-        cols = (alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1, mu_d0, mu_d1)
+        cols = (alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1)
         n = len(alice_basis)
         if any(len(c) != n for c in cols):
             raise ValidationError("record columns must have equal length")
@@ -212,8 +211,6 @@ class DetectionRecords:
         self.bob_basis = np.asarray(bob_basis, dtype=np.int8)
         self.clicked_d0 = np.asarray(clicked_d0, dtype=bool)
         self.clicked_d1 = np.asarray(clicked_d1, dtype=bool)
-        self.mu_d0 = np.asarray(mu_d0, dtype=np.float64)
-        self.mu_d1 = np.asarray(mu_d1, dtype=np.float64)
         for col in (self.alice_basis, self.alice_bit, self.bob_basis):
             if n and col.view(np.uint8).max() > 1:
                 raise ValidationError("basis and bit columns must hold only 0 and 1")
@@ -230,6 +227,39 @@ class QberEstimate:
     std_error: float
     n_sifted: int
     n_errors: int
+
+
+def _choices(streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alice's basis and bit and Bob's basis for ``n`` bits, one int8 column each."""
+    rng_alice = np.random.default_rng(streams["alice"])
+    rng_bob = np.random.default_rng(streams["bob"])
+    alice_basis = rng_alice.integers(0, 2, size=n, dtype=np.int8)
+    alice_bit = rng_alice.integers(0, 2, size=n, dtype=np.int8)
+    bob_basis = rng_bob.integers(0, 2, size=n, dtype=np.int8)
+    return alice_basis, alice_bit, bob_basis
+
+
+def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, complex]:
+    """The session's normalised polarization state ``(h0, v0)``.
+
+    One state holds for the whole session: the fiber drifts slowly compared
+    to a frame. With no override it is drawn uniformly (Haar).
+    """
+    if config.polarization is None:
+        z = np.random.default_rng(streams["polarization"]).normal(size=4)
+        h0, v0 = complex(z[0], z[1]), complex(z[2], z[3])
+    else:
+        h0, v0 = (complex(c) for c in config.polarization)
+    norm = math.sqrt(abs(h0) ** 2 + abs(v0) ** 2)
+    return h0 / norm, v0 / norm
+
+
+def _session_codes(config: SessionConfig) -> np.ndarray:
+    """The codes of the session's whole frames; none with the randomizer off."""
+    if not config.randomizer_enabled:
+        return np.zeros(0, dtype=np.int32)
+    n_frames = -(-config.n_bits // DEFAULT_FRAME_LEN)
+    return pattern_stream(config.seed, n_frames * DEFAULT_FRAME_LEN)
 
 
 def _pass_shift(first_ns: float, n: int, n_codes: int, config: SessionConfig) -> int:
@@ -285,6 +315,78 @@ def _path_amplitude(config: SessionConfig) -> float:
     return path_amp
 
 
+def _block_means(
+    choices: tuple[np.ndarray, ...], pass_codes: tuple[np.ndarray, ...], a_h: float, a_v: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detector means ``(mu_d0, mu_d1)`` of one block of bits.
+
+    ``choices`` are the block's slices of the three choice columns and
+    ``pass_codes`` the codes its four passes see, in :func:`_means_by_block`'s
+    order. The mirror swaps H and V: the H component leaving Alice was V on
+    the way in and took its phase on the return pass, V on the forward pass.
+    Each detector mean is a_H (1 +- cos dH) + a_V (1 +- cos dV), where the
+    signal-minus-reference phase difference in codes is the randomizer's plus
+    Alice's coding phase minus Bob's basis phase, in quarter turns.
+    """
+    alice_basis, alice_bit, bob_basis = choices
+    ref_fwd, ref_ret, sig_fwd, sig_ret = pass_codes
+    # int32: 1024 * 3 overflows the int8 choice columns
+    quarter_turns = (2 * alice_bit + alice_basis - bob_basis).astype(np.int32)
+    coding = quarter_turns * _QUARTER_TURN_CODES
+    cos_h = _COS[(sig_ret - ref_ret + coding) & (CODE_LEVELS - 1)]
+    cos_v = _COS[(sig_fwd - ref_fwd + coding) & (CODE_LEVELS - 1)]
+    return a_h * (1.0 + cos_h) + a_v * (1.0 + cos_v), a_h * (1.0 - cos_h) + a_v * (1.0 - cos_v)
+
+
+def _means_by_block(config: SessionConfig, streams: dict, choices: tuple[np.ndarray, ...]):
+    """Yield ``(block, mu_d0, mu_d1)`` for each block of ``_KERNEL_BLOCK`` bits.
+
+    ``block`` is the block's slice of the session and the means are its
+    temporaries, so no full-length float column is built here.
+    """
+    n = config.n_bits
+    h0, v0 = _polarization(config, streams)
+    codes = _session_codes(config)
+    t0 = config.first_event_ns()
+    # the passes in order: reference forward and return, signal forward and return
+    shifts = [_pass_shift(first_ns, n, codes.size, config) for first_ns in (
+        t0, t0 + config.roundtrip_ns, t0 + config.tau_mzi_ns, t0 + config.tau_mzi_ns + config.roundtrip_ns)]
+    path_amp = _path_amplitude(config)
+    # the mirror swaps H and V (see _block_means)
+    a_h = abs(v0 * path_amp) ** 2
+    a_v = abs(h0 * path_amp) ** 2
+    for start in range(0, n, _KERNEL_BLOCK):
+        stop = min(n, start + _KERNEL_BLOCK)
+        block = slice(start, stop)
+        pass_codes = tuple(_pass_codes(codes, shift, start, stop) for shift in shifts)
+        yield (block, *_block_means(tuple(c[block] for c in choices), pass_codes, a_h, a_v))
+
+
+def _block_clicks(
+    config: SessionConfig, mu_d0: np.ndarray, mu_d1: np.ndarray, rngs: tuple[np.random.Generator, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clicks ``(clicked_d0, clicked_d1)`` of one block of bits from its means.
+
+    ``rngs`` draw D0's clicks, D1's clicks and the 'random' policy's coins,
+    which read the detection substream's uniform draws ``[0, n)``,
+    ``[n, 2n)`` and ``[2n, 3n)`` of an ``n``-bit session; each draw is one
+    64-bit output, so blocks read the same numbers as three whole-session draws.
+    """
+    rng_d0, rng_d1, rng_coin = rngs
+    eta = config.efficiency
+    dark = config.dark_prob
+    p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0)
+    p1 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d1)
+    clicked_d0 = rng_d0.random(len(mu_d0)) < p0
+    clicked_d1 = rng_d1.random(len(mu_d1)) < p1
+    if config.double_click_policy == "random":
+        both = clicked_d0 & clicked_d1
+        keep0 = rng_coin.random(len(mu_d0)) < 0.5
+        clicked_d0[both] = keep0[both]
+        clicked_d1[both] = ~keep0[both]
+    return clicked_d0, clicked_d1
+
+
 def run_session(config: SessionConfig) -> DetectionRecords:
     """Simulate one session and return its per-bit records.
 
@@ -302,82 +404,37 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
 
-    The choices and the codes are drawn whole; the means and the clicks are
-    then computed in blocks of ``_KERNEL_BLOCK`` bits, so no full-length
-    temporary is built. Of the detection substream's uniform draws, D0's
-    clicks take ``[0, n)``, D1's ``[n, 2n)`` and the 'random' policy's coins
-    ``[2n, 3n)``; each draw is one 64-bit output, so the blocks read the
-    same numbers as three whole-session draws.
+    The choices and the codes are drawn whole; the detector means and the
+    clicks are then computed in blocks of ``_KERNEL_BLOCK`` bits. Each
+    block's means are temporaries that end with the block, so the session
+    holds its 5 B/bit of records, 4 B/bit of codes and one block, never a
+    full-length float column; :func:`detector_means` returns the means.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
-    rng_alice = np.random.default_rng(streams["alice"])
-    rng_bob = np.random.default_rng(streams["bob"])
-
-    alice_basis = rng_alice.integers(0, 2, size=n, dtype=np.int8)
-    alice_bit = rng_alice.integers(0, 2, size=n, dtype=np.int8)
-    bob_basis = rng_bob.integers(0, 2, size=n, dtype=np.int8)
-
-    # One polarization state for the whole session: the fiber drifts slowly
-    # compared to a frame. With no override it is drawn uniformly (Haar).
-    if config.polarization is None:
-        z = np.random.default_rng(streams["polarization"]).normal(size=4)
-        h0, v0 = complex(z[0], z[1]), complex(z[2], z[3])
-    else:
-        h0, v0 = (complex(c) for c in config.polarization)
-    norm = math.sqrt(abs(h0) ** 2 + abs(v0) ** 2)
-    h0 /= norm
-    v0 /= norm
-
-    if config.randomizer_enabled:
-        n_frames = -(-n // DEFAULT_FRAME_LEN)
-        codes = pattern_stream(config.seed, n_frames * DEFAULT_FRAME_LEN)
-    else:
-        codes = np.zeros(0, dtype=np.int32)
-    t0 = config.first_event_ns()
-    # the passes in order: reference forward and return, signal forward and return
-    shifts = [_pass_shift(first_ns, n, codes.size, config) for first_ns in (
-        t0, t0 + config.roundtrip_ns, t0 + config.tau_mzi_ns, t0 + config.tau_mzi_ns + config.roundtrip_ns)]
-
-    path_amp = _path_amplitude(config)
-
-    # The mirror swaps H and V: the H component leaving Alice was V on the
-    # way in and took its phase on the return pass, V on the forward pass.
-    # Each detector mean is a_H (1 +- cos dH) + a_V (1 +- cos dV), where the
-    # signal-minus-reference phase difference in codes is the randomizer's
-    # plus Alice's coding phase minus Bob's basis phase, in quarter turns.
-    a_h = abs(v0 * path_amp) ** 2
-    a_v = abs(h0 * path_amp) ** 2
-    eta = config.efficiency
-    dark = config.dark_prob
-
-    rng_d0, rng_d1, rng_coin = (  # detection draws [0, n), [n, 2n) and [2n, 3n)
+    choices = _choices(streams, n)
+    rngs = tuple(  # see _block_clicks
         np.random.Generator(np.random.PCG64(streams["detection"]).advance(k * n)) for k in range(3))
-    mu_d0, mu_d1 = np.empty(n), np.empty(n)
     clicked_d0, clicked_d1 = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    for start in range(0, n, _KERNEL_BLOCK):
-        stop = min(n, start + _KERNEL_BLOCK)
-        block = slice(start, stop)
-        ref_fwd, ref_ret, sig_fwd, sig_ret = (_pass_codes(codes, shift, start, stop) for shift in shifts)
-        # int32: 1024 * 3 overflows the int8 choice columns
-        quarter_turns = (2 * alice_bit[block] + alice_basis[block] - bob_basis[block]).astype(np.int32)
-        coding = quarter_turns * _QUARTER_TURN_CODES
-        cos_h = _COS[(sig_ret - ref_ret + coding) & (CODE_LEVELS - 1)]
-        cos_v = _COS[(sig_fwd - ref_fwd + coding) & (CODE_LEVELS - 1)]
-        np.add(a_h * (1.0 + cos_h), a_v * (1.0 + cos_v), out=mu_d0[block])
-        np.add(a_h * (1.0 - cos_h), a_v * (1.0 - cos_v), out=mu_d1[block])
+    for block, mu_d0, mu_d1 in _means_by_block(config, streams, choices):
+        clicked_d0[block], clicked_d1[block] = _block_clicks(config, mu_d0, mu_d1, rngs)
+    return DetectionRecords(*choices, clicked_d0, clicked_d1)
 
-        p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0[block])
-        p1 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d1[block])
-        np.less(rng_d0.random(stop - start), p0, out=clicked_d0[block])
-        np.less(rng_d1.random(stop - start), p1, out=clicked_d1[block])
-        if config.double_click_policy == "random":
-            both = clicked_d0[block] & clicked_d1[block]
-            keep0 = rng_coin.random(stop - start) < 0.5
-            clicked_d0[block][both] = keep0[both]
-            clicked_d1[block][both] = ~keep0[both]
 
-    return DetectionRecords(alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1, mu_d0, mu_d1)
+def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bit pre-detection mean photon numbers ``(mu_d0, mu_d1)`` of a session.
+
+    These are what phase-randomization invariance is stated about. They come
+    from the same draws, blocks and float arithmetic as :func:`run_session`,
+    so bit ``i``'s means are exactly the ones its clicks were drawn from; no
+    detection uniforms are drawn. The two float64 columns take 16 B/bit.
+    """
+    n = config.n_bits
+    streams = _substreams(config.seed)
+    mu_d0, mu_d1 = np.empty(n), np.empty(n)
+    for block, block_d0, block_d1 in _means_by_block(config, streams, _choices(streams, n)):
+        mu_d0[block], mu_d1[block] = block_d0, block_d1
+    return mu_d0, mu_d1
 
 
 def sift(records: DetectionRecords) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import plugplay_qkd
 from plugplay_qkd import code_to_phase, uniformity_chisq
-from plugplay_qkd.cli import main
+from plugplay_qkd.cli import _MAX_SCAN_POINTS, _scan_delays, main
 from plugplay_qkd.protocol import pattern_stream
 
 FAST_SESSION = ["session", "--bits", "3000", "--seed", "5"]
@@ -153,6 +154,29 @@ def test_scan_rejects_ragged_grid(tmp_path, capsys):
     assert main(["scan", "--bits", "2000", "--config", str(config)]) == 1
     assert "scan range and step must be finite and positive" in capsys.readouterr().err
     assert not target.exists()
+
+
+def test_scan_refuses_a_grid_past_the_point_limit(tmp_path, capsys):
+    # 2e20 and 2,000,001 points: each grid is refused from its step count,
+    # before anything of its size is allocated
+    target = tmp_path / "scan.csv"
+    for range_ns, step_ns, points in (("1e10", "1e-10", "200000000000000000001"),
+                                      ("1000", "1e-3", "2000001")):
+        tracemalloc.start()
+        try:
+            code = main(_scan_args(target) + ["--scan-range-ns", range_ns, "--scan-step-ns", step_ns])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"too many points ({points}," in err
+        assert peak < 2_000_000
+    assert not target.exists()
+    # the cap itself is a valid grid, one step more is not
+    assert len(_scan_delays(0.5 * (_MAX_SCAN_POINTS - 1), 1.0)) == _MAX_SCAN_POINTS
+    with pytest.raises(plugplay_qkd.ValidationError, match="too many points"):
+        _scan_delays(0.5 * _MAX_SCAN_POINTS, 1.0)
 
 
 def test_config_file_equivalent_to_flags(tmp_path, capsys):

@@ -15,6 +15,7 @@ from plugplay_qkd import (
     DetectionRecords,
     SessionConfig,
     ValidationError,
+    detector_means,
     estimate_qber,
     export_records_csv,
     run_session,
@@ -63,15 +64,12 @@ def test_estimate_qber_rejects_empty_or_malformed():
 
 
 def _records(alice_basis, alice_bit, bob_basis, d0, d1):
-    n = len(alice_basis)
     return DetectionRecords(
         alice_basis=np.array(alice_basis, dtype=np.int8),
         alice_bit=np.array(alice_bit, dtype=np.int8),
         bob_basis=np.array(bob_basis, dtype=np.int8),
         clicked_d0=np.array(d0, dtype=bool),
         clicked_d1=np.array(d1, dtype=bool),
-        mu_d0=np.zeros(n),
-        mu_d1=np.zeros(n),
     )
 
 
@@ -135,6 +133,7 @@ def test_ideal_components_wrong_detector_exactly_zero():
         polarization=(1.0, 0.0),
     )
     records = run_session(cfg)
+    mu_d0, mu_d1 = detector_means(cfg)
     matched = records.alice_basis == records.bob_basis
     combos = set()
     for basis in (0, 1):
@@ -142,13 +141,13 @@ def test_ideal_components_wrong_detector_exactly_zero():
             sel = matched & (records.alice_basis == basis) & (records.alice_bit == bit)
             assert sel.any()
             combos.add((basis, bit))
-            wrong = records.mu_d1[sel] if bit == 0 else records.mu_d0[sel]
+            wrong = mu_d1[sel] if bit == 0 else mu_d0[sel]
             assert np.all(wrong == 0.0)
     assert len(combos) == 4
     # a basis mismatch is a quarter turn off: the light splits exactly evenly
     mismatched = ~matched
     assert mismatched.any()
-    assert np.array_equal(records.mu_d0[mismatched], records.mu_d1[mismatched])
+    assert np.array_equal(mu_d0[mismatched], mu_d1[mismatched])
     est = estimate_qber(sift(records))
     assert est.qber == 0.0
 
@@ -157,16 +156,29 @@ def test_run_session_deterministic():
     cfg = SessionConfig(n_bits=5000, seed=77)
     a = run_session(cfg)
     b = run_session(cfg)
-    for col in ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1",
-                "mu_d0", "mu_d1"):
+    for col in DetectionRecords.__slots__:
         assert np.array_equal(getattr(a, col), getattr(b, col))
+    for mu_a, mu_b in zip(detector_means(cfg), detector_means(cfg)):
+        assert np.array_equal(mu_a, mu_b)
 
 
-def _records_digest(records):
-    """SHA-256 of the bytes of all seven record columns, in slot order."""
+def test_records_carry_no_float_column():
+    # the detector means stay in block temporaries: 5 B/bit of records
+    records = run_session(SessionConfig(n_bits=1000, seed=5, delay_ns=70.0))
+    assert DetectionRecords.__slots__ == ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
+    assert sum(getattr(records, col).itemsize for col in DetectionRecords.__slots__) == 5
+    assert not any(getattr(records, col).dtype.kind == "f" for col in DetectionRecords.__slots__)
+
+
+def _records_digest(cfg):
+    """SHA-256 of the bytes of the session's five record columns, in slot
+    order, then of its two detector-mean columns."""
     digest = hashlib.sha256()
+    records = run_session(cfg)
     for name in DetectionRecords.__slots__:
         digest.update(getattr(records, name).tobytes())
+    for mu_d in detector_means(cfg):
+        digest.update(mu_d.tobytes())
     return digest.hexdigest()
 
 
@@ -192,7 +204,7 @@ def test_records_match_golden_digests(seed, delay):
         cfg = SessionConfig(n_bits=100_003, seed=seed, delay_ns=delay,
                             randomizer_enabled=enabled, double_click_policy=policy)
         digests = _STRADDLED_DIGESTS if enabled and delay == 70.0 else _IDLE_DIGESTS
-        assert _records_digest(run_session(cfg)) == digests[seed], (enabled, policy)
+        assert _records_digest(cfg) == digests[seed], (enabled, policy)
 
 
 # 20 photons on perfect detectors at a straddling delay: most bits click on
@@ -209,19 +221,19 @@ def test_records_match_golden_digests(seed, delay):
 def test_double_click_records_match_golden_digests(seed, policy, digest):
     cfg = SessionConfig(n_bits=100_003, seed=seed, delay_ns=70.0, mu_target=20.0,
                         efficiency=1.0, double_click_policy=policy)
-    assert _records_digest(run_session(cfg)) == digest
+    assert _records_digest(cfg) == digest
 
 
 def test_paper_session_matches_golden_digest():
-    records = run_session(SessionConfig(n_bits=843_000, seed=42))
-    assert _records_digest(records) == "aa28a1cbcdb32bf37df6969396825d489ca8be8ae9e4a55c86aadd0b66df4dd9"
+    cfg = SessionConfig(n_bits=843_000, seed=42)
+    assert _records_digest(cfg) == "aa28a1cbcdb32bf37df6969396825d489ca8be8ae9e4a55c86aadd0b66df4dd9"
 
 
 def test_randomizer_toggle_leaves_detector_means_unchanged():
-    on = run_session(SessionConfig(n_bits=3000, seed=5))
-    off = run_session(SessionConfig(n_bits=3000, seed=5, randomizer_enabled=False))
-    assert np.abs(on.mu_d0 - off.mu_d0).max() <= 1e-12
-    assert np.abs(on.mu_d1 - off.mu_d1).max() <= 1e-12
+    on = detector_means(SessionConfig(n_bits=3000, seed=5))
+    off = detector_means(SessionConfig(n_bits=3000, seed=5, randomizer_enabled=False))
+    for mu_on, mu_off in zip(on, off):
+        assert np.abs(mu_on - mu_off).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 42])
@@ -251,14 +263,14 @@ def test_kernel_matches_scalar_op_composition(delay):
         seed=int(abs(delay)) + 11,
         delay_ns=delay,
     )
-    records = run_session(cfg)
+    mu_d0, mu_d1 = detector_means(cfg)
     mus = oracle.session_means(cfg)
-    assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
-    assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
+    assert np.allclose(mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
+    assert np.allclose(mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
     if abs(delay) >= 1e12:
-        idle = run_session(replace(cfg, randomizer_enabled=False))
-        assert np.array_equal(records.mu_d0, idle.mu_d0)
-        assert np.array_equal(records.mu_d1, idle.mu_d1)
+        idle_d0, idle_d1 = detector_means(replace(cfg, randomizer_enabled=False))
+        assert np.array_equal(mu_d0, idle_d0)
+        assert np.array_equal(mu_d1, idle_d1)
 
 
 # a straddling delay gives the V pair two different slot shifts, so every
@@ -266,36 +278,52 @@ def test_kernel_matches_scalar_op_composition(delay):
 @pytest.mark.parametrize("n_bits", [_KERNEL_BLOCK - 1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1])
 def test_kernel_matches_scalar_across_block_edges(n_bits):
     cfg = SessionConfig(n_bits=n_bits, seed=81, delay_ns=70.0)
-    records = run_session(cfg)
+    mu_d0, mu_d1 = detector_means(cfg)
     mus = oracle.session_means(cfg)
-    assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
-    assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
+    assert np.allclose(mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
+    assert np.allclose(mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("delay", [70.0, 200.0, -1e12])
 def test_records_do_not_depend_on_the_kernel_block(delay, monkeypatch):
     # blocks of 7 bits cut every frame, pass slice and grid edge differently;
-    # double clicks are common, so the 'random' coins are read block by block
+    # double clicks are common, so the 'random' coins are read block by block;
+    # the digest covers both run_session's records and detector_means' columns
     cfg = SessionConfig(n_bits=1200, seed=6, delay_ns=delay, mu_target=20.0,
                         efficiency=1.0, double_click_policy="random")
-    whole = run_session(cfg)
+    whole = _records_digest(cfg)
     monkeypatch.setattr(protocol, "_KERNEL_BLOCK", 7)
-    assert _records_digest(run_session(cfg)) == _records_digest(whole)
+    assert _records_digest(cfg) == whole
 
 
-def test_session_memory_is_bounded():
-    # beyond the 21 B/bit of records it returns, the kernel holds the 4 B/bit
-    # of pattern codes and one block of temporaries, never a full-length one
-    n_bits = 843_000
+def _peak_bytes_per_bit(fn, n_bits):
+    """tracemalloc's peak during ``fn(config)`` at ``n_bits`` bits, per bit,
+    and the call's result."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        records = run_session(SessionConfig(n_bits=n_bits, seed=42))
+        result = fn(SessionConfig(n_bits=n_bits, seed=42))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(records) == n_bits
-    assert peak / n_bits < 32
+    return peak / n_bits, result
+
+
+def test_session_memory_is_bounded():
+    # the session holds the 5 B/bit of records it returns, the 4 B/bit of
+    # pattern codes and one block of temporaries (about 3 B/bit at 843,000
+    # bits), never a full-length float column
+    per_bit, records = _peak_bytes_per_bit(run_session, 843_000)
+    assert len(records) == 843_000
+    assert per_bit < 16
+
+
+def test_detector_means_memory_is_bounded():
+    # the 16 B/bit of means it returns, the 3 B/bit of choices, the 4 B/bit
+    # of pattern codes and one block of temporaries
+    per_bit, (mu_d0, mu_d1) = _peak_bytes_per_bit(detector_means, 843_000)
+    assert len(mu_d0) == len(mu_d1) == 843_000
+    assert per_bit < 28
 
 
 def test_overflowing_slot_quotient_is_the_idle_modulator():
@@ -308,37 +336,33 @@ def test_overflowing_slot_quotient_is_the_idle_modulator():
         roundtrip_ns=0.0,
         tau_mzi_ns=1e-301,
     )
-    records = run_session(cfg)
-    idle = run_session(replace(cfg, randomizer_enabled=False))
-    assert np.array_equal(records.mu_d0, idle.mu_d0)
-    assert np.array_equal(records.mu_d1, idle.mu_d1)
+    for mu_d, idle_d in zip(detector_means(cfg), detector_means(replace(cfg, randomizer_enabled=False))):
+        assert np.array_equal(mu_d, idle_d)
 
 
 def test_kernel_matches_scalar_with_randomizer_off():
     cfg = SessionConfig(n_bits=400, seed=9, randomizer_enabled=False)
-    records = run_session(cfg)
+    mu_d0, mu_d1 = detector_means(cfg)
     mus = oracle.session_means(cfg)
-    assert np.allclose(records.mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
-    assert np.allclose(records.mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
+    assert np.allclose(mu_d0, mus[:, 0], rtol=1e-12, atol=1e-15)
+    assert np.allclose(mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
 
 
 def test_signal_mu_convention_scales_totals():
     pair_cfg = SessionConfig(n_bits=500, seed=4, polarization=(1.0, 0.0))
     sig_cfg = replace(pair_cfg, mu_convention="signal")
-    pair_rec = run_session(pair_cfg)
-    sig_rec = run_session(sig_cfg)
-    pair_total = (pair_rec.mu_d0 + pair_rec.mu_d1).mean()
-    sig_total = (sig_rec.mu_d0 + sig_rec.mu_d1).mean()
+    pair_total = sum(detector_means(pair_cfg)).mean()
+    sig_total = sum(detector_means(sig_cfg)).mean()
     # signal-pulse normalization emits (1 + 10^(loss/10)) more total light
     expected_ratio = 1.0 + 10.0 ** (pair_cfg.insertion_loss_db / 10.0)
     assert math.isclose(sig_total / pair_total, expected_ratio, rel_tol=1e-12)
 
 
 def test_polarization_norm_is_irrelevant():
-    a = run_session(SessionConfig(n_bits=300, seed=8, polarization=(1.0, 0.5j)))
-    b = run_session(SessionConfig(n_bits=300, seed=8, polarization=(4.0, 2.0j)))
-    assert np.allclose(a.mu_d0, b.mu_d0, rtol=1e-12)
-    assert np.allclose(a.mu_d1, b.mu_d1, rtol=1e-12)
+    a = detector_means(SessionConfig(n_bits=300, seed=8, polarization=(1.0, 0.5j)))
+    b = detector_means(SessionConfig(n_bits=300, seed=8, polarization=(4.0, 2.0j)))
+    for mu_a, mu_b in zip(a, b):
+        assert np.allclose(mu_a, mu_b, rtol=1e-12)
 
 
 def test_frame_patterns_are_regenerated():
@@ -368,8 +392,8 @@ def test_per_bit_energy_closed_form(delay):
         "signal": 2.0 * fiber * base.mu_target,
     }
     for convention, total in expected.items():
-        records = run_session(replace(base, mu_convention=convention))
-        np.testing.assert_allclose(records.mu_d0 + records.mu_d1, total, rtol=1e-12, atol=0.0)
+        mu_d0, mu_d1 = detector_means(replace(base, mu_convention=convention))
+        np.testing.assert_allclose(mu_d0 + mu_d1, total, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("delay", [0.0, 70.0])  # two-valued and spread-out means
@@ -377,7 +401,7 @@ def test_click_counts_follow_the_click_law(delay):
     cfg = SessionConfig(n_bits=100_000, seed=12, mu_target=2.0, efficiency=0.6, dark_prob=1e-3,
                         delay_ns=delay)
     records = run_session(cfg)
-    for mu_d, clicked in ((records.mu_d0, records.clicked_d0), (records.mu_d1, records.clicked_d1)):
+    for mu_d, clicked in zip(detector_means(cfg), (records.clicked_d0, records.clicked_d1)):
         p = np.array([oracle.click_probability(m, cfg) for m in mu_d.tolist()])
         sigma = math.sqrt(float((p * (1.0 - p)).sum()))
         assert abs(int(clicked.sum()) - p.sum()) <= 5.0 * sigma
@@ -457,9 +481,9 @@ def test_loss_budget_must_keep_the_means_in_float64_range():
         with pytest.raises(ValidationError, match="loss budget"):
             SessionConfig(n_bits=100, **fields)
     # 15,000 km is lossy but representable: tiny finite means, no warning
-    records = run_session(SessionConfig(n_bits=100, fiber_km=15_000.0))
-    assert np.isfinite(records.mu_d0).all() and np.isfinite(records.mu_d1).all()
-    assert 0.0 < (records.mu_d0 + records.mu_d1).max() < 1e-300
+    mu_d0, mu_d1 = detector_means(SessionConfig(n_bits=100, fiber_km=15_000.0))
+    assert np.isfinite(mu_d0).all() and np.isfinite(mu_d1).all()
+    assert 0.0 < (mu_d0 + mu_d1).max() < 1e-300
 
 
 def test_config_rejects_more_bits_than_numpy_can_hold():

@@ -45,7 +45,7 @@ from .protocol import (
     run_session,
     sift,
 )
-from .randomizer import code_to_phase
+from .randomizer import CODE_LEVELS, code_to_phase
 
 __all__ = ["main"]
 
@@ -215,7 +215,10 @@ def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
             f"codes must be in [1, {_MAX_FLOAT64S}] (numpy's largest float64 array), got {args.codes}"
         )
     if args.constant_code is not None:
-        codes = np.full(args.codes, args.constant_code, dtype=np.int64)
+        # int32 codes like pattern_stream's; a code off the grid is clipped to
+        # one just off it, so code_to_phase refuses it without an int32 overflow
+        code = min(max(args.constant_code, -1), CODE_LEVELS)
+        codes = np.full(args.codes, code, dtype=np.int32)
     else:
         # audit the same stream a session would feed to the modulator
         codes = pattern_stream(args.seed, args.codes)

@@ -102,6 +102,9 @@ _PI = Decimal("3.1415926535897932384626433832795028841971693993751")
 _QUANTILE_DIGITS = 45
 # the 0.99 quantile of the standard normal, for the Wilson-Hilferty start
 _Z99 = 2.3263478740408408
+# Phases per audit block: its float64 and int64 temporaries stay in a 2 MB
+# L2 cache.
+_AUDIT_BLOCK = 1 << 16
 
 
 def _gamma_half(df: int) -> Decimal:
@@ -187,11 +190,18 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
     percentile of chi-square with ``n_bins - 1`` degrees of freedom; a
     statistic above it rejects uniformity at the 1% level. The sample must
     average at least ten counts per bin or the test is meaningless.
+
+    The sample is binned in blocks of ``_AUDIT_BLOCK`` phases, so no
+    temporary is as long as the sample. Phases are wrapped onto [0, 2*pi)
+    only when the sample's minimum or maximum lies outside it; on that range
+    the wrap is exactly the identity.
     """
     arr = np.asarray(phases, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError("phase sample must be one-dimensional")
-    if not np.isfinite(arr).all():
+    # min and max carry any NaN or infinity, so no full-length mask is built
+    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("phase sample must be finite")
     if n_bins < 2:
         raise ValidationError(f"need at least 2 bins, got {n_bins}")
@@ -200,13 +210,21 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
             f"need at least {10 * n_bins} samples for {n_bins} bins, got {arr.size}"
         )
     two_pi = 2.0 * math.pi
-    wrapped = np.mod(arr, two_pi)
-    # multiply before dividing: for a power-of-two bin count (2 to 4096) this
-    # bins the 4096-step DAC grid exactly; other counts can put a grid code
-    # one bin low through rounding (code 2048 at 26 bins)
-    idx = np.floor(wrapped * (n_bins / two_pi)).astype(np.int64)
-    np.clip(idx, 0, n_bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=n_bins)
+    wrap = lo < 0.0 or hi >= two_pi
+    scale = n_bins / two_pi
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for start in range(0, arr.size, _AUDIT_BLOCK):
+        block = arr[start:start + _AUDIT_BLOCK]
+        if wrap:
+            block = np.mod(block, two_pi)
+        # multiply before dividing: for a power-of-two bin count (2 to 4096)
+        # this bins the 4096-step DAC grid exactly; other counts can put a
+        # grid code one bin low through rounding (code 2048 at 26 bins)
+        scaled = block * scale
+        np.floor(scaled, out=scaled)
+        idx = scaled.astype(np.int64)
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        counts += np.bincount(idx, minlength=n_bins)
     expected = arr.size / n_bins
     statistic = float(((counts - expected) ** 2 / expected).sum())
     threshold = _chi2_ppf99(n_bins - 1)

@@ -328,6 +328,10 @@ def test_verify_uniformity_parameter_errors(capsys):
     assert main(["verify-uniformity", "--codes", "0"]) == 1
     assert main(["verify-uniformity", "--codes", "100000", "--constant-code", "5000"]) == 1
     assert capsys.readouterr().err
+    # codes that int32 cannot hold are off the grid too, not wrapped onto it
+    for code in (-1, 2**32 + 5, 10**20, -(10**20)):
+        assert main(["verify-uniformity", "--codes", "100000", "--constant-code", str(code)]) == 1
+        assert capsys.readouterr().err == "error: phase codes must lie in [0, 4095]\n"
 
 
 def test_verify_uniformity_audits_the_session_pattern_stream(capsys):
@@ -396,6 +400,23 @@ def test_density_output_matches_golden_digest(dist, tmp_path, monkeypatch, capsy
                  "--output", "density.csv"]) == 0
     output = capsys.readouterr().out.encode() + (tmp_path / "density.csv").read_bytes()
     assert hashlib.sha256(output).hexdigest() == DENSITY_DIGESTS[dist]
+
+
+@pytest.mark.parametrize("extra", [[], ["--constant-code", "0"]])
+def test_verify_uniformity_memory_is_bounded(extra, capsys):
+    # the 4 B/code of int32 codes, the 8 B/code of float64 phases and one
+    # audit block of temporaries, never a full-length temporary
+    n_codes = 4_000_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(["verify-uniformity", "--codes", str(n_codes), *extra])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == (3 if extra else 0)
+    assert f"{n_codes} codes)" in capsys.readouterr().out
+    assert peak / n_codes < 16
 
 
 def test_verify_uniformity_output_matches_golden_digest(capsys):

@@ -230,18 +230,61 @@ def test_chisq_accepts_a_real_pattern_stream():
 
 
 def test_chisq_validation():
-    with pytest.raises(ValidationError):
-        uniformity_chisq(np.zeros((10, 10)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        uniformity_chisq(np.full((10, 10), math.nan))
+    with pytest.raises(ValidationError, match="need at least 2560 samples for 256 bins, got 2559"):
         uniformity_chisq(np.zeros(2559))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="need at least 2 bins"):
         uniformity_chisq(np.zeros(100), n_bins=1)
+    # an empty sample has no min or max to check; it is too small
+    with pytest.raises(ValidationError, match="need at least 2560 samples for 256 bins, got 0"):
+        uniformity_chisq(np.array([]))
+    # a sample both too small and not finite is refused as not finite
+    with pytest.raises(ValidationError, match="finite"):
+        uniformity_chisq(np.array([0.0, math.nan, 1.0]))
     # non-finite samples would otherwise be counted in bin 0
     for bad in (math.nan, math.inf, -math.inf):
         phases = np.zeros(2560)
         phases[7] = bad
         with pytest.raises(ValidationError, match="finite"):
             uniformity_chisq(phases)
+
+
+def _audit_samples(n):
+    # in range, negative, whole turns off, exactly 2*pi, -0.0 and a negative
+    # phase that wraps to 2*pi, one bin past the last, and is clipped; the
+    # in-range grid alone, which skips the wrap; and the grid with one phase
+    # of exactly 2*pi, which must still be wrapped to bin 0
+    rng = np.random.default_rng(n)
+    grid = code_to_phase(rng.integers(0, 4096, size=n))
+    mixed = grid + 2.0 * math.pi * rng.integers(-3, 4, size=n)
+    mixed[: n // 3] = rng.uniform(-20.0, 20.0, size=n // 3)
+    mixed[-5:] = [2.0 * math.pi, -0.0, -2.0 * math.pi, 0.0, -1e-20]
+    full_turn = grid.copy()
+    full_turn[n // 2] = 2.0 * math.pi
+    return {"mixed": mixed, "in_range": grid, "full_turn": full_turn}
+
+
+@pytest.mark.parametrize("n_bins", [2, 26, 96, 256, 4096])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_blocked_chisq_matches_the_unblocked_formula(n_bins, offset):
+    # the whole-sample binning formula is the reference
+    n = experiments._AUDIT_BLOCK + offset
+    two_pi = 2.0 * math.pi
+    for name, phases in _audit_samples(n).items():
+        idx = np.floor(np.mod(phases, two_pi) * (n_bins / two_pi)).astype(np.int64)
+        counts = np.bincount(np.clip(idx, 0, n_bins - 1), minlength=n_bins)
+        expected = n / n_bins
+        reference = float(((counts - expected) ** 2 / expected).sum())
+        assert uniformity_chisq(phases, n_bins=n_bins)[0] == reference, name
+
+
+def test_chisq_does_not_depend_on_the_audit_block(monkeypatch):
+    # blocks of 7 phases cut the sample off every bin and grid boundary
+    samples = _audit_samples(3000)
+    whole = [uniformity_chisq(p, n_bins=26)[0] for p in samples.values()]
+    monkeypatch.setattr(experiments, "_AUDIT_BLOCK", 7)
+    assert [uniformity_chisq(p, n_bins=26)[0] for p in samples.values()] == whole
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ result = delay_scan(config, delays, max_workers=4)
 
 print("delay_ns   qber     sifted   bar")
 for delay, est in zip(result.delays_ns, result.estimates):
-    bar = "#" * round(est.qber * 80)
+    # a point with no sifted bit has a NaN error rate and no bar
+    bar = "#" * round(est.qber * 80) if est.n_sifted else ""
     print(f"{delay:7.0f}   {est.qber:.4f}  {est.n_sifted:6d}   {bar}")
 
 export_csv(result, "qber_vs_delay_demo.csv")

@@ -69,7 +69,8 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
 
     ``config`` supplies everything but the trigger delay and per-point seed.
     Results are deterministic in ``config.seed`` and the delay list, and do
-    not depend on ``max_workers``.
+    not depend on ``max_workers``. A point with no sifted bit reports itself
+    as such: NaN error rate and standard error, ``n_sifted=0``.
     """
     delays = [float(d) for d in delays_ns]
     if not delays:
@@ -82,12 +83,11 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
         raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
 
     def one_point(index: int) -> QberEstimate:
-        delay = delays[index]
-        point_config = replace(config, seed=scan_point_seed(config.seed, index), delay_ns=delay)
-        try:
-            return estimate_qber(sift(run_session(point_config)))
-        except ValidationError as exc:
-            raise ValidationError(f"scan point at {delay} ns: {exc}") from exc
+        point_config = replace(config, seed=scan_point_seed(config.seed, index), delay_ns=delays[index])
+        sifted = sift(run_session(point_config))
+        if len(sifted) == 0:
+            return QberEstimate(qber=math.nan, std_error=math.nan, n_sifted=0, n_errors=0)
+        return estimate_qber(sifted)
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         estimates = list(pool.map(one_point, range(len(delays))))
@@ -321,7 +321,10 @@ def offdiag_norm(rho: np.ndarray) -> float:
 
 
 def export_csv(result: DelayScanResult, destination: PathOrFile) -> None:
-    """Write a scan as CSV: delay_ns,qber,std_error,n_sifted,n_errors."""
+    """Write a scan as CSV: delay_ns,qber,std_error,n_sifted,n_errors.
+
+    A point with no sifted bit reads ``nan,nan,0,0`` after its delay.
+    """
     lines = ["delay_ns,qber,std_error,n_sifted,n_errors"]
     for delay, est in zip(result.delays_ns, result.estimates):
         lines.append(

@@ -271,15 +271,14 @@ def _pass_shift(first_ns: float, n: int, n_codes: int, config: SessionConfig) ->
     return math.floor(min(max(quotient, -n), n_codes))
 
 
-def _pass_codes(codes: np.ndarray, shift: int, start: int, stop: int) -> np.ndarray:
-    """Codes bits ``[start, stop)`` see on a pass of slot shift ``shift``;
-    outside the grid the code is 0."""
-    lo, hi = max(start, -shift), min(stop, codes.size - shift)
-    if lo == start and hi == stop:
-        return codes[start + shift : stop + shift]
-    out = np.zeros(stop - start, dtype=np.int32)
-    if lo < hi:
-        out[lo - start : hi - start] = codes[lo + shift : hi + shift]
+def _pass_codes(codes: np.ndarray, shift: int, bits: np.ndarray) -> np.ndarray:
+    """Codes the ascending bit indexes ``bits`` see on a pass of slot shift
+    ``shift``; outside the grid the code is 0."""
+    # bit i samples slot i + shift, so the bits on the grid are one run of
+    # ``bits``; with the randomizer off (no codes) that run is empty
+    lo, hi = np.searchsorted(bits, (-shift, codes.size - shift))
+    out = np.zeros(bits.size, dtype=np.int32)
+    out[lo:hi] = codes[bits[lo:hi] + shift]
     return out
 
 
@@ -318,10 +317,10 @@ def _path_amplitude(config: SessionConfig) -> float:
 def _block_means(
     choices: tuple[np.ndarray, ...], pass_codes: tuple[np.ndarray, ...], a_h: float, a_v: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detector means ``(mu_d0, mu_d1)`` of one block of bits.
+    """Detector means ``(mu_d0, mu_d1)`` of a set of bits.
 
-    ``choices`` are the block's slices of the three choice columns and
-    ``pass_codes`` the codes its four passes see, in :func:`_means_by_block`'s
+    ``choices`` are the three choice columns at those bits and
+    ``pass_codes`` the codes their four passes see, in :func:`_session_means`'
     order. The mirror swaps H and V: the H component leaving Alice was V on
     the way in and took its phase on the return pass, V on the forward pass.
     Each detector mean is a_H (1 +- cos dH) + a_V (1 +- cos dV), where the
@@ -338,11 +337,12 @@ def _block_means(
     return a_h * (1.0 + cos_h) + a_v * (1.0 + cos_v), a_h * (1.0 - cos_h) + a_v * (1.0 - cos_v)
 
 
-def _means_by_block(config: SessionConfig, streams: dict, choices: tuple[np.ndarray, ...]):
-    """Yield ``(block, mu_d0, mu_d1)`` for each block of ``_KERNEL_BLOCK`` bits.
+def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarray, ...]):
+    """The session's detector means at any of its bits, and their ceiling.
 
-    ``block`` is the block's slice of the session and the means are its
-    temporaries, so no full-length float column is built here.
+    Returns ``(means, peak)``: ``means(bits)`` gives ``(mu_d0, mu_d1)`` at the
+    ascending bit indexes ``bits``, and no detector mean of the session
+    exceeds ``peak``.
     """
     n = config.n_bits
     h0, v0 = _polarization(config, streams)
@@ -355,36 +355,61 @@ def _means_by_block(config: SessionConfig, streams: dict, choices: tuple[np.ndar
     # the mirror swaps H and V (see _block_means)
     a_h = abs(v0 * path_amp) ** 2
     a_v = abs(h0 * path_amp) ** 2
-    for start in range(0, n, _KERNEL_BLOCK):
-        stop = min(n, start + _KERNEL_BLOCK)
-        block = slice(start, stop)
-        pass_codes = tuple(_pass_codes(codes, shift, start, stop) for shift in shifts)
-        yield (block, *_block_means(tuple(c[block] for c in choices), pass_codes, a_h, a_v))
+
+    def means(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pass_codes = tuple(_pass_codes(codes, shift, bits) for shift in shifts)
+        return _block_means(tuple(c[bits] for c in choices), pass_codes, a_h, a_v)
+
+    # cos <= 1 puts each term of _block_means at or below 2 a_h or 2 a_v, also
+    # in float64: rounding is monotone and doubling exact
+    return means, 2.0 * (a_h + a_v)
+
+
+def _click_bound(config: SessionConfig, peak: float) -> float:
+    """An upper bound on every click probability of a session whose detector
+    means stay at or below ``peak``.
+
+    A detector clicks with p = 1 - (1 - dark) exp(-eta mu) <= dark + eta mu,
+    because 1 - exp(-x) <= x and exp(-x) <= 1, and mu <= peak. The computed
+    p can exceed the exact one by a few ulps of 1, and the bound's own
+    rounding is relative; the two margins cover both. A bound of 1 or more
+    makes every bit a candidate.
+    """
+    return config.dark_prob + config.efficiency * peak * (1.0 + 1e-9) + 1e-12
 
 
 def _block_clicks(
-    config: SessionConfig, mu_d0: np.ndarray, mu_d1: np.ndarray, rngs: tuple[np.random.Generator, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clicks ``(clicked_d0, clicked_d1)`` of one block of bits from its means.
+    config: SessionConfig, means, bound: float, rngs: tuple[np.random.Generator, ...], start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clicks of the bits ``[start, stop)`` that can click: ``(bits, clicked_d0, clicked_d1)``.
 
     ``rngs`` draw D0's clicks, D1's clicks and the 'random' policy's coins,
     which read the detection substream's uniform draws ``[0, n)``,
     ``[n, 2n)`` and ``[2n, 3n)`` of an ``n``-bit session; each draw is one
-    64-bit output, so blocks read the same numbers as three whole-session draws.
+    64-bit output, so blocks read the same numbers as three whole-session
+    draws. A detector clicks when its uniform lies below its click
+    probability, so a bit whose two uniforms both reach ``bound`` (see
+    :func:`_click_bound`) clicks on neither. ``bits`` are the other,
+    candidate bits: only their means (from ``means``, see
+    :func:`_session_means`) and click probabilities are computed.
     """
     rng_d0, rng_d1, rng_coin = rngs
+    u0, u1 = rng_d0.random(stop - start), rng_d1.random(stop - start)
+    candidates = np.flatnonzero((u0 < bound) | (u1 < bound))
+    bits = candidates + start
+    mu_d0, mu_d1 = means(bits)
     eta = config.efficiency
     dark = config.dark_prob
     p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0)
     p1 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d1)
-    clicked_d0 = rng_d0.random(len(mu_d0)) < p0
-    clicked_d1 = rng_d1.random(len(mu_d1)) < p1
+    clicked_d0 = u0[candidates] < p0
+    clicked_d1 = u1[candidates] < p1
     if config.double_click_policy == "random":
         both = clicked_d0 & clicked_d1
-        keep0 = rng_coin.random(len(mu_d0)) < 0.5
+        keep0 = rng_coin.random(stop - start)[candidates] < 0.5
         clicked_d0[both] = keep0[both]
         clicked_d1[both] = ~keep0[both]
-    return clicked_d0, clicked_d1
+    return bits, clicked_d0, clicked_d1
 
 
 def run_session(config: SessionConfig) -> DetectionRecords:
@@ -404,20 +429,26 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
 
-    The choices and the codes are drawn whole; the detector means and the
-    clicks are then computed in blocks of ``_KERNEL_BLOCK`` bits. Each
-    block's means are temporaries that end with the block, so the session
-    holds its 5 B/bit of records, 4 B/bit of codes and one block, never a
-    full-length float column; :func:`detector_means` returns the means.
+    The choices and the codes are drawn whole; the clicks are then drawn in
+    blocks of ``_KERNEL_BLOCK`` bits. Each block draws its detection uniforms
+    first, and the detector means and click probabilities are computed only
+    for its candidate bits, those with a uniform below the session's click
+    bound (see :func:`_block_clicks`); every other bit has no click. At the
+    defaults about 1% of bits are candidates. The session holds its 5 B/bit
+    of records, 4 B/bit of codes and one block, never a full-length float
+    column; :func:`detector_means` returns the means of every bit.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
     choices = _choices(streams, n)
+    means, peak = _session_means(config, streams, choices)
+    bound = _click_bound(config, peak)
     rngs = tuple(  # see _block_clicks
         np.random.Generator(np.random.PCG64(streams["detection"]).advance(k * n)) for k in range(3))
-    clicked_d0, clicked_d1 = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    for block, mu_d0, mu_d1 in _means_by_block(config, streams, choices):
-        clicked_d0[block], clicked_d1[block] = _block_clicks(config, mu_d0, mu_d1, rngs)
+    clicked_d0, clicked_d1 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for start in range(0, n, _KERNEL_BLOCK):
+        bits, block_d0, block_d1 = _block_clicks(config, means, bound, rngs, start, min(n, start + _KERNEL_BLOCK))
+        clicked_d0[bits], clicked_d1[bits] = block_d0, block_d1
     return DetectionRecords(*choices, clicked_d0, clicked_d1)
 
 
@@ -425,15 +456,18 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-bit pre-detection mean photon numbers ``(mu_d0, mu_d1)`` of a session.
 
     These are what phase-randomization invariance is stated about. They come
-    from the same draws, blocks and float arithmetic as :func:`run_session`,
-    so bit ``i``'s means are exactly the ones its clicks were drawn from; no
-    detection uniforms are drawn. The two float64 columns take 16 B/bit.
+    from the same draws and float arithmetic as :func:`run_session`, block
+    by block, so bit ``i``'s means are exactly the ones its click
+    probabilities are computed from; no detection uniforms are drawn. The
+    two float64 columns take 16 B/bit.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
+    means, _ = _session_means(config, streams, _choices(streams, n))
     mu_d0, mu_d1 = np.empty(n), np.empty(n)
-    for block, block_d0, block_d1 in _means_by_block(config, streams, _choices(streams, n)):
-        mu_d0[block], mu_d1[block] = block_d0, block_d1
+    for start in range(0, n, _KERNEL_BLOCK):
+        stop = min(n, start + _KERNEL_BLOCK)
+        mu_d0[start:stop], mu_d1[start:stop] = means(np.arange(start, stop))
     return mu_d0, mu_d1
 
 

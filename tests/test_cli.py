@@ -130,6 +130,20 @@ def test_scan_reruns_identically(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scan_reports_a_point_with_no_sifted_bit(tmp_path, monkeypatch, capsys):
+    # about 4.5 sifted bits are expected per 2,000-bit point: the one at
+    # -30 ns has none, and the other 40 points are still written
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--bits", "2000", "--seed", "9", "--scan-range-ns", "100", "--scan-step-ns", "5"]
+    assert main(argv) == 0
+    rows = (tmp_path / "qber_vs_delay.csv").read_text().splitlines()[1:]
+    assert len(rows) == 41
+    assert [row for row in rows if row.split(",")[3] == "0"] == ["-30,nan,nan,0,0"]
+    out = capsys.readouterr().out
+    assert "delay_ns=-30 qber=nan n_sifted=0\n" in out
+    assert out.count("delay_ns=") == 41
+
+
 def test_scan_threads_do_not_change_results(tmp_path):
     serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
     assert main(_scan_args(serial)) == 0

@@ -106,11 +106,20 @@ def test_scan_validation():
         delay_scan(cfg, [0.0], max_workers=0)
 
 
-def test_scan_point_failure_names_the_delay():
-    # blind detectors never click, so the point has nothing to sift
+def test_scan_reports_an_empty_point_as_itself():
+    # blind detectors never click, so no point has anything to sift
     cfg = _scan_config(n_bits=50, efficiency=0.0, dark_prob=0.0)
-    with pytest.raises(ValidationError, match=r"scan point at 70(\.0)? ns"):
-        delay_scan(cfg, [70.0])
+    result = delay_scan(cfg, [0.0, 70.0])
+    for est in result.estimates:
+        assert math.isnan(est.qber) and math.isnan(est.std_error)
+        assert (est.n_sifted, est.n_errors) == (0, 0)
+    buffer = io.StringIO()
+    export_csv(result, buffer)
+    assert buffer.getvalue().splitlines()[1:] == ["0,nan,nan,0,0", "70,nan,nan,0,0"]
+    # the estimator itself still refuses an empty key
+    point_cfg = replace(cfg, seed=scan_point_seed(cfg.seed, 1), delay_ns=70.0)
+    with pytest.raises(ValidationError, match="zero sifted bits"):
+        estimate_qber(sift(run_session(point_cfg)))
 
 
 def test_scan_result_validation():

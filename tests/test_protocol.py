@@ -296,6 +296,43 @@ def test_records_do_not_depend_on_the_kernel_block(delay, monkeypatch):
     assert _records_digest(cfg) == whole
 
 
+def _session_click_bound(cfg):
+    streams = _substreams(cfg.seed)
+    _, peak = protocol._session_means(cfg, streams, protocol._choices(streams, cfg.n_bits))
+    return protocol._click_bound(cfg, peak)
+
+
+# aligned (cos = +-1 exactly: a matched bit puts the whole ceiling on one
+# detector) and straddling delays
+@pytest.mark.parametrize("mu_convention", ["pair", "signal"])
+@pytest.mark.parametrize("polarization", [(1, 0), (0, 1), (1, 1j)])
+def test_click_bound_dominates_every_click_probability(mu_convention, polarization):
+    for dark, eta, mu, delay in itertools.product(
+        (0.0, 1e-5, 0.999), (0.0, 0.1, 1.0), (1e-6, 0.1, 20.0, 40.0), (0.0, 70.0)
+    ):
+        cfg = SessionConfig(n_bits=300, seed=7, delay_ns=delay, dark_prob=dark, efficiency=eta,
+                            mu_target=mu, mu_convention=mu_convention, polarization=polarization)
+        # the kernel's click law, at every bit's means
+        p0, p1 = (1.0 - (1.0 - dark) * np.exp(-eta * mu_d) for mu_d in detector_means(cfg))
+        assert max(p0.max(), p1.max()) <= _session_click_bound(cfg), (dark, eta, mu, delay)
+
+
+@pytest.mark.parametrize("delay", [0.0, 70.0, 200.0, -1e12])
+@pytest.mark.parametrize("n_bits", [1, _KERNEL_BLOCK - 1, _KERNEL_BLOCK + 1, 100_003])
+def test_records_do_not_depend_on_the_click_bound(delay, n_bits, monkeypatch):
+    # a bound of 1 makes every bit a candidate; at these settings the real
+    # bound is about 0.27, so most bits are skipped and double clicks are
+    # common enough for the 'random' coins to matter
+    for enabled, policy in itertools.product((True, False), ("discard", "random")):
+        cfg = SessionConfig(n_bits=n_bits, seed=6, delay_ns=delay, mu_target=1.0, efficiency=0.5,
+                            randomizer_enabled=enabled, double_click_policy=policy)
+        assert 0.2 < _session_click_bound(cfg) < 0.3
+        skipping = _records_digest(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_click_bound", lambda config, peak: 1.0)
+            assert _records_digest(cfg) == skipping, (enabled, policy)
+
+
 def _peak_bytes_per_bit(fn, n_bits):
     """tracemalloc's peak during ``fn(config)`` at ``n_bits`` bits, per bit,
     and the call's result."""
@@ -311,11 +348,12 @@ def _peak_bytes_per_bit(fn, n_bits):
 
 def test_session_memory_is_bounded():
     # the session holds the 5 B/bit of records it returns, the 4 B/bit of
-    # pattern codes and one block of temporaries (about 3 B/bit at 843,000
-    # bits), never a full-length float column
+    # pattern codes and one block of detection uniforms (about 0.6 B/bit at
+    # 843,000 bits); means exist only for a block's candidate bits, so no
+    # float column of even block length is built for them
     per_bit, records = _peak_bytes_per_bit(run_session, 843_000)
     assert len(records) == 843_000
-    assert per_bit < 16
+    assert per_bit < 12
 
 
 def test_detector_means_memory_is_bounded():

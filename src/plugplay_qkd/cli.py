@@ -131,7 +131,7 @@ def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
 
 def _session_config(args: argparse.Namespace) -> SessionConfig:
     fields = _given(
-        args, "seed", "mu_convention", "period_ns", "delay_ns", "roundtrip_ns", "tau_mzi_ns",
+        args, "seed", "period_ns", "delay_ns", "roundtrip_ns", "tau_mzi_ns",
         "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km", "efficiency", "dark_prob",
         "double_click_policy", n_bits="bits", mu_target="mean_photon",
     )
@@ -147,9 +147,7 @@ def _add_session_flags(parser: argparse.ArgumentParser, with_delay: bool) -> Non
     add("--config", metavar="PATH", help="read defaults from a key = value file")
     add("--seed", type=int, default=42, help="base RNG seed")
     add("--bits", type=int, help="number of signal bits per session")
-    add("--mean-photon", type=float, help="mean photon number target")
-    add("--mu-convention", choices=("pair", "signal"),
-        help="whether the target counts both pulses or the signal alone")
+    add("--mean-photon", type=float, help="mean photon number of the pulse pair leaving Alice")
     if with_delay:
         add("--delay-ns", type=float, help="generator trigger delay")
     add("--period-ns", type=float, help="pulse period")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -24,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._textio import PathOrFile, open_ascii
 from .errors import ValidationError
 from .protocol import _MAX_FLOAT64S, QberEstimate, SessionConfig, estimate_qber, run_session, sift
 
@@ -89,7 +89,10 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
             return QberEstimate(qber=math.nan, std_error=math.nan, n_sifted=0, n_errors=0)
         return estimate_qber(sifted)
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    # map submits every point at once, and the pool starts a thread per
+    # submit up to its size, so the size is capped by the points and the CPUs
+    workers = min(max_workers, len(delays), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         estimates = list(pool.map(one_point, range(len(delays))))
     return DelayScanResult(delays_ns=tuple(delays), estimates=tuple(estimates))
 
@@ -320,7 +323,7 @@ def offdiag_norm(rho: np.ndarray) -> float:
 # CSV export
 
 
-def export_csv(result: DelayScanResult, destination: PathOrFile) -> None:
+def export_csv(result: DelayScanResult, path: str | os.PathLike) -> None:
     """Write a scan as CSV: delay_ns,qber,std_error,n_sifted,n_errors.
 
     A point with no sifted bit reads ``nan,nan,0,0`` after its delay.
@@ -330,14 +333,14 @@ def export_csv(result: DelayScanResult, destination: PathOrFile) -> None:
         lines.append(
             f"{delay:.9g},{est.qber:.9g},{est.std_error:.9g},{est.n_sifted},{est.n_errors}"
         )
-    with open_ascii(destination) as write:
-        write(("\n".join(lines) + "\n").encode("ascii"))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def export_density_csv(rho: np.ndarray, destination: PathOrFile) -> None:
+def export_density_csv(rho: np.ndarray, path: str | os.PathLike) -> None:
     """Write a density matrix as CSV rows n,m,real,imag."""
     lines = ["n,m,real,imag"]
     for (n, m), z in np.ndenumerate(rho):
         lines.append(f"{n},{m},{z.real:.12g},{z.imag:.12g}")
-    with open_ascii(destination) as write:
-        write(("\n".join(lines) + "\n").encode("ascii"))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from ._textio import PathOrFile, open_ascii
 from .errors import ValidationError
 from .randomizer import (
     CODE_LEVELS,
@@ -89,12 +89,13 @@ class SessionConfig:
     The pattern generator steps every ``period_ns``, starting ``delay_ns``
     after its trigger (scanning that delay verifies the alignment), and
     ``roundtrip_ns`` separates the two modulation passes of one pulse.
+    ``mu_target`` is the mean photon number of the reference and signal
+    pulses together as they leave Alice.
     """
 
     n_bits: int = 843_000
     seed: int = 0
     mu_target: float = 0.1
-    mu_convention: str = "pair"
     period_ns: float = 200.0
     delay_ns: float = 0.0
     roundtrip_ns: float = 20.0
@@ -127,6 +128,12 @@ class SessionConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
+        for name in ("n_bits", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            # stored as an int: PCG64.advance overflows on a numpy integer
+            object.__setattr__(self, name, int(value))
         if self.n_bits < 1:
             raise ValidationError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.n_bits > _MAX_FLOAT64S:
@@ -137,10 +144,6 @@ class SessionConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.mu_target < 0.0:
             raise ValidationError(f"mean photon target must be >= 0, got {self.mu_target}")
-        if self.mu_convention not in ("pair", "signal"):
-            raise ValidationError(
-                f"mu_convention must be 'pair' or 'signal', got {self.mu_convention!r}"
-            )
         if self.tau_mzi_ns <= 0.0:
             raise ValidationError(f"arm delay must be positive, got {self.tau_mzi_ns} ns")
         if self.insertion_loss_db < 0.0:
@@ -297,10 +300,7 @@ def _path_amplitude(config: SessionConfig) -> float:
     ref_out = half * fiber  # per unit source amplitude, arriving at Alice
     sig_out = half * long_arm * fiber
     try:
-        if config.mu_convention == "pair":
-            att = math.sqrt(config.mu_target / (ref_out**2 + sig_out**2))
-        else:
-            att = math.sqrt(config.mu_target) / sig_out
+        att = math.sqrt(config.mu_target / (ref_out**2 + sig_out**2))
     except ZeroDivisionError:
         att = math.inf
     path_amp = half * fiber * att * fiber * long_arm
@@ -514,7 +514,7 @@ def _low_digits() -> np.ndarray:
     return table
 
 
-def export_records_csv(records: DetectionRecords, destination: PathOrFile) -> None:
+def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> None:
     """Write one CSV row per bit: index, bases as letters, clicks as 0/1."""
     n = len(records)
     # below 100,000 rows a block ends at each power of ten instead
@@ -523,8 +523,8 @@ def export_records_csv(records: DetectionRecords, destination: PathOrFile) -> No
     # each field after the index, with the character of its 0 ('Y' follows 'X')
     fields = ((records.alice_basis, BASES[0]), (records.alice_bit, "0"), (records.bob_basis, BASES[0]),
               (records.clicked_d0, "0"), (records.clicked_d1, "0"))
-    with open_ascii(destination) as write:
-        write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
+    with open(path, "wb") as fh:
+        fh.write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
         for start, stop in zip(edges, edges[1:]):
             width = len(str(start))
             # after the index: five one-character fields, each after a comma, and "\n"
@@ -536,4 +536,4 @@ def export_records_csv(records: DetectionRecords, destination: PathOrFile) -> No
             rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
             for k, (values, zero) in enumerate(fields):
                 np.add(values[start:stop].view(np.uint8), ord(zero), out=rows[:, width + 1 + 2 * k])
-            write(rows)
+            fh.write(rows)

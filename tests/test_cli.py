@@ -64,11 +64,10 @@ def test_session_rejects_invalid_parameters(capsys):
     assert main(["session", "--polarization", "bogus"]) == 1
 
 
-@pytest.mark.parametrize("flags", [["--fiber-km", "16000"], ["--fiber-km", "16200"],
-                                   ["--insertion-loss-db", "10000", "--mu-convention", "signal"]])
+@pytest.mark.parametrize("flags", [["--fiber-km", "16000"], ["--fiber-km", "16200"]])
 def test_loss_budget_beyond_float64_range_is_an_error(flags, tmp_path, capsys):
     # 16,000 km overflows the attenuation (inf times a zero gives NaN means);
-    # the others underflow a pulse amplitude to zero and divide by it
+    # 16,200 km underflows a pulse amplitude to zero and divides by it
     target = tmp_path / "records.csv"
     assert main(["session", "--bits", "1000", *flags, "--output", str(target)]) == 1
     captured = capsys.readouterr()
@@ -260,7 +259,7 @@ _CLI_BASE = {
     "density": {"n_max": "4"},
 }
 _SESSION_VALUES = {
-    "seed": "7", "bits": "1500", "mean_photon": "0.3", "mu_convention": "signal",
+    "seed": "7", "bits": "1500", "mean_photon": "0.3",
     "period_ns": "250", "roundtrip_ns": "0", "tau_mzi_ns": "10", "insertion_loss_db": "1",
     "fiber_km": "10", "fiber_loss_db_per_km": "0.3", "efficiency": "0.5", "dark_prob": "0.01",
     "randomizer": "off", "double_click_policy": "random", "polarization": "0.6, 0, 0, 0.8",
@@ -374,6 +373,18 @@ def test_verify_uniformity_rejects_bad_seed_and_frame_len(tmp_path, capsys):
     config.write_text("frame_len = 504\n")
     assert main(["session", "--bits", "500", "--config", str(config)]) == 1
     assert "unknown option 'frame_len'" in capsys.readouterr().err
+
+
+def test_mu_convention_is_retired(tmp_path, capsys):
+    # the mean photon target always counts the pulse pair: no flag and no
+    # config key makes it count the signal pulse alone
+    for command in ("session", "scan"):
+        assert main([command, "--bits", "500", "--mu-convention", "signal"]) == 1
+        assert "unrecognized arguments: --mu-convention" in capsys.readouterr().err
+    config = tmp_path / "convention.conf"
+    config.write_text("mu_convention = signal\n")
+    assert main(["session", "--bits", "500", "--config", str(config)]) == 1
+    assert "unknown option 'mu_convention'" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,8 +2,8 @@
 
 import cmath
 import decimal
-import io
 import math
+import os
 from dataclasses import replace
 from decimal import Decimal
 
@@ -92,6 +92,52 @@ def test_scan_independent_of_worker_count():
     assert serial == threaded
 
 
+def _record_pool_sizes(monkeypatch) -> list:
+    """Replace the scan's thread pool with one that records its size and maps
+    serially, so no thread is started however large the size."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_scan_pool_never_exceeds_the_cpus(monkeypatch):
+    # the pool starts a thread per submitted point up to its size, so an
+    # uncapped 10**6 would start one thread per point
+    cfg = _scan_config(n_bits=50)
+    delays = [10.0 * k for k in range((os.cpu_count() or 1) + 2)]
+    serial = delay_scan(cfg, delays)
+    sizes = _record_pool_sizes(monkeypatch)
+    assert delay_scan(cfg, delays, max_workers=10**6) == serial
+    assert sizes == [os.cpu_count() or 1]
+
+
+@pytest.mark.parametrize("cpus, n_points, asked, size", [
+    (4, 9, 10**6, 4),   # the CPUs cap it
+    (64, 3, 10**6, 3),  # the points cap it
+    (64, 9, 2, 2),      # the request stands
+    (None, 5, 10**6, 1),  # an unknown CPU count allows one
+])
+def test_scan_pool_size(cpus, n_points, asked, size, monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    sizes = _record_pool_sizes(monkeypatch)
+    delay_scan(_scan_config(n_bits=50), [10.0 * k for k in range(n_points)], max_workers=asked)
+    assert sizes == [size]
+
+
 def test_scan_validation():
     cfg = _scan_config(n_bits=100)
     with pytest.raises(ValidationError):
@@ -106,16 +152,16 @@ def test_scan_validation():
         delay_scan(cfg, [0.0], max_workers=0)
 
 
-def test_scan_reports_an_empty_point_as_itself():
+def test_scan_reports_an_empty_point_as_itself(tmp_path):
     # blind detectors never click, so no point has anything to sift
     cfg = _scan_config(n_bits=50, efficiency=0.0, dark_prob=0.0)
     result = delay_scan(cfg, [0.0, 70.0])
     for est in result.estimates:
         assert math.isnan(est.qber) and math.isnan(est.std_error)
         assert (est.n_sifted, est.n_errors) == (0, 0)
-    buffer = io.StringIO()
-    export_csv(result, buffer)
-    assert buffer.getvalue().splitlines()[1:] == ["0,nan,nan,0,0", "70,nan,nan,0,0"]
+    target = tmp_path / "scan.csv"
+    export_csv(result, target)
+    assert target.read_text().splitlines()[1:] == ["0,nan,nan,0,0", "70,nan,nan,0,0"]
     # the estimator itself still refuses an empty key
     point_cfg = replace(cfg, seed=scan_point_seed(cfg.seed, 1), delay_ns=70.0)
     with pytest.raises(ValidationError, match="zero sifted bits"):
@@ -443,12 +489,12 @@ def test_offdiag_norm_examples():
 # CSV export
 
 
-def test_scan_csv_round_trip():
+def test_scan_csv_round_trip(tmp_path):
     cfg = _scan_config(n_bits=2_000)
     result = delay_scan(cfg, [-50.0, 0.0, 100.0])
-    buf = io.StringIO()
-    export_csv(result, buf)
-    lines = buf.getvalue().strip().split("\n")
+    target = tmp_path / "scan.csv"
+    export_csv(result, target)
+    lines = target.read_text().strip().split("\n")
     assert lines[0] == "delay_ns,qber,std_error,n_sifted,n_errors"
     assert len(lines) == 4
     for line, delay, est in zip(lines[1:], result.delays_ns, result.estimates):
@@ -460,10 +506,10 @@ def test_scan_csv_round_trip():
         assert int(fields[4]) == est.n_errors
 
 
-def test_scan_csv_empty_result_writes_header_only():
-    buf = io.StringIO()
-    export_csv(DelayScanResult(delays_ns=(), estimates=()), buf)
-    assert buf.getvalue() == "delay_ns,qber,std_error,n_sifted,n_errors\n"
+def test_scan_csv_empty_result_writes_header_only(tmp_path):
+    target = tmp_path / "scan.csv"
+    export_csv(DelayScanResult(delays_ns=(), estimates=()), target)
+    assert target.read_bytes() == b"delay_ns,qber,std_error,n_sifted,n_errors\n"
 
 
 def test_scan_csv_to_path(tmp_path):
@@ -475,11 +521,11 @@ def test_scan_csv_to_path(tmp_path):
     assert text.splitlines()[1] == "10,0.5,0.0158113883,1000,500"
 
 
-def test_density_csv_layout():
+def test_density_csv_layout(tmp_path):
     rho = fock_density_matrix(0.1, UniformPhase(), n_max=3)
-    buf = io.StringIO()
-    export_density_csv(rho, buf)
-    lines = buf.getvalue().strip().split("\n")
+    target = tmp_path / "density.csv"
+    export_density_csv(rho, target)
+    lines = target.read_text().strip().split("\n")
     assert lines[0] == "n,m,real,imag"
     assert len(lines) == 1 + 16
     assert lines[1] == f"0,0,{EXP_M01:.12g},0"

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MAX_FLOAT64S, ValidationError, whole
 from .experiments import (
     DiscreteUniformPhase,
     FixedPhase,
@@ -37,7 +37,6 @@ from .experiments import (
     uniformity_chisq,
 )
 from .protocol import (
-    _MAX_FLOAT64S,
     SessionConfig,
     estimate_qber,
     export_records_csv,
@@ -208,10 +207,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
-    if not 1 <= args.codes <= _MAX_FLOAT64S:
-        raise ValidationError(
-            f"codes must be in [1, {_MAX_FLOAT64S}] (numpy's largest float64 array), got {args.codes}"
-        )
+    whole("codes", args.codes, 1, MAX_FLOAT64S)
     if args.constant_code is not None:
         # int32 codes like pattern_stream's; a code off the grid is clipped to
         # one just off it, so code_to_phase refuses it without an int32 overflow

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .protocol import _MAX_FLOAT64S, QberEstimate, SessionConfig, estimate_qber, run_session, sift
+from .errors import MAX_FLOAT64S, ValidationError, whole
+from .protocol import QberEstimate, SessionConfig, estimate_qber, run_session, sift
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,7 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
         raise ValidationError("scan delays must be finite")
     if any(b <= a for a, b in zip(delays, delays[1:])):
         raise ValidationError("scan delays must be strictly increasing")
-    if max_workers < 1:
-        raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
+    max_workers = whole("max_workers", max_workers, 1)
 
     def one_point(index: int) -> QberEstimate:
         point_config = replace(config, seed=scan_point_seed(config.seed, index), delay_ns=delays[index])
@@ -206,8 +205,7 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
     lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("phase sample must be finite")
-    if n_bins < 2:
-        raise ValidationError(f"need at least 2 bins, got {n_bins}")
+    n_bins = whole("n_bins", n_bins, 2)
     if arr.size < 10 * n_bins:
         raise ValidationError(
             f"need at least {10 * n_bins} samples for {n_bins} bins, got {arr.size}"
@@ -255,8 +253,7 @@ class DiscreteUniformPhase:
     n_values: int
 
     def __post_init__(self) -> None:
-        if self.n_values < 1:
-            raise ValidationError(f"need at least 1 phase value, got {self.n_values}")
+        object.__setattr__(self, "n_values", whole("n_values", self.n_values, 1))
 
     def circular_moment(self, k):
         return np.where(np.asarray(k) % self.n_values == 0, 1.0 + 0.0j, 0.0 + 0.0j)
@@ -290,25 +287,21 @@ def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> np.ndarray:
     """
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValidationError(f"mean photon number must be finite and >= 0, got {mu}")
-    # complex128 entries: two float64s each
-    if not 1 <= n_max < math.isqrt(_MAX_FLOAT64S // 2):
-        raise ValidationError(f"n_max must be >= 1 and within numpy's array size limit, got {n_max}")
-    dim = n_max + 1
+    mu = abs(mu)  # -0.0 would put negative zeros into the vacuum's row and column
+    # (n_max + 1)^2 complex128 entries, two float64s each
+    dim = whole("n_max", n_max, 1, math.isqrt(MAX_FLOAT64S // 2) - 1) + 1
     ns = np.arange(dim)
-    if mu == 0.0:
-        amps = np.zeros(dim)
-        amps[0] = 1.0
+    # amp_n = e^{-mu/2} mu^{n/2} / sqrt(n!) by the recurrence
+    # amp_n = amp_{n-1} sqrt(mu/n), an ulp or so per step where exp of a
+    # log-space sum loses about log(n!) ulps; at mu = 0 it gives the vacuum.
+    # The recurrence needs e^{-mu/2} as a normal float; beyond mu ~ 1417 log
+    # space remains.
+    weight = math.exp(-mu / 2.0)
+    if weight >= np.finfo(np.float64).tiny:
+        amps = np.cumprod(np.concatenate(([weight], np.sqrt(mu / ns[1:]))))
     else:
-        # amp_n = e^{-mu/2} mu^{n/2} / sqrt(n!) by the recurrence
-        # amp_n = amp_{n-1} sqrt(mu/n), an ulp or so per step where exp of a
-        # log-space sum loses about log(n!) ulps. The recurrence needs
-        # e^{-mu/2} as a normal float; beyond mu ~ 1417 log space remains.
-        weight = math.exp(-mu / 2.0)
-        if weight >= np.finfo(np.float64).tiny:
-            amps = np.cumprod(np.concatenate(([weight], np.sqrt(mu / ns[1:]))))
-        else:
-            log_fact = np.array([math.lgamma(n + 1.0) for n in range(dim)])
-            amps = np.exp(-mu / 2.0 + 0.5 * (ns * math.log(mu) - log_fact))
+        log_fact = np.array([math.lgamma(n + 1.0) for n in range(dim)])
+        amps = np.exp(-mu / 2.0 + 0.5 * (ns * math.log(mu) - log_fact))
     order = ns[:, None] - ns[None, :]
     return np.outer(amps, amps) * phase_dist.circular_moment(order)
 

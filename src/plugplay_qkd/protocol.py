@@ -36,7 +36,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MAX_FLOAT64S, ValidationError, whole
 from .randomizer import (
     CODE_LEVELS,
     DEFAULT_FRAME_LEN,
@@ -55,9 +55,6 @@ _COS[CODE_LEVELS // 2] = -1.0
 _COS.setflags(write=False)
 _QUARTER_TURN_CODES = CODE_LEVELS // 4
 
-# The longest float64 array numpy can size at all (a session's record
-# columns, an audit's phases).
-_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 # Bits per kernel block: its float64 temporaries stay in a 2 MB L2 cache.
 _KERNEL_BLOCK = 1 << 15
 
@@ -76,9 +73,7 @@ def pattern_stream(seed: int, n_codes: int) -> np.ndarray:
     from its pattern substream. One draw yields the same codes as frame-by-frame
     draws, so the stream does not depend on the frame length.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(_substreams(seed)["pattern"])
+    rng = np.random.default_rng(_substreams(whole("seed", seed, 0))["pattern"])
     return generate_pattern(rng, n_codes)
 
 
@@ -128,20 +123,8 @@ class SessionConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
-        for name in ("n_bits", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            # stored as an int: PCG64.advance overflows on a numpy integer
-            object.__setattr__(self, name, int(value))
-        if self.n_bits < 1:
-            raise ValidationError(f"n_bits must be >= 1, got {self.n_bits}")
-        if self.n_bits > _MAX_FLOAT64S:
-            raise ValidationError(
-                f"n_bits must be <= {_MAX_FLOAT64S} (numpy's largest float64 column), got {self.n_bits}"
-            )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "n_bits", whole("n_bits", self.n_bits, 1, MAX_FLOAT64S))
+        object.__setattr__(self, "seed", whole("seed", self.seed, 0))
         if self.mu_target < 0.0:
             raise ValidationError(f"mean photon target must be >= 0, got {self.mu_target}")
         if self.tau_mzi_ns <= 0.0:
@@ -167,10 +150,15 @@ class SessionConfig:
             raise ValidationError(
                 f"double_click_policy must be 'discard' or 'random', got {self.double_click_policy!r}"
             )
+        if not isinstance(self.randomizer_enabled, (bool, np.bool_)):
+            raise ValidationError(f"randomizer_enabled must be a bool, got {self.randomizer_enabled!r}")
         _path_amplitude(self)
         if self.polarization is not None:
             if len(self.polarization) != 2:
                 raise ValidationError("polarization must be a (h, v) pair")
+            # complex() would read "1" as 1 and end "x" in a bare ValueError
+            if not all(isinstance(c, (int, float, complex, np.number)) for c in self.polarization):
+                raise ValidationError(f"polarization entries must be numbers, got {self.polarization!r}")
             h, v = (complex(c) for c in self.polarization)
             norm = abs(h) ** 2 + abs(v) ** 2
             if not math.isfinite(norm) or norm <= 0.0:
@@ -493,6 +481,8 @@ def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEst
     n = int(arr.shape[0])
     if n == 0:
         raise ValidationError("cannot estimate an error rate from zero sifted bits")
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValidationError("sifted pairs must hold only bits 0 and 1")
     n_errors = int(np.count_nonzero(arr[:, 0] != arr[:, 1]))
     qber = n_errors / n
     std_error = math.sqrt(qber * (1.0 - qber) / n)

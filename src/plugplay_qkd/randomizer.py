@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MAX_FLOAT64S, ValidationError, whole
 
 CODE_LEVELS = 4096
 DEFAULT_FRAME_LEN = 504
@@ -28,8 +28,7 @@ def generate_pattern(rng: np.random.Generator, n_codes: int) -> np.ndarray:
     One draw of ``k * m`` codes equals ``k`` consecutive draws of ``m``, so
     a stream does not depend on how it is cut into frames.
     """
-    if n_codes <= 0:
-        raise ValidationError(f"need a positive number of codes, got {n_codes}")
+    n_codes = whole("n_codes", n_codes, 1, MAX_FLOAT64S)
     return rng.integers(0, CODE_LEVELS, size=n_codes, dtype=np.int32)
 
 

@@ -485,8 +485,15 @@ def test_huge_audits_and_matrices_are_errors(tmp_path, capsys):
     for n_max in (10**20, math.isqrt(largest // 2)):
         assert main(["density", "--n-max", str(n_max), "--output", str(target)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: n_max must be >= 1") and captured.out == ""
+        assert captured.err.startswith("error: n_max must be in [1, ") and captured.out == ""
     assert not target.exists()
+
+
+@pytest.mark.parametrize("codes", [0, -1])
+def test_audits_below_one_code_are_errors(codes, capsys):
+    assert main(["verify-uniformity", "--codes", str(codes)]) == 1
+    largest = np.iinfo(np.intp).max // 8
+    assert capsys.readouterr().err == f"error: codes must be in [1, {largest}], got {codes}\n"
 
 
 def test_unwritable_output_is_an_io_error(tmp_path, capsys):

@@ -289,7 +289,7 @@ def test_chisq_validation():
         uniformity_chisq(np.full((10, 10), math.nan))
     with pytest.raises(ValidationError, match="need at least 2560 samples for 256 bins, got 2559"):
         uniformity_chisq(np.zeros(2559))
-    with pytest.raises(ValidationError, match="need at least 2 bins"):
+    with pytest.raises(ValidationError, match="n_bins must be >= 2"):
         uniformity_chisq(np.zeros(100), n_bins=1)
     # an empty sample has no min or max to check; it is too small
     with pytest.raises(ValidationError, match="need at least 2560 samples for 256 bins, got 0"):
@@ -457,6 +457,14 @@ def test_vacuum_density_matrix():
         assert rho[0, 0] == 1.0 + 0.0j
         assert np.count_nonzero(rho) == 1
         assert np.trace(rho).real == 1.0
+
+
+def test_negative_zero_mean_photon_is_the_vacuum():
+    # the recurrence's sqrt(-0.0 / n) is -0.0, which a CSV would print as "-0"
+    for dist in (UniformPhase(), FixedPhase(0.3), DiscreteUniformPhase(3)):
+        rho = fock_density_matrix(-0.0, dist, n_max=4)
+        assert rho.tobytes() == fock_density_matrix(0.0, dist, n_max=4).tobytes()
+        assert not np.signbit(rho.view(np.float64)).any()
 
 
 def test_fock_validation():

@@ -21,6 +21,13 @@ from plugplay_qkd import (
     sift,
 )
 from plugplay_qkd import protocol
+from plugplay_qkd.experiments import (
+    DiscreteUniformPhase,
+    UniformPhase,
+    delay_scan,
+    fock_density_matrix,
+    uniformity_chisq,
+)
 from plugplay_qkd.protocol import BASES, _KERNEL_BLOCK, _substreams, pattern_stream
 from plugplay_qkd.randomizer import generate_pattern
 
@@ -60,6 +67,16 @@ def test_estimate_qber_rejects_empty_or_malformed():
         estimate_qber(np.zeros((0, 2)))
     with pytest.raises(ValidationError):
         estimate_qber(np.zeros(7))
+
+
+def test_estimate_qber_refuses_values_that_are_not_bits():
+    # each was counted: a 3 as an error (qber 0.5), a 0.5 pair as a match (qber 0)
+    for pairs in ([[0, 3], [1, 1]], [[0.5, 0.5]], [[0, -1]], [[1, math.nan]]):
+        with pytest.raises(ValidationError, match="only bits 0 and 1"):
+            estimate_qber(pairs)
+    # booleans are bits
+    est = estimate_qber(np.array([[True, False], [True, True]]))
+    assert est.qber == 0.5 and est.n_errors == 1
 
 
 def _records(alice_basis, alice_bit, bob_basis, d0, d1):
@@ -476,6 +493,18 @@ def test_config_validation_errors():
         SessionConfig(n_bits=100, double_click_policy="keep")
     with pytest.raises(ValidationError):
         SessionConfig(n_bits=100, polarization=(0.0, 0.0))
+    # "off" is truthy and used to run with the randomizer on
+    for flag in ("off", 0.0, None):
+        with pytest.raises(ValidationError, match="randomizer_enabled must be a bool"):
+            SessionConfig(n_bits=100, randomizer_enabled=flag)
+    assert not SessionConfig(n_bits=100, randomizer_enabled=np.bool_(False)).randomizer_enabled
+    # used to end in complex()'s bare ValueError or TypeError, or to read "1" as 1
+    for pol in ((1, "x"), (1, "1"), (1.0, None)):
+        with pytest.raises(ValidationError, match="polarization entries must be numbers"):
+            SessionConfig(n_bits=100, polarization=pol)
+    for pol in ((1.0,), (1.0, 0.0, 0.0)):
+        with pytest.raises(ValidationError, match=r"polarization must be a \(h, v\) pair"):
+            SessionConfig(n_bits=100, polarization=pol)
     # the source, splitter, fiber and long-arm parameters are range-checked
     for bad in ({"insertion_loss_db": -0.1}, {"fiber_km": -1.0}, {"fiber_loss_db_per_km": -0.2},
                 {"tau_mzi_ns": 0.0}, {"tau_mzi_ns": -1.0}, {"polarization": (math.nan, 0.0)}):
@@ -527,18 +556,79 @@ def test_config_rejects_non_finite_floats(field, value):
         SessionConfig(n_bits=100, **{field: value})
 
 
-# each of these used to pass validation and fail inside run_session with a
-# numpy or SeedSequence TypeError
+# Every whole-number parameter of the package: its name in messages, a call
+# that puts a value in its place, and its lowest valid value.
+_WHOLE_SITES = {
+    "n_bits": ("n_bits", lambda v: SessionConfig(n_bits=v), 1),
+    "seed": ("seed", lambda v: SessionConfig(n_bits=100, seed=v), 0),
+    "pattern_stream-seed": ("seed", lambda v: pattern_stream(v, 100), 0),
+    "pattern_stream-n_codes": ("n_codes", lambda v: pattern_stream(3, v), 1),
+    "generate_pattern": ("n_codes", lambda v: generate_pattern(np.random.default_rng(5), v), 1),
+    "max_workers": ("max_workers", lambda v: delay_scan(SessionConfig(n_bits=200), [0.0, 1.0], max_workers=v), 1),
+    "n_bins": ("n_bins", lambda v: uniformity_chisq(np.linspace(0.0, 6.0, 1000), n_bins=v), 2),
+    "n_values": ("n_values", lambda v: DiscreteUniformPhase(v), 1),
+    "n_max": ("n_max", lambda v: fock_density_matrix(0.1, UniformPhase(), n_max=v), 1),
+}
+_NOT_WHOLE = {"fraction": 1.5, "float": 10.0, "bool": True, "str": "3"}
+_LARGEST = np.iinfo(np.intp).max // 8  # the longest float64 array
+
+
+# each SessionConfig row used to pass validation and fail inside run_session
+# with a numpy or SeedSequence TypeError; elsewhere such values were refused
+# by a numpy TypeError, or silently truncated (n_max=2.5 gave a 4x4 matrix)
 @pytest.mark.parametrize(
-    "field, value",
+    "site, value",
     [("n_bits", 1000.0), ("n_bits", 1.5), ("n_bits", True), ("n_bits", np.float64(1000.0)),
-     ("n_bits", "1000"), ("seed", 1.5), ("seed", 7.0), ("seed", False), ("seed", None)],
+     ("n_bits", "1000"), ("seed", 1.5), ("seed", 7.0), ("seed", False), ("seed", None), ("seed", "3")]
+    + [(site, value) for site in list(_WHOLE_SITES)[2:] for value in _NOT_WHOLE.values()],
     ids=["n_bits-float", "n_bits-fraction", "n_bits-bool", "n_bits-numpy_float", "n_bits-str",
-         "seed-fraction", "seed-float", "seed-bool", "seed-None"],
+         "seed-fraction", "seed-float", "seed-bool", "seed-None", "seed-str"]
+    + [f"{site}-{kind}" for site in list(_WHOLE_SITES)[2:] for kind in _NOT_WHOLE],
 )
-def test_config_rejects_non_integer_counts(field, value):
-    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
-        SessionConfig(**{"n_bits": 100, field: value})
+def test_config_rejects_non_integer_counts(site, value):
+    name, call, _ = _WHOLE_SITES[site]
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("site", list(_WHOLE_SITES))
+def test_whole_numbers_accept_numpy_integers(site):
+    # at the lowest valid value, as a numpy integer: the same result as the int
+    _, call, low = _WHOLE_SITES[site]
+    same, given = call(low), call(np.int64(low))
+    if isinstance(same, np.ndarray):
+        assert np.array_equal(given, same)
+    else:
+        assert repr(given) == repr(same)
+
+
+# one past each edge; nothing is allocated at an upper bound
+@pytest.mark.parametrize(
+    "site, value, message",
+    [("n_bits", 0, f"n_bits must be in [1, {_LARGEST}], got 0"),
+     ("n_bits", _LARGEST + 1, f"n_bits must be in [1, {_LARGEST}], got {_LARGEST + 1}"),
+     ("seed", -1, "seed must be >= 0, got -1"),
+     ("pattern_stream-seed", -1, "seed must be >= 0, got -1"),
+     ("pattern_stream-n_codes", 0, f"n_codes must be in [1, {_LARGEST}], got 0"),
+     ("pattern_stream-n_codes", 2**70, f"n_codes must be in [1, {_LARGEST}], got {2**70}"),
+     ("generate_pattern", 0, f"n_codes must be in [1, {_LARGEST}], got 0"),
+     ("generate_pattern", _LARGEST + 1, f"n_codes must be in [1, {_LARGEST}], got {_LARGEST + 1}"),
+     ("max_workers", 0, "max_workers must be >= 1, got 0"),
+     ("n_bins", 1, "n_bins must be >= 2, got 1"),
+     ("n_values", 0, "n_values must be >= 1, got 0"),
+     ("n_max", 0, f"n_max must be in [1, {math.isqrt(_LARGEST // 2) - 1}], got 0"),
+     # (n_max + 1)^2 complex128 entries pass numpy's limit
+     ("n_max", math.isqrt(_LARGEST // 2),
+      f"n_max must be in [1, {math.isqrt(_LARGEST // 2) - 1}], got {math.isqrt(_LARGEST // 2)}")],
+    ids=["n_bits-low", "n_bits-high", "seed-low", "pattern_stream-seed-low", "pattern_stream-n_codes-low",
+         "pattern_stream-n_codes-high", "generate_pattern-low", "generate_pattern-high", "max_workers-low",
+         "n_bins-low", "n_values-low", "n_max-low", "n_max-high"],
+)
+def test_whole_numbers_refuse_one_past_each_bound(site, value, message):
+    _, call, _ = _WHOLE_SITES[site]
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert str(info.value) == message
 
 
 def test_config_accepts_numpy_integers():

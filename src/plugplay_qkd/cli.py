@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MAX_FLOAT64S, ValidationError, whole
+from .errors import MAX_FLOAT64S, ValidationError, real, whole
 from .experiments import (
     DiscreteUniformPhase,
     FixedPhase,
@@ -177,11 +177,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 
 def _scan_delays(range_ns: float, step_ns: float) -> list[float]:
-    # NaN fails every comparison, so this also rejects it
-    if not (0.0 < range_ns < math.inf and 0.0 < step_ns < math.inf):
-        raise ValidationError(
-            f"scan range and step must be finite and positive, got {range_ns} and {step_ns}"
-        )
+    range_ns = real("scan_range_ns", range_ns, 0, None, "()")
+    step_ns = real("scan_step_ns", step_ns, 0, None, "()")
     steps = 2.0 * range_ns / step_ns
     if not math.isfinite(steps):
         raise ValidationError(f"scan grid of {range_ns} ns in {step_ns} ns steps has too many points")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the whole-number rule."""
+"""Exception types shared across the package, and the whole- and real-number rules."""
+
+import math
 
 import numpy as np
 
@@ -24,5 +26,28 @@ def whole(name: str, value, low: int, high: int | None = None) -> int:
     value = int(value)
     if value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def real(name: str, value, low=None, high=None, ends: str = "[]") -> float:
+    """``value`` as a finite ``float`` between ``low`` and ``high`` (``None``: no
+    bound), each end closed or open as ``ends`` says, such as ``"[)"``. Ints,
+    numpy integers and numpy floats pass; a bool (numpy's too), a string, a
+    complex or ``None`` does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past float range
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    below = low is not None and (value < low if ends[0] == "[" else value <= low)
+    above = high is not None and (value > high if ends[1] == "]" else value >= high)
+    if below or above:
+        bound = (f"{'>=' if ends[0] == '[' else '>'} {low}" if high is None
+                 else f"{'<=' if ends[1] == ']' else '<'} {high}" if low is None
+                 else f"in {ends[0]}{low}, {high}{ends[1]}")
         raise ValidationError(f"{name} must be {bound}, got {value}")
     return value

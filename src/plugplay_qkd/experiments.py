@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MAX_FLOAT64S, ValidationError, whole
+from .errors import MAX_FLOAT64S, ValidationError, real, whole
 from .protocol import QberEstimate, SessionConfig, estimate_qber, run_session, sift
 
 
@@ -72,11 +72,9 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
     not depend on ``max_workers``. A point with no sifted bit reports itself
     as such: NaN error rate and standard error, ``n_sifted=0``.
     """
-    delays = [float(d) for d in delays_ns]
+    delays = [real("delays_ns", d) for d in delays_ns]
     if not delays:
         raise ValidationError("scan needs at least one delay")
-    if any(not math.isfinite(d) for d in delays):
-        raise ValidationError("scan delays must be finite")
     if any(b <= a for a, b in zip(delays, delays[1:])):
         raise ValidationError("scan delays must be strictly increasing")
     max_workers = whole("max_workers", max_workers, 1)
@@ -198,7 +196,11 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
     only when the sample's minimum or maximum lies outside it; on that range
     the wrap is exactly the identity.
     """
-    arr = np.asarray(phases, dtype=np.float64)
+    arr = np.asarray(phases)
+    # a bool or string sample would otherwise be read as phases
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"phase sample must hold integers or floats, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1:
         raise ValidationError("phase sample must be one-dimensional")
     # min and max carry any NaN or infinity, so no full-length mask is built
@@ -266,8 +268,7 @@ class FixedPhase:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phi):
-            raise ValidationError("phase must be finite")
+        object.__setattr__(self, "phi", real("phi", self.phi))
 
     def circular_moment(self, k):
         return np.exp(1j * np.asarray(k, dtype=np.float64) * self.phi)
@@ -285,9 +286,7 @@ def fock_density_matrix(mu: float, phase_dist, n_max: int = 20) -> np.ndarray:
     diagonal (Poissonian) mixture, N discrete phases keep every n = m (mod N)
     coherence, and a fixed phase keeps the pure coherent state.
     """
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu}")
-    mu = abs(mu)  # -0.0 would put negative zeros into the vacuum's row and column
+    mu = abs(real("mu", mu, 0))  # -0.0 would put negative zeros into the vacuum's row and column
     # (n_max + 1)^2 complex128 entries, two float64s each
     dim = whole("n_max", n_max, 1, math.isqrt(MAX_FLOAT64S // 2) - 1) + 1
     ns = np.arange(dim)

@@ -36,7 +36,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import MAX_FLOAT64S, ValidationError, whole
+from .errors import MAX_FLOAT64S, ValidationError, real, whole
 from .randomizer import (
     CODE_LEVELS,
     DEFAULT_FRAME_LEN,
@@ -77,6 +77,16 @@ def pattern_stream(seed: int, n_codes: int) -> np.ndarray:
     return generate_pattern(rng, n_codes)
 
 
+# SessionConfig's real fields as (name, low, high, ends) for errors.real, in check order: timing,
+# then the detectors, then the rest, so a config with several faults always names the same one.
+_REAL_FIELDS = (
+    ("period_ns", 0, None, "()"), ("delay_ns", None, None, "[]"), ("roundtrip_ns", 0, None, "[]"),
+    ("efficiency", 0, 1, "[]"), ("dark_prob", 0, 1, "[)"),
+    ("mu_target", 0, None, "[]"), ("tau_mzi_ns", 0, None, "()"), ("insertion_loss_db", 0, None, "[]"),
+    ("fiber_km", 0, None, "[]"), ("fiber_loss_db_per_km", 0, None, "[]"),
+)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything needed to reproduce one key exchange session.
@@ -86,6 +96,9 @@ class SessionConfig:
     ``roundtrip_ns`` separates the two modulation passes of one pulse.
     ``mu_target`` is the mean photon number of the reference and signal
     pulses together as they leave Alice.
+
+    The real fields are checked in the order and ranges of ``_REAL_FIELDS``
+    and stored as ``float``; ``n_bits`` and ``seed`` come after them.
     """
 
     n_bits: int = 843_000
@@ -105,40 +118,10 @@ class SessionConfig:
     polarization: tuple[complex, complex] | None = None
 
     def __post_init__(self) -> None:
-        # timing first, then the detectors, then the rest: a config with
-        # several faults always reports the same one
-        for name in ("period_ns", "delay_ns", "roundtrip_ns"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        if self.period_ns <= 0.0:
-            raise ValidationError(f"pattern step period must be positive, got {self.period_ns} ns")
-        if self.roundtrip_ns < 0.0:
-            raise ValidationError(f"mirror round trip must be >= 0, got {self.roundtrip_ns} ns")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValidationError(f"detector efficiency must be in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValidationError(f"dark count probability must be in [0, 1), got {self.dark_prob}")
-        for name in ("mu_target", "tau_mzi_ns", "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+        for name, low, high, ends in _REAL_FIELDS:
+            object.__setattr__(self, name, real(name, getattr(self, name), low, high, ends))
         object.__setattr__(self, "n_bits", whole("n_bits", self.n_bits, 1, MAX_FLOAT64S))
         object.__setattr__(self, "seed", whole("seed", self.seed, 0))
-        if self.mu_target < 0.0:
-            raise ValidationError(f"mean photon target must be >= 0, got {self.mu_target}")
-        if self.tau_mzi_ns <= 0.0:
-            raise ValidationError(f"arm delay must be positive, got {self.tau_mzi_ns} ns")
-        if self.insertion_loss_db < 0.0:
-            raise ValidationError(
-                f"insertion loss must be >= 0 dB, got {self.insertion_loss_db}"
-            )
-        if self.fiber_km < 0.0:
-            raise ValidationError(f"fiber length must be >= 0, got {self.fiber_km} km")
-        if self.fiber_loss_db_per_km < 0.0:
-            raise ValidationError(
-                f"fiber loss must be >= 0 dB/km, got {self.fiber_loss_db_per_km}"
-            )
         # all four modulation passes of a bit must fit inside one pattern step
         span = self.tau_mzi_ns + self.roundtrip_ns
         if span >= self.period_ns:
@@ -153,13 +136,16 @@ class SessionConfig:
         if not isinstance(self.randomizer_enabled, (bool, np.bool_)):
             raise ValidationError(f"randomizer_enabled must be a bool, got {self.randomizer_enabled!r}")
         _path_amplitude(self)
-        if self.polarization is not None:
-            if len(self.polarization) != 2:
-                raise ValidationError("polarization must be a (h, v) pair")
-            # complex() would read "1" as 1 and end "x" in a bare ValueError
-            if not all(isinstance(c, (int, float, complex, np.number)) for c in self.polarization):
-                raise ValidationError(f"polarization entries must be numbers, got {self.polarization!r}")
-            h, v = (complex(c) for c in self.polarization)
+        pol = self.polarization
+        if pol is not None:
+            # a number has no len(), a set no order; a 2-d array's rows are not entries
+            pair = isinstance(pol, Sequence) or getattr(pol, "ndim", 0) == 1
+            if not pair or len(pol) != 2:
+                raise ValidationError(f"polarization must be a (h, v) pair, got {pol!r}")
+            # complex() would read "1" as 1 and True as 1, and end "x" in a bare ValueError
+            if not all(isinstance(c, (int, float, complex, np.number)) and not isinstance(c, bool) for c in pol):
+                raise ValidationError(f"polarization entries must be numbers, got {pol!r}")
+            h, v = (complex(c) for c in pol)
             norm = abs(h) ** 2 + abs(v) ** 2
             if not math.isfinite(norm) or norm <= 0.0:
                 raise ValidationError("polarization must be finite with positive norm")
@@ -197,14 +183,18 @@ class DetectionRecords:
         n = len(alice_basis)
         if any(len(c) != n for c in cols):
             raise ValidationError("record columns must have equal length")
-        self.alice_basis = np.asarray(alice_basis, dtype=np.int8)
-        self.alice_bit = np.asarray(alice_bit, dtype=np.int8)
-        self.bob_basis = np.asarray(bob_basis, dtype=np.int8)
-        self.clicked_d0 = np.asarray(clicked_d0, dtype=bool)
-        self.clicked_d1 = np.asarray(clicked_d1, dtype=bool)
-        for col in (self.alice_basis, self.alice_bit, self.bob_basis):
-            if n and col.view(np.uint8).max() > 1:
-                raise ValidationError("basis and bit columns must hold only 0 and 1")
+        # checked before the cast, which would store 256 as 0 and 0.5 as True;
+        # a bool column needs no check and an int8 one a single pass
+        for name, col, dtype in zip(self.__slots__, cols, (np.int8,) * 3 + (bool,) * 2):
+            col = np.asarray(col)
+            kind = col.dtype.kind
+            if kind in "iu" and col.dtype.itemsize == 1:
+                bits = not n or col.view(np.uint8).max() <= 1
+            else:
+                bits = kind == "b" or (kind in "iuf" and bool(np.all((col == 0) | (col == 1))))
+            if not bits:
+                raise ValidationError(f"{name} must hold only 0 and 1")
+            setattr(self, name, col.astype(dtype, copy=False))
 
     def __len__(self) -> int:
         return len(self.alice_basis)

@@ -158,14 +158,15 @@ def test_scan_rejects_ragged_grid(tmp_path, capsys):
     for flag, value in (("--scan-range-ns", "nan"), ("--scan-range-ns", "inf"),
                         ("--scan-step-ns", "nan"), ("--scan-step-ns", "inf")):
         assert main(_scan_args(target) + [flag, value]) == 1, (flag, value)
-        assert "scan range and step must be finite and positive" in capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be finite, got {value}" in capsys.readouterr().err
     # finite range and step whose step count overflows float64
     assert main(_scan_args(target) + ["--scan-range-ns", "1e300", "--scan-step-ns", "1e-300"]) == 1
     assert "has too many points" in capsys.readouterr().err
     config = tmp_path / "scan.conf"
     config.write_text("scan_step_ns = nan\n")
     assert main(["scan", "--bits", "2000", "--config", str(config)]) == 1
-    assert "scan range and step must be finite and positive" in capsys.readouterr().err
+    assert "error: scan_step_ns must be finite, got nan" in capsys.readouterr().err
     assert not target.exists()
 
 

@@ -291,6 +291,10 @@ def test_chisq_validation():
         uniformity_chisq(np.zeros(2559))
     with pytest.raises(ValidationError, match="n_bins must be >= 2"):
         uniformity_chisq(np.zeros(100), n_bins=1)
+    # strings and bools used to be read as phases
+    for sample in (np.array(["1"] * 3000), np.ones(3000, dtype=bool), ["0.5"] * 3000):
+        with pytest.raises(ValidationError, match="^phase sample must hold integers or floats, got dtype "):
+            uniformity_chisq(sample)
     # an empty sample has no min or max to check; it is too small
     with pytest.raises(ValidationError, match="need at least 2560 samples for 256 bins, got 0"):
         uniformity_chisq(np.array([]))

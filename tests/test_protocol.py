@@ -21,8 +21,10 @@ from plugplay_qkd import (
     sift,
 )
 from plugplay_qkd import protocol
+from plugplay_qkd.cli import _scan_delays
 from plugplay_qkd.experiments import (
     DiscreteUniformPhase,
+    FixedPhase,
     UniformPhase,
     delay_scan,
     fock_density_matrix,
@@ -136,6 +138,33 @@ def test_detection_records_reject_non_binary_choices(column, value):
     cols[column][1] = value
     with pytest.raises(ValidationError):
         _records(*cols)
+
+
+# each value used to be cast before the check: 256 stored as 0 in int8,
+# 0.9 truncated to 0, and 0.5 or 2 read as a True click
+@pytest.mark.parametrize(
+    "column, value",
+    [(1, np.array([256])), (0, [0.9]), (3, [0.5]), (3, [2]), (4, [-1]), (4, ["1"]),
+     (2, np.array([2], dtype=np.uint8)), (0, np.array([-1], dtype=np.int8))],
+    ids=["bit-256", "basis-0.9", "click-0.5", "click-2", "click--1", "click-str", "uint8-2", "int8--1"],
+)
+def test_detection_records_refuse_values_before_the_cast(column, value):
+    cols = [[0], [1], [0], [True], [False]]
+    cols[column] = value
+    with pytest.raises(ValidationError, match=f"^{DetectionRecords.__slots__[column]} must hold only 0 and 1$"):
+        DetectionRecords(*cols)
+
+
+def test_detection_records_accept_bits_of_any_numeric_dtype():
+    for cols in ([[0, 1]] * 5, [np.array([0.0, 1.0])] * 5, [np.array([False, True])] * 5,
+                 [np.array([0, 1], dtype=np.uint8)] * 5):
+        records = DetectionRecords(*cols)
+        assert [c.dtype for c in (records.alice_bit, records.clicked_d0)] == [np.int8, bool]
+        assert records.alice_bit.tolist() == [0, 1] and records.clicked_d1.tolist() == [False, True]
+    # the int8 and bool columns of a session are stored as given, uncopied
+    cols = (np.array([0, 1], dtype=np.int8),) * 3 + (np.array([False, True]),) * 2
+    records = DetectionRecords(*cols)
+    assert all(getattr(records, name) is col for name, col in zip(DetectionRecords.__slots__, cols))
 
 
 def test_ideal_components_wrong_detector_exactly_zero():
@@ -499,10 +528,11 @@ def test_config_validation_errors():
             SessionConfig(n_bits=100, randomizer_enabled=flag)
     assert not SessionConfig(n_bits=100, randomizer_enabled=np.bool_(False)).randomizer_enabled
     # used to end in complex()'s bare ValueError or TypeError, or to read "1" as 1
-    for pol in ((1, "x"), (1, "1"), (1.0, None)):
+    for pol in ((1, "x"), (1, "1"), (1.0, None), (True, False), (1.0, np.bool_(False)), "hv"):
         with pytest.raises(ValidationError, match="polarization entries must be numbers"):
             SessionConfig(n_bits=100, polarization=pol)
-    for pol in ((1.0,), (1.0, 0.0, 0.0)):
+    # 1.0 used to end in len()'s bare TypeError; a set has no order
+    for pol in ((1.0,), (1.0, 0.0, 0.0), 1.0, {1.0, 0.0}, np.eye(2), np.float64(1.0)):
         with pytest.raises(ValidationError, match=r"polarization must be a \(h, v\) pair"):
             SessionConfig(n_bits=100, polarization=pol)
     # the source, splitter, fiber and long-arm parameters are range-checked
@@ -518,6 +548,9 @@ def test_config_validation_errors():
         SessionConfig(period_ns=math.inf, efficiency=2.0, fiber_km=-1.0)
     with pytest.raises(ValidationError, match="efficiency"):
         SessionConfig(efficiency=2.0, fiber_km=-1.0, tau_mzi_ns=190.0)
+    # the counts come after every real field
+    with pytest.raises(ValidationError, match="^fiber_km must be >= 0"):
+        SessionConfig(n_bits=0, seed=-1, fiber_km=-1.0)
     with pytest.raises(ValidationError):
         run_session(SessionConfig(n_bits=100, tau_mzi_ns=190.0))
 
@@ -545,15 +578,100 @@ def test_config_rejects_more_bits_than_numpy_can_hold():
         SessionConfig(n_bits=largest + 1)
 
 
-@pytest.mark.parametrize(
-    "field",
-    ["mu_target", "tau_mzi_ns", "insertion_loss_db", "fiber_km", "fiber_loss_db_per_km",
-     "period_ns", "delay_ns", "roundtrip_ns"],
-)
+# Every real-valued parameter of the package: its name in messages, a call
+# that puts a value in its place, and a valid value. SessionConfig's rows come
+# in its check order.
+_REAL_SITES = {
+    **{field: (field, lambda v, field=field: SessionConfig(n_bits=100, **{field: v}), valid)
+       for field, valid in (("period_ns", 200.0), ("delay_ns", 30.0), ("roundtrip_ns", 20.0),
+                            ("efficiency", 0.1), ("dark_prob", 1e-5), ("mu_target", 0.1),
+                            ("tau_mzi_ns", 50.0), ("insertion_loss_db", 3.0), ("fiber_km", 5.0),
+                            ("fiber_loss_db_per_km", 0.2))},
+    "mu": ("mu", lambda v: fock_density_matrix(v, UniformPhase(), n_max=4), 0.1),
+    "phi": ("phi", lambda v: FixedPhase(v), 0.3),
+    "delays_ns": ("delays_ns", lambda v: delay_scan(SessionConfig(n_bits=200), [-1.0, v]), 30.0),
+    "scan_range_ns": ("scan_range_ns", lambda v: _scan_delays(v, 10.0), 20.0),
+    "scan_step_ns": ("scan_step_ns", lambda v: _scan_delays(20.0, v), 10.0),
+}
+_NOT_REAL = {"str": "0.1", "bool": True, "numpy_bool": np.bool_(True), "None": None, "complex": 1 + 0j}
+
+
+# the config rows keep the ids of the test's first version, which covered
+# only eight of SessionConfig's fields
+@pytest.mark.parametrize("field", list(_REAL_SITES))
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_floats(field, value):
-    with pytest.raises(ValidationError, match=field):
-        SessionConfig(n_bits=100, **{field: value})
+    name, call, _ = _REAL_SITES[field]
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite, got {value}"
+
+
+# each used to end in a bare TypeError (a string, None, a complex) or to be
+# read as 1.0 (a bool)
+@pytest.mark.parametrize("kind", list(_NOT_REAL))
+@pytest.mark.parametrize("site", list(_REAL_SITES))
+def test_reals_refuse_what_is_not_a_real_number(site, kind):
+    name, call, _ = _REAL_SITES[site]
+    with pytest.raises(ValidationError, match=f"^{name} must be a real number, got "):
+        call(_NOT_REAL[kind])
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("site", list(_REAL_SITES))
+def test_reals_accept_numpy_numbers(site, kind):
+    # stored as a float: the same result (and repr) as the plain float
+    _, call, valid = _REAL_SITES[site]
+    given = kind(valid)
+    same, got = call(float(given)), call(given)
+    if isinstance(same, np.ndarray):
+        assert got.tobytes() == same.tobytes()
+    else:
+        assert repr(got) == repr(same)
+
+
+_BELOW_ZERO = -5e-324  # the largest float below 0
+
+
+# one past each end, and an int past float range
+@pytest.mark.parametrize(
+    "site, value, message",
+    [("period_ns", 0, "period_ns must be > 0, got 0.0"),
+     ("roundtrip_ns", _BELOW_ZERO, "roundtrip_ns must be >= 0, got -5e-324"),
+     ("efficiency", _BELOW_ZERO, "efficiency must be in [0, 1], got -5e-324"),
+     ("efficiency", np.nextafter(1.0, 2.0), "efficiency must be in [0, 1], got 1.0000000000000002"),
+     ("dark_prob", _BELOW_ZERO, "dark_prob must be in [0, 1), got -5e-324"),
+     ("dark_prob", 1.0, "dark_prob must be in [0, 1), got 1.0"),
+     ("mu_target", _BELOW_ZERO, "mu_target must be >= 0, got -5e-324"),
+     ("mu_target", 10**400, "mu_target must be finite, got inf"),
+     ("tau_mzi_ns", 0, "tau_mzi_ns must be > 0, got 0.0"),
+     ("insertion_loss_db", _BELOW_ZERO, "insertion_loss_db must be >= 0, got -5e-324"),
+     ("fiber_km", _BELOW_ZERO, "fiber_km must be >= 0, got -5e-324"),
+     ("fiber_loss_db_per_km", _BELOW_ZERO, "fiber_loss_db_per_km must be >= 0, got -5e-324"),
+     ("mu", _BELOW_ZERO, "mu must be >= 0, got -5e-324"),
+     ("mu", -(10**400), "mu must be finite, got -inf"),
+     ("scan_range_ns", 0.0, "scan_range_ns must be > 0, got 0.0"),
+     ("scan_step_ns", 0.0, "scan_step_ns must be > 0, got 0.0")],
+    ids=["period_ns-low", "roundtrip_ns-low", "efficiency-low", "efficiency-high", "dark_prob-low",
+         "dark_prob-high", "mu_target-low", "mu_target-huge_int", "tau_mzi_ns-low",
+         "insertion_loss_db-low", "fiber_km-low", "fiber_loss_db_per_km-low", "mu-low",
+         "mu-huge_negative_int", "scan_range_ns-low", "scan_step_ns-low"],
+)
+def test_reals_refuse_one_past_each_end(site, value, message):
+    _, call, _ = _REAL_SITES[site]
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("roundtrip_ns", 0), ("efficiency", 0), ("efficiency", 1), ("dark_prob", 0), ("mu_target", 0),
+     ("insertion_loss_db", 0), ("fiber_km", 0), ("fiber_loss_db_per_km", 0)],
+)
+def test_config_accepts_each_closed_end(field, value):
+    stored = getattr(SessionConfig(n_bits=100, **{field: value}), field)
+    assert type(stored) is float and stored == value
 
 
 # Every whole-number parameter of the package: its name in messages, a call

@@ -167,11 +167,11 @@ def test_modulate_split_window_visibility_oracle():
 
 def test_timing_validation():
     # the generator's timing lives in the session config, checked first
-    with pytest.raises(ValidationError, match="pattern step period"):
+    with pytest.raises(ValidationError, match="period_ns must be > 0"):
         SessionConfig(period_ns=0.0)
-    with pytest.raises(ValidationError, match="pattern step period"):
+    with pytest.raises(ValidationError, match="period_ns must be > 0"):
         SessionConfig(period_ns=-200.0)
-    with pytest.raises(ValidationError, match="mirror round trip must be >= 0"):
+    with pytest.raises(ValidationError, match="roundtrip_ns must be >= 0"):
         SessionConfig(roundtrip_ns=-1.0)
     with pytest.raises(ValidationError, match="delay_ns"):
         SessionConfig(delay_ns=math.inf)

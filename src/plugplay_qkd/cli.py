@@ -34,11 +34,11 @@ from .experiments import (
     export_density_csv,
     fock_density_matrix,
     offdiag_norm,
+    qber_or_nan,
     uniformity_chisq,
 )
 from .protocol import (
     SessionConfig,
-    estimate_qber,
     export_records_csv,
     pattern_stream,
     run_session,
@@ -165,7 +165,8 @@ def _add_session_flags(parser: argparse.ArgumentParser, with_delay: bool) -> Non
 
 def _cmd_session(args: argparse.Namespace) -> int:
     records = run_session(_session_config(args))
-    estimate = estimate_qber(sift(records))
+    # a session with no sifted bit still reports, and writes its records
+    estimate = qber_or_nan(sift(records))
     if args.output:
         export_records_csv(records, args.output)
         print(f"wrote {len(records)} records to {args.output}")

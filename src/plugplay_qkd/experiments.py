@@ -63,6 +63,14 @@ def scan_point_seed(base_seed: int, point_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def qber_or_nan(sifted: np.ndarray) -> QberEstimate:
+    """:func:`estimate_qber` of sifted pairs, or, when there are none, NaN
+    error rate and standard error with ``n_sifted=0``."""
+    if len(sifted) == 0:
+        return QberEstimate(qber=math.nan, std_error=math.nan, n_sifted=0, n_errors=0)
+    return estimate_qber(sifted)
+
+
 def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
                max_workers: int = 1) -> DelayScanResult:
     """Run one session per trigger delay and collect sifted error rates.
@@ -70,8 +78,12 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
     ``config`` supplies everything but the trigger delay and per-point seed.
     Results are deterministic in ``config.seed`` and the delay list, and do
     not depend on ``max_workers``. A point with no sifted bit reports itself
-    as such: NaN error rate and standard error, ``n_sifted=0``.
+    as such (see :func:`qber_or_nan`).
     """
+    # a string iterates by character, and a number or a 2-d array's rows are not delays
+    if isinstance(delays_ns, (str, bytes)) or not (
+            isinstance(delays_ns, Sequence) or getattr(delays_ns, "ndim", 0) == 1):
+        raise ValidationError(f"delays_ns must be a sequence of delays, got {delays_ns!r}")
     delays = [real("delays_ns", d) for d in delays_ns]
     if not delays:
         raise ValidationError("scan needs at least one delay")
@@ -81,10 +93,7 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
 
     def one_point(index: int) -> QberEstimate:
         point_config = replace(config, seed=scan_point_seed(config.seed, index), delay_ns=delays[index])
-        sifted = sift(run_session(point_config))
-        if len(sifted) == 0:
-            return QberEstimate(qber=math.nan, std_error=math.nan, n_sifted=0, n_errors=0)
-        return estimate_qber(sifted)
+        return qber_or_nan(sift(run_session(point_config)))
 
     # map submits every point at once, and the pool starts a thread per
     # submit up to its size, so the size is capped by the points and the CPUs

@@ -179,14 +179,17 @@ class DetectionRecords:
         clicked_d0: np.ndarray,
         clicked_d1: np.ndarray,
     ):
-        cols = (alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1)
-        n = len(alice_basis)
+        cols = tuple(np.asarray(c) for c in (alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1))
+        # a scalar has no length, and the rows of a 2-d column are not bits
+        for name, col in zip(self.__slots__, cols):
+            if col.ndim != 1:
+                raise ValidationError(f"{name} must be a 1-d column, got shape {col.shape}")
+        n = len(cols[0])
         if any(len(c) != n for c in cols):
             raise ValidationError("record columns must have equal length")
         # checked before the cast, which would store 256 as 0 and 0.5 as True;
         # a bool column needs no check and an int8 one a single pass
         for name, col, dtype in zip(self.__slots__, cols, (np.int8,) * 3 + (bool,) * 2):
-            col = np.asarray(col)
             kind = col.dtype.kind
             if kind in "iu" and col.dtype.itemsize == 1:
                 bits = not n or col.view(np.uint8).max() <= 1
@@ -211,13 +214,23 @@ class QberEstimate:
 
 
 def _choices(streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alice's basis and bit and Bob's basis for ``n`` bits, one int8 column each."""
-    rng_alice = np.random.default_rng(streams["alice"])
-    rng_bob = np.random.default_rng(streams["bob"])
-    alice_basis = rng_alice.integers(0, 2, size=n, dtype=np.int8)
-    alice_bit = rng_alice.integers(0, 2, size=n, dtype=np.int8)
-    bob_basis = rng_bob.integers(0, 2, size=n, dtype=np.int8)
-    return alice_basis, alice_bit, bob_basis
+    """Alice's basis and bit and Bob's basis for ``n`` bits, one int8 column each.
+
+    The columns are exactly ``integers(0, 2, size=n, dtype=np.int8)`` drawn
+    twice from Alice's generator and once from Bob's, taken from the raw
+    PCG64 words instead. numpy maps each such value from one byte of a
+    uint32 stream, low byte first and a fresh word per call, by Lemire's
+    multiply ``(byte * 2) >> 8``, which never rejects for a range of 2: the
+    value is the byte's top bit. PCG64 hands out each 64-bit output's low
+    half first, so the uint32 stream is the little-endian bytes of the raw
+    words. ``alice_basis`` therefore reads bytes ``[0, n)`` of Alice's raw
+    stream, ``alice_bit`` bytes ``[4w, 4w + n)`` after the ``w = ceil(n / 4)``
+    words the first column used, and ``bob_basis`` bytes ``[0, n)`` of Bob's.
+    """
+    words = -(-n // 4)
+    alice, bob = (np.random.PCG64(streams[role]).random_raw(k).astype("<u8", copy=False).view(np.uint8)
+                  for role, k in (("alice", words), ("bob", -(-words // 2))))
+    return tuple((raw[lo : lo + n] >> 7).view(np.int8) for raw, lo in ((alice, 0), (alice, 4 * words), (bob, 0)))
 
 
 def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, complex]:
@@ -407,8 +420,11 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
 
-    The choices and the codes are drawn whole; the clicks are then drawn in
-    blocks of ``_KERNEL_BLOCK`` bits. Each block draws its detection uniforms
+    The choices and the codes are drawn whole: the three choice columns are
+    the top bits of the raw bytes of Alice's and Bob's PCG64 words, exactly
+    the values ``Generator.integers(0, 2, dtype=np.int8)`` would draw (see
+    :func:`_choices`). The clicks are then drawn in blocks of
+    ``_KERNEL_BLOCK`` bits. Each block draws its detection uniforms
     first, and the detector means and click probabilities are computed only
     for its candidate bits, those with a uniform below the session's click
     bound (see :func:`_block_clicks`); every other bit has no click. At the
@@ -495,7 +511,13 @@ def _low_digits() -> np.ndarray:
 
 
 def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> None:
-    """Write one CSV row per bit: index, bases as letters, clicks as 0/1."""
+    """Write one CSV row per bit: index, bases as letters, clicks as 0/1.
+
+    Rows are formatted a block at a time into one buffer of ``uint8``
+    rows. Its low index digits and its separators are the same for every
+    block of one index width, so they are laid out once per width; each
+    block then writes only its high index digits and its five fields.
+    """
     n = len(records)
     # below 100,000 rows a block ends at each power of ten instead
     edges = [e for e in (0, 10, 100, 1_000, 10_000) if e < n]
@@ -503,17 +525,22 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
     # each field after the index, with the character of its 0 ('Y' follows 'X')
     fields = ((records.alice_basis, BASES[0]), (records.alice_bit, "0"), (records.bob_basis, BASES[0]),
               (records.clicked_d0, "0"), (records.clicked_d1, "0"))
+    rows = np.empty((0, 0), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
         for start, stop in zip(edges, edges[1:]):
             width = len(str(start))
             # after the index: five one-character fields, each after a comma, and "\n"
-            rows = np.empty((stop - start, width + 11), dtype=np.uint8)
-            low, offset = min(width, 5), start % _CSV_BLOCK_ROWS
-            rows[:, width - low : width] = _low_digits()[offset : offset + stop - start, 5 - low :]
+            if rows.shape[1] != width + 11:
+                # a width's first block is its longest, and every later one
+                # starts at a multiple of _CSV_BLOCK_ROWS
+                rows = np.empty((stop - start, width + 11), dtype=np.uint8)
+                low, offset = min(width, 5), start % _CSV_BLOCK_ROWS
+                rows[:, width - low : width] = _low_digits()[offset : offset + stop - start, 5 - low :]
+                rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
+            block = rows[: stop - start]
             if width > 5:
-                rows[:, : width - 5] = np.frombuffer(str(start // _CSV_BLOCK_ROWS).encode(), np.uint8)
-            rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
+                block[:, : width - 5] = np.frombuffer(str(start // _CSV_BLOCK_ROWS).encode(), np.uint8)
             for k, (values, zero) in enumerate(fields):
-                np.add(values[start:stop].view(np.uint8), ord(zero), out=rows[:, width + 1 + 2 * k])
-            fh.write(rows)
+                np.add(values[start:stop].view(np.uint8), ord(zero), out=block[:, width + 1 + 2 * k])
+            fh.write(block)

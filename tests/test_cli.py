@@ -57,6 +57,16 @@ def test_session_writes_record_csv(tmp_path, capsys):
     assert f"wrote 4000 records to {target}" in capsys.readouterr().out
 
 
+def test_session_with_no_sifted_bit_reports_it_and_writes_records(tmp_path, monkeypatch, capsys):
+    # about a quarter of 500-bit sessions sift nothing; this one reports NaN
+    # the way an empty scan point does, and still writes its records
+    monkeypatch.chdir(tmp_path)
+    assert main(["session", "--bits", "500", "--seed", "4", "--output", "r.csv"]) == 0
+    out = capsys.readouterr().out
+    assert out == "wrote 500 records to r.csv\nqber=nan std_error=nan n_sifted=0 n_errors=0\n"
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 501
+
+
 def test_session_rejects_invalid_parameters(capsys):
     assert main(["session", "--bits", "0"]) == 1
     assert "error:" in capsys.readouterr().err

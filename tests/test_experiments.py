@@ -150,6 +150,10 @@ def test_scan_validation():
         delay_scan(cfg, [0.0, math.inf])
     with pytest.raises(ValidationError):
         delay_scan(cfg, [0.0], max_workers=0)
+    # a number, a string or a 2-d array is not a delay list
+    for delays in (1.0, "12", b"12", np.zeros((2, 1))):
+        with pytest.raises(ValidationError, match="^delays_ns must be a sequence of delays, got "):
+            delay_scan(cfg, delays)
 
 
 def test_scan_reports_an_empty_point_as_itself(tmp_path):

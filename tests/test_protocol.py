@@ -167,6 +167,34 @@ def test_detection_records_accept_bits_of_any_numeric_dtype():
     assert all(getattr(records, name) is col for name, col in zip(DetectionRecords.__slots__, cols))
 
 
+@pytest.mark.parametrize(
+    "cols",
+    [(1, 1, 1, 1, 1), (np.zeros((2, 2), dtype=np.int8),) * 3 + (np.zeros((2, 2), dtype=bool),) * 2,
+     ([0], [1], [[0]], [True], [False])],
+    ids=["scalars", "2-d", "one-2-d"],
+)
+def test_detection_records_refuse_a_column_that_is_not_1d(cols):
+    name = next(n for n, c in zip(DetectionRecords.__slots__, cols) if np.ndim(c) != 1)
+    with pytest.raises(ValidationError, match=f"^{name} must be a 1-d column, got shape "):
+        DetectionRecords(*cols)
+
+
+# alice_bit starts at uint32 word ceil(n / 4), so an n not divisible by 4
+# leaves part of alice_basis' last word unused, and an odd word count starts
+# alice_bit in the high half of a 64-bit word
+@pytest.mark.parametrize("seed", [0, 7, 123_456_789])
+@pytest.mark.parametrize("n", [1, 7, 13, 32_767, 32_769, 84_300, 100_003, 843_000, 843_001])
+def test_choices_are_the_generators_int8_draws(seed, n):
+    streams = _substreams(seed)
+    rng_alice = np.random.default_rng(streams["alice"])
+    rng_bob = np.random.default_rng(streams["bob"])
+    expected = (rng_alice.integers(0, 2, size=n, dtype=np.int8), rng_alice.integers(0, 2, size=n, dtype=np.int8),
+                rng_bob.integers(0, 2, size=n, dtype=np.int8))
+    for col, want in zip(protocol._choices(streams, n), expected):
+        assert col.dtype == np.int8 and col.shape == (n,)
+        assert np.array_equal(col, want)
+
+
 def test_ideal_components_wrong_detector_exactly_zero():
     """Matched-basis bits put strictly zero mean photons on the wrong port
     with ideal hardware, for all four basis/bit combinations."""
@@ -767,10 +795,11 @@ def _records_csv_by_row(records):
 
 
 # rows change index width at each power of ten, and from row 100,000 on the
-# export formats aligned blocks of 100,000 rows; 1,000,001 rows reach width 7
+# export formats aligned blocks of 100,000 rows; 1,000,001 rows reach width 7,
+# and 1,100,001 rows reuse the width-7 buffer under a new two-digit prefix
 @pytest.mark.parametrize(
     "n",
-    [1, 10, 1001, 65_537, 0, 9, 11, 100, 101, 100_001, 99_999, 100_000, 200_001, 1_000_001],
+    [1, 10, 1001, 65_537, 0, 9, 11, 100, 101, 100_001, 99_999, 100_000, 200_001, 1_000_001, 1_100_001],
 )
 def test_records_csv_matches_row_by_row_reference(n, tmp_path):
     rng = np.random.default_rng(n)

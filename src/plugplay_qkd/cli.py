@@ -233,16 +233,20 @@ def _parse_phase_dist(form: str):
         if arg:
             raise ValidationError("uniform takes no argument")
         return UniformPhase()
+    # only the parse is caught: the distribution's own ValidationError names
+    # its real fault, such as a count below 1 or a phase that is not finite
     if name == "discrete":
         try:
-            return DiscreteUniformPhase(int(arg))
+            n_values = int(arg)
         except ValueError:
             raise ValidationError(f"discrete needs an integer count, got {arg!r}") from None
+        return DiscreteUniformPhase(n_values)
     if name == "fixed":
         try:
-            return FixedPhase(float(arg) if arg else 0.0)
+            phi = float(arg) if arg else 0.0
         except ValueError:
             raise ValidationError(f"fixed needs a phase in radians, got {arg!r}") from None
+        return FixedPhase(phi)
     raise ValidationError(
         f"phase distribution must be uniform, discrete:N or fixed:PHI, got {form!r}"
     )

@@ -28,7 +28,6 @@ wrong detector.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -69,12 +68,12 @@ def _substreams(seed: int) -> dict:
 def pattern_stream(seed: int, n_codes: int) -> np.ndarray:
     """The first ``n_codes`` pattern codes of the session seeded by ``seed``.
 
-    Frames retrigger back to back, so a session's codes are one stream drawn
-    from its pattern substream. One draw yields the same codes as frame-by-frame
-    draws, so the stream does not depend on the frame length.
+    Frames retrigger back to back, so a session's codes are one stream: the
+    window ``[0, n_codes)`` of its pattern substream (see
+    :func:`~plugplay_qkd.randomizer.generate_pattern`), which the kernel
+    reads a block's slots at a time. It does not depend on the frame length.
     """
-    rng = np.random.default_rng(_substreams(whole("seed", seed, 0))["pattern"])
-    return generate_pattern(rng, n_codes)
+    return generate_pattern(_substreams(whole("seed", seed, 0))["pattern"], n_codes)
 
 
 # SessionConfig's real fields as (name, low, high, ends) for errors.real, in check order: timing,
@@ -213,6 +212,24 @@ class QberEstimate:
     n_errors: int
 
 
+# Raw PCG64 words per draw of the choice columns: their temporaries stay at 256 KB.
+_CHOICE_CHUNK = 1 << 15
+
+
+def _top_bits(seq: np.random.SeedSequence, columns: tuple[tuple[np.ndarray, int], ...]) -> None:
+    """Fill each uint8 ``column`` of the ``(column, offset)`` pairs with the top
+    bits of bytes ``[offset, offset + len(column))`` of the little-endian raw
+    PCG64 stream of ``seq``, drawn ``_CHOICE_CHUNK`` words at a time."""
+    bitgen = np.random.PCG64(seq)
+    end = max(offset + len(col) for col, offset in columns)
+    for lo in range(0, end, 8 * _CHOICE_CHUNK):
+        raw = bitgen.random_raw(min(_CHOICE_CHUNK, -(-(end - lo) // 8))).astype("<u8", copy=False).view(np.uint8)
+        for col, offset in columns:
+            a, b = max(lo, offset), min(lo + raw.size, offset + len(col))
+            if a < b:
+                np.right_shift(raw[a - lo : b - lo], 7, out=col[a - offset : b - offset])
+
+
 def _choices(streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alice's basis and bit and Bob's basis for ``n`` bits, one int8 column each.
 
@@ -227,10 +244,10 @@ def _choices(streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     stream, ``alice_bit`` bytes ``[4w, 4w + n)`` after the ``w = ceil(n / 4)``
     words the first column used, and ``bob_basis`` bytes ``[0, n)`` of Bob's.
     """
-    words = -(-n // 4)
-    alice, bob = (np.random.PCG64(streams[role]).random_raw(k).astype("<u8", copy=False).view(np.uint8)
-                  for role, k in (("alice", words), ("bob", -(-words // 2))))
-    return tuple((raw[lo : lo + n] >> 7).view(np.int8) for raw, lo in ((alice, 0), (alice, 4 * words), (bob, 0)))
+    alice_basis, alice_bit, bob_basis = (np.empty(n, dtype=np.uint8) for _ in range(3))
+    _top_bits(streams["alice"], ((alice_basis, 0), (alice_bit, 4 * -(-n // 4))))
+    _top_bits(streams["bob"], ((bob_basis, 0),))
+    return alice_basis.view(np.int8), alice_bit.view(np.int8), bob_basis.view(np.int8)
 
 
 def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, complex]:
@@ -248,14 +265,6 @@ def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, comple
     return h0 / norm, v0 / norm
 
 
-def _session_codes(config: SessionConfig) -> np.ndarray:
-    """The codes of the session's whole frames; none with the randomizer off."""
-    if not config.randomizer_enabled:
-        return np.zeros(0, dtype=np.int32)
-    n_frames = -(-config.n_bits // DEFAULT_FRAME_LEN)
-    return pattern_stream(config.seed, n_frames * DEFAULT_FRAME_LEN)
-
-
 def _pass_shift(first_ns: float, n: int, n_codes: int, config: SessionConfig) -> int:
     """Slot shift of a pass that bit 0 makes at ``first_ns``: bits pass one period
     apart, so bit ``i`` samples slot ``i + shift`` (slot grid: see :func:`run_session`)."""
@@ -267,9 +276,10 @@ def _pass_shift(first_ns: float, n: int, n_codes: int, config: SessionConfig) ->
 
 def _pass_codes(codes: np.ndarray, shift: int, bits: np.ndarray) -> np.ndarray:
     """Codes the ascending bit indexes ``bits`` see on a pass of slot shift
-    ``shift``; outside the grid the code is 0."""
-    # bit i samples slot i + shift, so the bits on the grid are one run of
-    # ``bits``; with the randomizer off (no codes) that run is empty
+    ``shift``, where ``codes`` holds the slots from slot 0 on; outside them
+    the code is 0."""
+    # bit i samples slot i + shift, so the bits on the slots are one run of
+    # ``bits``; with no codes that run is empty
     lo, hi = np.searchsorted(bits, (-shift, codes.size - shift))
     out = np.zeros(bits.size, dtype=np.int32)
     out[lo:hi] = codes[bits[lo:hi] + shift]
@@ -331,24 +341,31 @@ def _block_means(
 def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarray, ...]):
     """The session's detector means at any of its bits, and their ceiling.
 
-    Returns ``(means, peak)``: ``means(bits)`` gives ``(mu_d0, mu_d1)`` at the
-    ascending bit indexes ``bits``, and no detector mean of the session
-    exceeds ``peak``.
+    Returns ``(means, peak)``: ``means(start, stop, bits)`` gives ``(mu_d0,
+    mu_d1)`` at the ascending bit indexes ``bits`` of the block ``[start,
+    stop)``, and no detector mean of the session exceeds ``peak``. Each call
+    draws the codes of the slots the block's four passes touch, in one
+    window of the pattern stream.
     """
     n = config.n_bits
     h0, v0 = _polarization(config, streams)
-    codes = _session_codes(config)
+    # the session runs whole frames; a disabled randomizer has none
+    n_codes = -(-n // DEFAULT_FRAME_LEN) * DEFAULT_FRAME_LEN if config.randomizer_enabled else 0
     t0 = config.first_event_ns()
     # the passes in order: reference forward and return, signal forward and return
-    shifts = [_pass_shift(first_ns, n, codes.size, config) for first_ns in (
+    shifts = [_pass_shift(first_ns, n, n_codes, config) for first_ns in (
         t0, t0 + config.roundtrip_ns, t0 + config.tau_mzi_ns, t0 + config.tau_mzi_ns + config.roundtrip_ns)]
+    lowest, highest = min(shifts), max(shifts)
     path_amp = _path_amplitude(config)
     # the mirror swaps H and V (see _block_means)
     a_h = abs(v0 * path_amp) ** 2
     a_v = abs(h0 * path_amp) ** 2
 
-    def means(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pass_codes = tuple(_pass_codes(codes, shift, bits) for shift in shifts)
+    def means(start: int, stop: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the block's bits sample the slots [lo, hi) of the grid
+        lo, hi = max(start + lowest, 0), min(stop + highest, n_codes)
+        codes = generate_pattern(streams["pattern"], hi - lo, lo) if lo < hi else np.zeros(0, dtype=np.int32)
+        pass_codes = tuple(_pass_codes(codes, shift - lo, bits) for shift in shifts)
         return _block_means(tuple(c[bits] for c in choices), pass_codes, a_h, a_v)
 
     # cos <= 1 puts each term of _block_means at or below 2 a_h or 2 a_v, also
@@ -388,7 +405,7 @@ def _block_clicks(
     u0, u1 = rng_d0.random(stop - start), rng_d1.random(stop - start)
     candidates = np.flatnonzero((u0 < bound) | (u1 < bound))
     bits = candidates + start
-    mu_d0, mu_d1 = means(bits)
+    mu_d0, mu_d1 = means(start, stop, bits)
     eta = config.efficiency
     dark = config.dark_prob
     p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0)
@@ -420,16 +437,18 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
 
-    The choices and the codes are drawn whole: the three choice columns are
-    the top bits of the raw bytes of Alice's and Bob's PCG64 words, exactly
-    the values ``Generator.integers(0, 2, dtype=np.int8)`` would draw (see
-    :func:`_choices`). The clicks are then drawn in blocks of
-    ``_KERNEL_BLOCK`` bits. Each block draws its detection uniforms
+    The three choice columns are drawn whole, a chunk of raw PCG64 words at
+    a time: they are the top bits of the raw bytes of Alice's and Bob's
+    streams, exactly the values ``Generator.integers(0, 2, dtype=np.int8)``
+    would draw (see :func:`_choices`). The clicks are then drawn in blocks
+    of ``_KERNEL_BLOCK`` bits. Each block draws its detection uniforms
     first, and the detector means and click probabilities are computed only
     for its candidate bits, those with a uniform below the session's click
     bound (see :func:`_block_clicks`); every other bit has no click. At the
-    defaults about 1% of bits are candidates. The session holds its 5 B/bit
-    of records, 4 B/bit of codes and one block, never a full-length float
+    defaults about 1% of bits are candidates. Each block also draws the
+    codes of the slots its passes touch, one window of the pattern stream
+    from raw words (see :func:`_session_means`). The session holds its
+    5 B/bit of records and one block, never a full-length code or float
     column; :func:`detector_means` returns the means of every bit.
     """
     n = config.n_bits
@@ -451,9 +470,10 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
 
     These are what phase-randomization invariance is stated about. They come
     from the same draws and float arithmetic as :func:`run_session`, block
-    by block, so bit ``i``'s means are exactly the ones its click
-    probabilities are computed from; no detection uniforms are drawn. The
-    two float64 columns take 16 B/bit.
+    by block, each block drawing its own window of pattern codes, so bit
+    ``i``'s means are exactly the ones its click probabilities are computed
+    from; no detection uniforms are drawn. The two float64 columns take
+    16 B/bit, the choices 3 B/bit and the rest one block.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
@@ -461,7 +481,7 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     mu_d0, mu_d1 = np.empty(n), np.empty(n)
     for start in range(0, n, _KERNEL_BLOCK):
         stop = min(n, start + _KERNEL_BLOCK)
-        mu_d0[start:stop], mu_d1[start:stop] = means(np.arange(start, stop))
+        mu_d0[start:stop], mu_d1[start:stop] = means(start, stop, np.arange(start, stop))
     return mu_d0, mu_d1
 
 
@@ -472,11 +492,10 @@ def sift(records: DetectionRecords) -> np.ndarray:
     bit 1). Double clicks survive only if the session already rewrote them
     under the 'random' policy; under 'discard' they are dropped here.
     """
-    conclusive = records.clicked_d0 ^ records.clicked_d1
-    keep = conclusive & (records.alice_basis == records.bob_basis)
-    alice = records.alice_bit[keep]
-    bob = records.clicked_d1[keep].astype(np.int8)
-    return np.column_stack((alice, bob))
+    # a few percent of bits are conclusive, so their bases are compared by index
+    keep = np.flatnonzero(records.clicked_d0 ^ records.clicked_d1)
+    keep = keep[records.alice_basis[keep] == records.bob_basis[keep]]
+    return np.column_stack((records.alice_bit[keep], records.clicked_d1[keep].astype(np.int8)))
 
 
 def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEstimate:
@@ -495,28 +514,51 @@ def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEst
     return QberEstimate(qber=qber, std_error=std_error, n_sifted=n, n_errors=n_errors)
 
 
-# Rows formatted per write: bounds the text held at once to a few MB. From
+# Rows formatted per write: bounds the text held at once to 2 MB. From
 # row 100,000 on, blocks start at its multiples, as every power of ten there
 # does, so the rows of a block share one index width.
 _CSV_BLOCK_ROWS = 100_000
 
+# The four ASCII digits of the indexes 0 to 9,999, one row each.
+_FOUR_DIGITS = np.stack(
+    [np.tile(np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), 10 ** (3 - k)), 10**k) for k in range(4)],
+    axis=1)
+_FOUR_DIGITS.setflags(write=False)
 
-@functools.cache
-def _low_digits() -> np.ndarray:
-    """The five low ASCII digits of the indexes 0 to 99,999, one row each."""
-    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    table = np.stack([np.tile(np.repeat(ascii_digits, 10 ** (4 - k)), 10**k) for k in range(5)], axis=1)
-    table.setflags(write=False)
-    return table
+
+def _lay_out_rows(start: int, n_rows: int, width: int) -> np.ndarray:
+    """A buffer for ``n_rows`` rows of index width ``width`` from row ``start``,
+    with the low five index digits and the separators in place.
+
+    Both are the same for every block of one width: a width's first block is
+    its longest, and every later one starts at a multiple of
+    ``_CSV_BLOCK_ROWS``.
+    """
+    # after the index: five one-character fields, each after a comma, and "\n"
+    rows = np.empty((n_rows, width + 11), dtype=np.uint8)
+    offset, low = start % _CSV_BLOCK_ROWS, min(width, 4)
+    # the first 10,000 rows, whose low four digits and separators every later
+    # run of 10,000 repeats; below row 10,000 a width starts mid-table
+    head = rows[:10_000]
+    first = offset % 10_000
+    head[:, width - low : width] = _FOUR_DIGITS[first : first + len(head), 4 - low :]
+    head[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
+    for j in range(0, n_rows, 10_000):
+        if j:
+            rows[j : j + 10_000] = head[: n_rows - j]
+        if width > 4:
+            rows[j : j + 10_000, width - 5] = ord("0") + (offset + j) // 10_000 % 10
+    return rows
 
 
 def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> None:
     """Write one CSV row per bit: index, bases as letters, clicks as 0/1.
 
-    Rows are formatted a block at a time into one buffer of ``uint8``
-    rows. Its low index digits and its separators are the same for every
-    block of one index width, so they are laid out once per width; each
-    block then writes only its high index digits and its five fields.
+    Rows are formatted a block of up to ``_CSV_BLOCK_ROWS`` at a time into one
+    buffer of ``uint8`` rows, about 2 B/bit at the paper's 843,000 bits. Its
+    low index digits and its separators are laid out once per index width
+    (see :func:`_lay_out_rows`); each block then writes only its high index
+    digits and its five fields.
     """
     n = len(records)
     # below 100,000 rows a block ends at each power of ten instead
@@ -525,19 +567,15 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
     # each field after the index, with the character of its 0 ('Y' follows 'X')
     fields = ((records.alice_basis, BASES[0]), (records.alice_bit, "0"), (records.bob_basis, BASES[0]),
               (records.clicked_d0, "0"), (records.clicked_d1, "0"))
-    rows = np.empty((0, 0), dtype=np.uint8)
+    rows = None
     with open(path, "wb") as fh:
         fh.write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
         for start, stop in zip(edges, edges[1:]):
             width = len(str(start))
-            # after the index: five one-character fields, each after a comma, and "\n"
-            if rows.shape[1] != width + 11:
-                # a width's first block is its longest, and every later one
-                # starts at a multiple of _CSV_BLOCK_ROWS
-                rows = np.empty((stop - start, width + 11), dtype=np.uint8)
-                low, offset = min(width, 5), start % _CSV_BLOCK_ROWS
-                rows[:, width - low : width] = _low_digits()[offset : offset + stop - start, 5 - low :]
-                rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
+            if rows is None or rows.shape[1] != width + 11:
+                # drop the last width's buffer first, so one is alive at a time
+                rows = block = None
+                rows = _lay_out_rows(start, stop - start, width)
             block = rows[: stop - start]
             if width > 5:
                 block[:, : width - 5] = np.frombuffer(str(start // _CSV_BLOCK_ROWS).encode(), np.uint8)

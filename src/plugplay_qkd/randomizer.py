@@ -7,6 +7,11 @@ retrigger back to back. The generator's clocking (period, trigger delay,
 mirror round trip) is part of :class:`plugplay_qkd.protocol.SessionConfig`,
 and the double-pass modulator it drives, with where each pass lands on the
 code grid, is modelled in :mod:`plugplay_qkd.protocol`.
+
+The codes themselves are one stream of independent uniform draws, of which
+:func:`generate_pattern` returns any window straight from raw PCG64 words:
+the session kernel reads one window per block of bits, the uniformity audit
+one window from the start.
 """
 
 from __future__ import annotations
@@ -17,19 +22,33 @@ import numpy as np
 
 from .errors import MAX_FLOAT64S, ValidationError, whole
 
-CODE_LEVELS = 4096
+CODE_BITS = 12
+CODE_LEVELS = 1 << CODE_BITS
 DEFAULT_FRAME_LEN = 504
 PHASE_PER_CODE = 2.0 * math.pi / CODE_LEVELS
 
 
-def generate_pattern(rng: np.random.Generator, n_codes: int) -> np.ndarray:
-    """Draw ``n_codes`` independent uniform codes from ``rng`` as an int32 array.
+def generate_pattern(seed, n_codes: int, start: int = 0) -> np.ndarray:
+    """Codes ``[start, start + n_codes)`` of the pattern stream of ``seed`` (a
+    ``SeedSequence``, or any seed ``PCG64`` takes), as an int32 array.
 
-    One draw of ``k * m`` codes equals ``k`` consecutive draws of ``m``, so
-    a stream does not depend on how it is cut into frames.
+    The stream is exactly what ``Generator(PCG64(seed)).integers(0, 4096,
+    dtype=np.int32)`` draws, in one call or frame by frame, taken from the
+    raw PCG64 words instead. numpy maps each such code from one uint32 by
+    Lemire's multiply ``(u * 4096) >> 32``, which never rejects for a
+    power-of-two range: a code is the top 12 bits of its uint32. PCG64 hands
+    out each 64-bit word's low half first, so code ``k`` sits in word
+    ``k // 2`` and a window is drawn after advancing past the words before
+    it. Raw words are what numpy's RNG policy keeps stable across versions.
     """
     n_codes = whole("n_codes", n_codes, 1, MAX_FLOAT64S)
-    return rng.integers(0, CODE_LEVELS, size=n_codes, dtype=np.int32)
+    start = whole("start", start, 0)
+    skip = start % 2
+    raw = np.random.PCG64(seed).advance(start // 2).random_raw(-(-(skip + n_codes) // 2))
+    # the uint32 stream is the little-endian halves of the words, on any host
+    codes = raw.astype("<u8", copy=False).view("<u4")
+    codes >>= 32 - CODE_BITS
+    return codes[skip : skip + n_codes].view("<i4").astype(np.int32, copy=False)
 
 
 def code_to_phase(code):

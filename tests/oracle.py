@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from plugplay_qkd.protocol import _substreams
-from plugplay_qkd.randomizer import DEFAULT_FRAME_LEN, code_to_phase, generate_pattern
+from plugplay_qkd.randomizer import CODE_LEVELS, DEFAULT_FRAME_LEN, code_to_phase
 
 
 def photon_number(amp):
@@ -116,8 +116,10 @@ def session_means(cfg):
     through the scalar operations above.
 
     Alice's and Bob's choices and the polarization come from the session's
-    own substreams. The pattern is drawn frame by frame, as the hardware
-    retriggers, and the frames run back to back as one stepped pattern.
+    own substreams. The pattern is drawn frame by frame with numpy's
+    ``Generator.integers``, not the package's raw-word mapping, as the
+    hardware retriggers, and the frames run back to back as one stepped
+    pattern.
     """
     streams = _substreams(cfg.seed)
     rng_alice = np.random.default_rng(streams["alice"])
@@ -139,7 +141,8 @@ def session_means(cfg):
     if cfg.randomizer_enabled:
         rng_pattern = np.random.default_rng(streams["pattern"])
         n_frames = -(-n // DEFAULT_FRAME_LEN)
-        frames = [generate_pattern(rng_pattern, DEFAULT_FRAME_LEN) for _ in range(n_frames)]
+        frames = [rng_pattern.integers(0, CODE_LEVELS, size=DEFAULT_FRAME_LEN, dtype=np.int32)
+                  for _ in range(n_frames)]
         codes = np.concatenate(frames)
 
     loss_db, tau = cfg.insertion_loss_db, cfg.tau_mzi_ns

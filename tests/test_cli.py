@@ -67,6 +67,24 @@ def test_session_with_no_sifted_bit_reports_it_and_writes_records(tmp_path, monk
     assert len((tmp_path / "r.csv").read_text().splitlines()) == 501
 
 
+def test_paper_session_export_memory_is_bounded(tmp_path, capsys):
+    # warm (the second run), so only per-run allocations count: the 5 B/bit
+    # of records, one kernel block and the export's one 1.7 MB row buffer
+    n_bits = 843_000
+    argv = ["session", "--bits", str(n_bits), "--output", str(tmp_path / "records.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert f"wrote {n_bits} records" in capsys.readouterr().out
+    assert peak / n_bits < 7.5
+
+
 def test_session_rejects_invalid_parameters(capsys):
     assert main(["session", "--bits", "0"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -465,6 +483,21 @@ def test_density_rejects_bad_distribution(capsys):
     assert main(["density", "--phase-dist", "discrete:few"]) == 1
     assert main(["density", "--mean-photon", "-2"]) == 1
     assert capsys.readouterr().err
+
+
+# a number that parses but is no valid distribution is named by the
+# distribution's own rule, not as a failed parse
+@pytest.mark.parametrize(
+    "form, message",
+    [("discrete:0", "n_values must be >= 1, got 0"), ("discrete:-3", "n_values must be >= 1, got -3"),
+     ("fixed:nan", "phi must be finite, got nan"), ("fixed:inf", "phi must be finite, got inf"),
+     ("discrete:few", "discrete needs an integer count, got 'few'")],
+)
+def test_density_names_the_fault_of_a_distribution(form, message, tmp_path, capsys):
+    target = tmp_path / "density.csv"
+    assert main(["density", "--phase-dist", form, "--output", str(target)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not target.exists()
 
 
 def test_huge_sessions_are_errors(monkeypatch, capsys):

@@ -31,7 +31,7 @@ from plugplay_qkd.experiments import (
     uniformity_chisq,
 )
 from plugplay_qkd.protocol import BASES, _KERNEL_BLOCK, _substreams, pattern_stream
-from plugplay_qkd.randomizer import generate_pattern
+from plugplay_qkd.randomizer import CODE_LEVELS, generate_pattern
 
 SE_HALF_1000 = 0.015811388300841896  # sqrt(0.25 / 1000)
 SE_1PC_1000 = 0.003146426544510455  # sqrt(0.01 * 0.99 / 1000)
@@ -195,6 +195,18 @@ def test_choices_are_the_generators_int8_draws(seed, n):
         assert np.array_equal(col, want)
 
 
+# chunks of one and three words cut both of Alice's columns, and the few
+# unused bytes between them, at every kind of place
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("n", [1, 7, 13, 25, 1_001])
+def test_choices_do_not_depend_on_the_chunk(chunk, n, monkeypatch):
+    streams = _substreams(5)
+    whole = protocol._choices(streams, n)
+    monkeypatch.setattr(protocol, "_CHOICE_CHUNK", chunk)
+    for col, want in zip(protocol._choices(streams, n), whole):
+        assert col.dtype == np.int8 and np.array_equal(col, want)
+
+
 def test_ideal_components_wrong_detector_exactly_zero():
     """Matched-basis bits put strictly zero mean photons on the wrong port
     with ideal hardware, for all four basis/bit combinations."""
@@ -312,7 +324,7 @@ def test_randomizer_toggle_leaves_detector_means_unchanged():
 @pytest.mark.parametrize("seed", [0, 42])
 def test_pattern_stream_is_the_per_frame_session_stream(seed):
     rng = np.random.default_rng(_substreams(seed)["pattern"])
-    frames = np.concatenate([generate_pattern(rng, 504) for _ in range(3)])
+    frames = np.concatenate([rng.integers(0, CODE_LEVELS, size=504, dtype=np.int32) for _ in range(3)])
     np.testing.assert_array_equal(pattern_stream(seed, 1000), frames[:1000])
     np.testing.assert_array_equal(pattern_stream(seed, 1512), frames)
 
@@ -419,21 +431,21 @@ def _peak_bytes_per_bit(fn, n_bits):
 
 
 def test_session_memory_is_bounded():
-    # the session holds the 5 B/bit of records it returns, the 4 B/bit of
-    # pattern codes and one block of detection uniforms (about 0.6 B/bit at
-    # 843,000 bits); means exist only for a block's candidate bits, so no
-    # float column of even block length is built for them
+    # the session holds the 5 B/bit of records it returns and one block of
+    # detection uniforms and pattern codes (under 1 B/bit at 843,000 bits);
+    # means exist only for a block's candidate bits, so no float column of
+    # even block length is built for them
     per_bit, records = _peak_bytes_per_bit(run_session, 843_000)
     assert len(records) == 843_000
-    assert per_bit < 12
+    assert per_bit < 6.5
 
 
 def test_detector_means_memory_is_bounded():
-    # the 16 B/bit of means it returns, the 3 B/bit of choices, the 4 B/bit
-    # of pattern codes and one block of temporaries
+    # the 16 B/bit of means it returns, the 3 B/bit of choices and one block
+    # of temporaries, pattern codes among them
     per_bit, (mu_d0, mu_d1) = _peak_bytes_per_bit(detector_means, 843_000)
     assert len(mu_d0) == len(mu_d1) == 843_000
-    assert per_bit < 28
+    assert per_bit < 24.5
 
 
 def test_overflowing_slot_quotient_is_the_idle_modulator():
@@ -709,7 +721,8 @@ _WHOLE_SITES = {
     "seed": ("seed", lambda v: SessionConfig(n_bits=100, seed=v), 0),
     "pattern_stream-seed": ("seed", lambda v: pattern_stream(v, 100), 0),
     "pattern_stream-n_codes": ("n_codes", lambda v: pattern_stream(3, v), 1),
-    "generate_pattern": ("n_codes", lambda v: generate_pattern(np.random.default_rng(5), v), 1),
+    "generate_pattern": ("n_codes", lambda v: generate_pattern(np.random.SeedSequence(5), v), 1),
+    "generate_pattern-start": ("start", lambda v: generate_pattern(np.random.SeedSequence(5), 3, v), 0),
     "max_workers": ("max_workers", lambda v: delay_scan(SessionConfig(n_bits=200), [0.0, 1.0], max_workers=v), 1),
     "n_bins": ("n_bins", lambda v: uniformity_chisq(np.linspace(0.0, 6.0, 1000), n_bins=v), 2),
     "n_values": ("n_values", lambda v: DiscreteUniformPhase(v), 1),
@@ -759,6 +772,7 @@ def test_whole_numbers_accept_numpy_integers(site):
      ("pattern_stream-n_codes", 2**70, f"n_codes must be in [1, {_LARGEST}], got {2**70}"),
      ("generate_pattern", 0, f"n_codes must be in [1, {_LARGEST}], got 0"),
      ("generate_pattern", _LARGEST + 1, f"n_codes must be in [1, {_LARGEST}], got {_LARGEST + 1}"),
+     ("generate_pattern-start", -1, "start must be >= 0, got -1"),
      ("max_workers", 0, "max_workers must be >= 1, got 0"),
      ("n_bins", 1, "n_bins must be >= 2, got 1"),
      ("n_values", 0, "n_values must be >= 1, got 0"),
@@ -767,7 +781,8 @@ def test_whole_numbers_accept_numpy_integers(site):
      ("n_max", math.isqrt(_LARGEST // 2),
       f"n_max must be in [1, {math.isqrt(_LARGEST // 2) - 1}], got {math.isqrt(_LARGEST // 2)}")],
     ids=["n_bits-low", "n_bits-high", "seed-low", "pattern_stream-seed-low", "pattern_stream-n_codes-low",
-         "pattern_stream-n_codes-high", "generate_pattern-low", "generate_pattern-high", "max_workers-low",
+         "pattern_stream-n_codes-high", "generate_pattern-low", "generate_pattern-high", "generate_pattern-start-low",
+         "max_workers-low",
          "n_bins-low", "n_values-low", "n_max-low", "n_max-high"],
 )
 def test_whole_numbers_refuse_one_past_each_bound(site, value, message):
@@ -812,7 +827,7 @@ def test_records_csv_matches_row_by_row_reference(n, tmp_path):
 
 def test_records_csv_export_memory_is_bounded(tmp_path):
     # the paper's 843,000-bit session writes 14.7 MB of text; the export
-    # formats it a block at a time, so its own allocations stay a few MB
+    # formats it a block at a time into one 1.7 MB buffer
     records = run_session(SessionConfig(n_bits=843_000, seed=42))
     tracemalloc.start()
     try:
@@ -822,7 +837,7 @@ def test_records_csv_export_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "records.csv").stat().st_size > 14_000_000
-    assert peak < 6_000_000
+    assert peak < 2_500_000
 
 
 def test_records_csv_export(tmp_path):

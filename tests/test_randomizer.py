@@ -3,6 +3,7 @@ oracle's slot rule and double-pass modulator that the kernel is checked
 against."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -16,16 +17,16 @@ CHI2_P999_DF255 = 330.51974363400586  # 0.999 quantile of chi-square, 255 dof
 
 
 def test_generate_pattern_length_and_range():
-    codes = generate_pattern(np.random.default_rng(1), 504)
+    codes = generate_pattern(np.random.SeedSequence(1), 504)
     assert codes.shape == (504,) and codes.dtype == np.int32
     assert codes.min() >= 0
     assert codes.max() < CODE_LEVELS
 
 
 def test_generate_pattern_deterministic():
-    a = generate_pattern(np.random.default_rng(7), 504)
-    b = generate_pattern(np.random.default_rng(7), 504)
-    c = generate_pattern(np.random.default_rng(8), 504)
+    a = generate_pattern(np.random.SeedSequence(7), 504)
+    b = generate_pattern(np.random.SeedSequence(7), 504)
+    c = generate_pattern(np.random.SeedSequence(8), 504)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -33,25 +34,51 @@ def test_generate_pattern_deterministic():
 @pytest.mark.parametrize("seed", [0, 16950])
 @pytest.mark.parametrize("frame_len", [1, 7, 504])
 def test_single_draw_is_the_per_frame_stream(seed, frame_len):
-    """A session draws its k frames in one call; the uniformity audit draws
-    them frame by frame. Both must be the same code stream."""
+    """The uniformity audit draws k frames in one call, the session kernel a
+    window per block; both must be the stream numpy's integers draws frame by
+    frame."""
     k = 9
-    whole = generate_pattern(np.random.default_rng(seed), k * frame_len)
+    seq = np.random.SeedSequence(seed)
+    whole = generate_pattern(seq, k * frame_len)
     rng = np.random.default_rng(seed)
-    frames = np.concatenate([generate_pattern(rng, frame_len) for _ in range(k)])
+    frames = np.concatenate([rng.integers(0, CODE_LEVELS, size=frame_len, dtype=np.int32) for _ in range(k)])
     assert np.array_equal(whole, frames)
+    windows = np.concatenate([generate_pattern(seq, frame_len, j * frame_len) for j in range(k)])
+    assert np.array_equal(windows, frames)
+
+
+_WINDOW_STARTS = (0, 1, 2, 32_767, 843_001)
+_WINDOW_LENGTHS = (1, 7, 13, 504, 32_767, 32_769, 843_696)
+
+
+@functools.cache
+def _integers_codes(seed):
+    # numpy's own draw of every code the windows below read
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return rng.integers(0, CODE_LEVELS, size=max(_WINDOW_STARTS) + max(_WINDOW_LENGTHS), dtype=np.int32)
+
+
+# an odd start begins in the high half of a 64-bit word, an odd end ends in
+# the low half; 843,696 codes are a paper session's whole frames
+@pytest.mark.parametrize("seed", [0, 7, 123_456_789])
+@pytest.mark.parametrize("start", _WINDOW_STARTS)
+@pytest.mark.parametrize("n", _WINDOW_LENGTHS)
+def test_code_windows_are_the_generators_integers(seed, start, n):
+    codes = generate_pattern(np.random.SeedSequence(seed), n, start)
+    assert codes.dtype == np.int32 and codes.shape == (n,)
+    assert np.array_equal(codes, _integers_codes(seed)[start : start + n])
 
 
 def test_generate_pattern_rejects_empty_frame():
     with pytest.raises(ValidationError):
-        generate_pattern(np.random.default_rng(0), 0)
+        generate_pattern(np.random.SeedSequence(0), 0)
 
 
 def test_generate_pattern_uniformity_chisq():
     # 1e6 codes, 256 equal bins; statistic concentrates near 255 and must stay
     # under the 0.999 quantile for this pinned seed
-    rng = np.random.default_rng(20240321)
-    codes = np.concatenate([generate_pattern(rng, 504) for _ in range(1985)])[:1_000_000]
+    seq = np.random.SeedSequence(20240321)
+    codes = np.concatenate([generate_pattern(seq, 504, 504 * j) for j in range(1985)])[:1_000_000]
     counts = np.bincount(codes // 16, minlength=256)
     expected = codes.size / 256
     statistic = float(((counts - expected) ** 2 / expected).sum())
@@ -97,8 +124,7 @@ def test_phase_at_slot_boundaries():
 
 
 def test_phase_at_piecewise_constant():
-    rng = np.random.default_rng(5)
-    pattern = generate_pattern(rng, 8)
+    pattern = generate_pattern(np.random.SeedSequence(5), 8)
     cfg = SessionConfig(period_ns=200.0, delay_ns=-35.0)
     for slot in range(8):
         start = -35.0 + slot * 200.0
@@ -108,7 +134,7 @@ def test_phase_at_piecewise_constant():
 
 
 def test_phase_at_translation_by_one_period():
-    pattern = generate_pattern(np.random.default_rng(6), 16)
+    pattern = generate_pattern(np.random.SeedSequence(6), 16)
     base = SessionConfig(period_ns=200.0, delay_ns=10.0)
     shifted = SessionConfig(period_ns=200.0, delay_ns=210.0)
     for t in np.linspace(-300.0, 3600.0, 131):

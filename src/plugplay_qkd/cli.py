@@ -312,9 +312,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _joined(argv: list[str], file_flags: dict[str, set[str]]) -> list[str]:
+    """``argv`` with each long flag of its command that takes a value joined to
+    that value as ``--flag=value``, so argparse does not read a value such as
+    ``-1e2`` or ``-inf`` as a flag. A flag followed by an option keeps its
+    missing-value error."""
+    joined, flags = [], set()
+    for token in argv:
+        if joined and joined[-1] in flags and not token.startswith("--") and token != "-h":
+            joined[-1] += "=" + token
+            continue
+        if not flags and not token.startswith("-"):
+            # the top-level parser takes no value, so its first other token is the command
+            flags = file_flags.get(token, set()) | {"--config"}
+        joined.append(token)
+    return joined
+
+
 def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` with its ``--config`` file's lines as flags placed right
     after the command name, so argparse checks them alike and given flags win."""
+    argv = _joined(argv, parser.file_flags)
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args

@@ -40,6 +40,7 @@ from .randomizer import (
     CODE_LEVELS,
     DEFAULT_FRAME_LEN,
     PHASE_PER_CODE,
+    _raw_window,
     generate_pattern,
 )
 
@@ -212,24 +213,6 @@ class QberEstimate:
     n_errors: int
 
 
-# Raw PCG64 words per draw of the choice columns: their temporaries stay at 256 KB.
-_CHOICE_CHUNK = 1 << 15
-
-
-def _top_bits(seq: np.random.SeedSequence, columns: tuple[tuple[np.ndarray, int], ...]) -> None:
-    """Fill each uint8 ``column`` of the ``(column, offset)`` pairs with the top
-    bits of bytes ``[offset, offset + len(column))`` of the little-endian raw
-    PCG64 stream of ``seq``, drawn ``_CHOICE_CHUNK`` words at a time."""
-    bitgen = np.random.PCG64(seq)
-    end = max(offset + len(col) for col, offset in columns)
-    for lo in range(0, end, 8 * _CHOICE_CHUNK):
-        raw = bitgen.random_raw(min(_CHOICE_CHUNK, -(-(end - lo) // 8))).astype("<u8", copy=False).view(np.uint8)
-        for col, offset in columns:
-            a, b = max(lo, offset), min(lo + raw.size, offset + len(col))
-            if a < b:
-                np.right_shift(raw[a - lo : b - lo], 7, out=col[a - offset : b - offset])
-
-
 def _choices(streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alice's basis and bit and Bob's basis for ``n`` bits, one int8 column each.
 
@@ -238,16 +221,19 @@ def _choices(streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     PCG64 words instead. numpy maps each such value from one byte of a
     uint32 stream, low byte first and a fresh word per call, by Lemire's
     multiply ``(byte * 2) >> 8``, which never rejects for a range of 2: the
-    value is the byte's top bit. PCG64 hands out each 64-bit output's low
-    half first, so the uint32 stream is the little-endian bytes of the raw
-    words. ``alice_basis`` therefore reads bytes ``[0, n)`` of Alice's raw
+    value is the byte's top bit. The uint32 stream is the little-endian
+    bytes of the raw words (see :func:`~plugplay_qkd.randomizer._raw_window`).
+    ``alice_basis`` therefore reads bytes ``[0, n)`` of Alice's raw
     stream, ``alice_bit`` bytes ``[4w, 4w + n)`` after the ``w = ceil(n / 4)``
     words the first column used, and ``bob_basis`` bytes ``[0, n)`` of Bob's.
+    Each column is drawn whole and shifted in place.
     """
-    alice_basis, alice_bit, bob_basis = (np.empty(n, dtype=np.uint8) for _ in range(3))
-    _top_bits(streams["alice"], ((alice_basis, 0), (alice_bit, 4 * -(-n // 4))))
-    _top_bits(streams["bob"], ((bob_basis, 0),))
-    return alice_basis.view(np.int8), alice_bit.view(np.int8), bob_basis.view(np.int8)
+    columns = (_raw_window(streams["alice"], np.uint8, 0, n),
+               _raw_window(streams["alice"], np.uint8, 4 * -(-n // 4), n),
+               _raw_window(streams["bob"], np.uint8, 0, n))
+    for col in columns:
+        col >>= 7
+    return tuple(col.view(np.int8) for col in columns)
 
 
 def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, complex]:
@@ -437,10 +423,10 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
 
-    The three choice columns are drawn whole, a chunk of raw PCG64 words at
-    a time: they are the top bits of the raw bytes of Alice's and Bob's
-    streams, exactly the values ``Generator.integers(0, 2, dtype=np.int8)``
-    would draw (see :func:`_choices`). The clicks are then drawn in blocks
+    The three choice columns are drawn whole and shifted in place: they are
+    the top bits of the raw bytes of Alice's and Bob's streams, exactly the
+    values ``Generator.integers(0, 2, dtype=np.int8)`` would draw (see
+    :func:`_choices`). The clicks are then drawn in blocks
     of ``_KERNEL_BLOCK`` bits. Each block draws its detection uniforms
     first, and the detector means and click probabilities are computed only
     for its candidate bits, those with a uniform below the session's click

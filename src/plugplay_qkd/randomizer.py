@@ -28,6 +28,23 @@ DEFAULT_FRAME_LEN = 504
 PHASE_PER_CODE = 2.0 * math.pi / CODE_LEVELS
 
 
+def _raw_window(seed, dtype, start: int, count: int) -> np.ndarray:
+    """Elements ``[start, start + count)`` of the raw PCG64 stream of ``seed``
+    read as little-endian ``dtype`` (uint8, uint32 or uint64), as a writable
+    array.
+
+    PCG64 hands out each 64-bit word's low half first, so the uint32 and
+    uint8 streams are the little-endian halves and bytes of its words: a
+    window is drawn after advancing past the words before it. Raw words are
+    what numpy's RNG policy keeps stable across versions.
+    """
+    per_word = 8 // np.dtype(dtype).itemsize
+    skip = start % per_word
+    raw = np.random.PCG64(seed).advance(start // per_word).random_raw(-(-(skip + count) // per_word))
+    # the little-endian view is the same on any host
+    return raw.astype("<u8", copy=False).view(dtype)[skip : skip + count]
+
+
 def generate_pattern(seed, n_codes: int, start: int = 0) -> np.ndarray:
     """Codes ``[start, start + n_codes)`` of the pattern stream of ``seed`` (a
     ``SeedSequence``, or any seed ``PCG64`` takes), as an int32 array.
@@ -36,19 +53,14 @@ def generate_pattern(seed, n_codes: int, start: int = 0) -> np.ndarray:
     dtype=np.int32)`` draws, in one call or frame by frame, taken from the
     raw PCG64 words instead. numpy maps each such code from one uint32 by
     Lemire's multiply ``(u * 4096) >> 32``, which never rejects for a
-    power-of-two range: a code is the top 12 bits of its uint32. PCG64 hands
-    out each 64-bit word's low half first, so code ``k`` sits in word
-    ``k // 2`` and a window is drawn after advancing past the words before
-    it. Raw words are what numpy's RNG policy keeps stable across versions.
+    power-of-two range: a code is the top 12 bits of its uint32, and code
+    ``k`` is uint32 ``k`` of the raw stream (see :func:`_raw_window`).
     """
     n_codes = whole("n_codes", n_codes, 1, MAX_FLOAT64S)
     start = whole("start", start, 0)
-    skip = start % 2
-    raw = np.random.PCG64(seed).advance(start // 2).random_raw(-(-(skip + n_codes) // 2))
-    # the uint32 stream is the little-endian halves of the words, on any host
-    codes = raw.astype("<u8", copy=False).view("<u4")
+    codes = _raw_window(seed, "<u4", start, n_codes)
     codes >>= 32 - CODE_BITS
-    return codes[skip : skip + n_codes].view("<i4").astype(np.int32, copy=False)
+    return codes.view("<i4").astype(np.int32, copy=False)
 
 
 def code_to_phase(code):

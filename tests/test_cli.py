@@ -112,6 +112,22 @@ def test_session_rejects_non_finite_parameters(capsys):
         assert captured.out == ""
 
 
+def test_negative_values_after_a_flag(capsys):
+    # argparse alone reads -1e2, -inf and -0.6,0,0.8,0 as flags, not values
+    for flag, value in (("--delay-ns", "-1e2"), ("--polarization", "-0.6,0,0.8,0")):
+        assert main(["session", "--bits", "2000", flag, value]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["session", "--bits", "2000", f"{flag}={value}"]) == 0
+        assert capsys.readouterr().out == spaced and spaced.startswith("qber="), flag
+    assert main(["session", "--bits", "500", "--mean-photon", "-1e-3"]) == 1
+    assert capsys.readouterr().err.endswith("mu_target must be >= 0, got -0.001\n")
+    assert main(["session", "--bits", "500", "--delay-ns", "-inf"]) == 1
+    assert capsys.readouterr().err == "error: delay_ns must be finite, got -inf\n"
+    # a flag followed by another option still misses its value
+    assert main(["session", "--output", "--bits", "500"]) == 1
+    assert capsys.readouterr().err.endswith("argument --output: expected one argument\n")
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1

@@ -195,18 +195,6 @@ def test_choices_are_the_generators_int8_draws(seed, n):
         assert np.array_equal(col, want)
 
 
-# chunks of one and three words cut both of Alice's columns, and the few
-# unused bytes between them, at every kind of place
-@pytest.mark.parametrize("chunk", [1, 3])
-@pytest.mark.parametrize("n", [1, 7, 13, 25, 1_001])
-def test_choices_do_not_depend_on_the_chunk(chunk, n, monkeypatch):
-    streams = _substreams(5)
-    whole = protocol._choices(streams, n)
-    monkeypatch.setattr(protocol, "_CHOICE_CHUNK", chunk)
-    for col, want in zip(protocol._choices(streams, n), whole):
-        assert col.dtype == np.int8 and np.array_equal(col, want)
-
-
 def test_ideal_components_wrong_detector_exactly_zero():
     """Matched-basis bits put strictly zero mean photons on the wrong port
     with ideal hardware, for all four basis/bit combinations."""
@@ -417,17 +405,44 @@ def test_records_do_not_depend_on_the_click_bound(delay, n_bits, monkeypatch):
             assert _records_digest(cfg) == skipping, (enabled, policy)
 
 
-def _peak_bytes_per_bit(fn, n_bits):
-    """tracemalloc's peak during ``fn(config)`` at ``n_bits`` bits, per bit,
-    and the call's result."""
+def _peak_bytes(fn):
+    """tracemalloc's peak during ``fn()``, and the call's result."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        result = fn(SessionConfig(n_bits=n_bits, seed=42))
+        result = fn()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return peak, result
+
+
+def _peak_bytes_per_bit(fn, n_bits):
+    """tracemalloc's peak during ``fn(config)`` at ``n_bits`` bits, per bit,
+    and the call's result."""
+    peak, result = _peak_bytes(lambda: fn(SessionConfig(n_bits=n_bits, seed=42)))
     return peak / n_bits, result
+
+
+# each column is its n raw bytes, plus at most one word, shifted in place: a
+# shifted copy would double a column's transient, which the session's own
+# bound below would not catch
+@pytest.mark.parametrize("n", [84_300, 843_000])
+def test_choices_memory_is_bounded(n):
+    protocol._choices(_substreams(5), 1)  # the first PCG64 imports the rest of numpy.random
+    peak, columns = _peak_bytes(lambda: protocol._choices(_substreams(5), n))
+    assert [len(col) for col in columns] == [n] * 3
+    assert peak / n < 3.05
+
+
+def test_pattern_stream_memory_is_bounded():
+    # the 4 B/code of raw words the codes are shifted in place from, plus at
+    # most one word: the audit's own bound (16 B/code) would not catch a copy
+    n_codes = 4_000_000
+    pattern_stream(3, 1)  # the first PCG64 imports the rest of numpy.random
+    peak, codes = _peak_bytes(lambda: pattern_stream(3, n_codes))
+    assert len(codes) == n_codes
+    assert peak / n_codes < 4.01
 
 
 def test_session_memory_is_bounded():

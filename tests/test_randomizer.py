@@ -11,7 +11,7 @@ import pytest
 
 from oracle import apply_phase, faraday_swap, interfere, modulate_pi, phase_at, photon_number
 from plugplay_qkd import SessionConfig, ValidationError, code_to_phase
-from plugplay_qkd.randomizer import CODE_LEVELS, generate_pattern
+from plugplay_qkd.randomizer import CODE_LEVELS, _raw_window, generate_pattern
 
 CHI2_P999_DF255 = 330.51974363400586  # 0.999 quantile of chi-square, 255 dof
 
@@ -67,6 +67,20 @@ def test_code_windows_are_the_generators_integers(seed, start, n):
     codes = generate_pattern(np.random.SeedSequence(seed), n, start)
     assert codes.dtype == np.int32 and codes.shape == (n,)
     assert np.array_equal(codes, _integers_codes(seed)[start : start + n])
+
+
+# starts of 0 to 17 elements and counts of 1 to 17 begin and end a window at
+# every place inside a 64-bit word, for every element width the stream is read as
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dtype", [np.uint8, "<u4", "<u8"])
+def test_raw_window_is_a_slice_of_the_raw_stream(seed, dtype):
+    seq = np.random.SeedSequence(seed)
+    stream = np.random.PCG64(seq).random_raw(34).astype("<u8").view(dtype)
+    for start in range(18):
+        for count in range(1, 18):
+            window = _raw_window(seq, dtype, start, count)
+            assert window.dtype == np.dtype(dtype) and window.flags.writeable
+            assert np.array_equal(window, stream[start : start + count]), (start, count)
 
 
 def test_generate_pattern_rejects_empty_frame():

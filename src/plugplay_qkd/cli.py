@@ -29,6 +29,7 @@ from .experiments import (
     DiscreteUniformPhase,
     FixedPhase,
     UniformPhase,
+    _audit_bins,
     delay_scan,
     export_csv,
     export_density_csv,
@@ -58,6 +59,11 @@ EXIT_REJECTED = 3
 # alignment scan. The grid is refused from its step count, before its list
 # of delays is built.
 _MAX_SCAN_POINTS = 100_000
+
+# Codes per window of an audited pattern stream: the window's int32 codes
+# and float64 phases are the only temporaries beside the whole phase array.
+# Much smaller windows pay more for the substream spawn than they save.
+_AUDIT_WINDOW = 1 << 17
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,16 +211,22 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
-    whole("codes", args.codes, 1, MAX_FLOAT64S)
+    n_codes = whole("codes", args.codes, 1, MAX_FLOAT64S)
+    # the bin count is checked before anything is drawn or allocated
+    _audit_bins(args.bins, n_codes)
     if args.constant_code is not None:
-        # int32 codes like pattern_stream's; a code off the grid is clipped to
+        # an int32 code like pattern_stream's; a code off the grid is clipped to
         # one just off it, so code_to_phase refuses it without an int32 overflow
         code = min(max(args.constant_code, -1), CODE_LEVELS)
-        codes = np.full(args.codes, code, dtype=np.int32)
+        phases = np.full(n_codes, code_to_phase(np.int32(code)))
     else:
-        # audit the same stream a session would feed to the modulator
-        codes = pattern_stream(args.seed, args.codes)
-    statistic, threshold = uniformity_chisq(code_to_phase(codes), n_bins=args.bins)
+        # audit the same stream a session would feed to the modulator, drawn a
+        # window at a time so its codes never exist whole
+        phases = np.empty(n_codes)
+        for start in range(0, n_codes, _AUDIT_WINDOW):
+            stop = min(start + _AUDIT_WINDOW, n_codes)
+            phases[start:stop] = code_to_phase(pattern_stream(args.seed, stop - start, start))
+    statistic, threshold = uniformity_chisq(phases, n_bins=args.bins)
     print(
         f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
         f"({args.bins} bins, {args.codes} codes)"

@@ -192,6 +192,17 @@ def _chi2_ppf99(df: int) -> float:
         return float(2 * y)
 
 
+def _audit_bins(n_bins, n_samples: int) -> int:
+    """``n_bins`` as an ``int``, if ``n_samples`` phases can fill it: at least
+    two bins, and ten samples a bin on average."""
+    n_bins = whole("n_bins", n_bins, 2)
+    if n_samples < 10 * n_bins:
+        raise ValidationError(
+            f"need at least {10 * n_bins} samples for {n_bins} bins, got {n_samples}"
+        )
+    return n_bins
+
+
 def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, float]:
     """Chi-square statistic of a phase sample against uniformity on [0, 2*pi).
 
@@ -216,11 +227,7 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
     lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("phase sample must be finite")
-    n_bins = whole("n_bins", n_bins, 2)
-    if arr.size < 10 * n_bins:
-        raise ValidationError(
-            f"need at least {10 * n_bins} samples for {n_bins} bins, got {arr.size}"
-        )
+    n_bins = _audit_bins(n_bins, arr.size)
     two_pi = 2.0 * math.pi
     wrap = lo < 0.0 or hi >= two_pi
     scale = n_bins / two_pi
@@ -231,11 +238,11 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
             block = np.mod(block, two_pi)
         # multiply before dividing: for a power-of-two bin count (2 to 4096)
         # this bins the 4096-step DAC grid exactly; other counts can put a
-        # grid code one bin low through rounding (code 2048 at 26 bins)
-        scaled = block * scale
-        np.floor(scaled, out=scaled)
-        idx = scaled.astype(np.int64)
-        np.clip(idx, 0, n_bins - 1, out=idx)
+        # grid code one bin low through rounding (code 2048 at 26 bins).
+        # Every scaled phase is >= 0 (or -0.0) here, so truncation is the
+        # floor, and only rounding can reach n_bins.
+        idx = (block * scale).astype(np.intp)
+        np.minimum(idx, n_bins - 1, out=idx)
         counts += np.bincount(idx, minlength=n_bins)
     expected = arr.size / n_bins
     statistic = float(((counts - expected) ** 2 / expected).sum())

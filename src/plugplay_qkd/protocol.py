@@ -66,15 +66,15 @@ def _substreams(seed: int) -> dict:
     return dict(zip(_SUBSTREAM_ROLES, children))
 
 
-def pattern_stream(seed: int, n_codes: int) -> np.ndarray:
-    """The first ``n_codes`` pattern codes of the session seeded by ``seed``.
+def pattern_stream(seed: int, n_codes: int, start: int = 0) -> np.ndarray:
+    """Pattern codes ``[start, start + n_codes)`` of the session seeded by ``seed``.
 
     Frames retrigger back to back, so a session's codes are one stream: the
-    window ``[0, n_codes)`` of its pattern substream (see
+    window ``[start, start + n_codes)`` of its pattern substream (see
     :func:`~plugplay_qkd.randomizer.generate_pattern`), which the kernel
     reads a block's slots at a time. It does not depend on the frame length.
     """
-    return generate_pattern(_substreams(whole("seed", seed, 0))["pattern"], n_codes)
+    return generate_pattern(_substreams(whole("seed", seed, 0))["pattern"], n_codes, start)
 
 
 # SessionConfig's real fields as (name, low, high, ends) for errors.real, in check order: timing,

@@ -10,8 +10,8 @@ code grid, is modelled in :mod:`plugplay_qkd.protocol`.
 
 The codes themselves are one stream of independent uniform draws, of which
 :func:`generate_pattern` returns any window straight from raw PCG64 words:
-the session kernel reads one window per block of bits, the uniformity audit
-one window from the start.
+the session kernel reads one window per block of bits, and the uniformity
+audit reads its stream a window at a time from the start.
 """
 
 from __future__ import annotations

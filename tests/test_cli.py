@@ -474,8 +474,9 @@ def test_density_output_matches_golden_digest(dist, tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("extra", [[], ["--constant-code", "0"]])
 def test_verify_uniformity_memory_is_bounded(extra, capsys):
-    # the 4 B/code of int32 codes, the 8 B/code of float64 phases and one
-    # audit block of temporaries, never a full-length temporary
+    # the 8 B/code of float64 phases, one window of codes and their phases,
+    # and one binning block of temporaries: the codes never exist whole, and
+    # nothing else is as long as the stream
     n_codes = 4_000_000
     tracemalloc.start()
     try:
@@ -486,7 +487,44 @@ def test_verify_uniformity_memory_is_bounded(extra, capsys):
         tracemalloc.stop()
     assert code == (3 if extra else 0)
     assert f"{n_codes} codes)" in capsys.readouterr().out
-    assert peak / n_codes < 16
+    assert peak / n_codes < 9
+
+
+@pytest.mark.parametrize("extra", [[], ["--constant-code", "5"]])
+def test_verify_uniformity_does_not_depend_on_the_window(extra, monkeypatch, capsys):
+    # windows of 7 codes cut the stream off every raw PCG64 word and audit block
+    argv = ["verify-uniformity", "--codes", "30001", "--bins", "26", *extra]
+    status = main(argv)
+    default = capsys.readouterr()
+    monkeypatch.setattr(plugplay_qkd.cli, "_AUDIT_WINDOW", 7)
+    assert main(argv) == status
+    assert capsys.readouterr() == default
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--bins", "1"], "n_bins must be >= 2, got 1"),
+     (["--bins", "10000000"], "need at least 100000000 samples for 10000000 bins, got 99999999"),
+     # a bad bin count is named ahead of a bad seed or constant code
+     (["--bins", "1", "--seed", "-1"], "n_bins must be >= 2, got 1"),
+     (["--bins", "1", "--constant-code", "5000"], "n_bins must be >= 2, got 1")],
+    ids=["bins-low", "undersampled", "bins-before-seed", "bins-before-constant-code"],
+)
+def test_verify_uniformity_checks_bins_before_the_draw(extra, message, monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("the stream was drawn")
+
+    monkeypatch.setattr(plugplay_qkd.cli, "pattern_stream", no_draw)
+    tracemalloc.start()
+    try:
+        status = main(["verify-uniformity", "--codes", "99999999", *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the 800 MB of phases were never allocated
+    assert peak < 1 << 20
 
 
 def test_verify_uniformity_output_matches_golden_digest(capsys):

@@ -317,6 +317,16 @@ def test_pattern_stream_is_the_per_frame_session_stream(seed):
     np.testing.assert_array_equal(pattern_stream(seed, 1512), frames)
 
 
+# odd starts begin on the high uint32 half of a raw PCG64 word
+@pytest.mark.parametrize("start", [0, 1, 2, 131_071, 131_072, 131_073])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pattern_stream_window_is_a_slice_of_the_stream(seed, start):
+    for n_codes in (1, 2, 7, 131_072):
+        np.testing.assert_array_equal(
+            pattern_stream(seed, n_codes, start), pattern_stream(seed, start + n_codes)[start:]
+        )
+
+
 def test_pattern_stream_validation():
     with pytest.raises(ValidationError):
         pattern_stream(-1, 10)
@@ -437,7 +447,8 @@ def test_choices_memory_is_bounded(n):
 
 def test_pattern_stream_memory_is_bounded():
     # the 4 B/code of raw words the codes are shifted in place from, plus at
-    # most one word: the audit's own bound (16 B/code) would not catch a copy
+    # most one word: the audit draws its codes a window at a time, so its
+    # bound would not catch a copy here
     n_codes = 4_000_000
     pattern_stream(3, 1)  # the first PCG64 imports the rest of numpy.random
     peak, codes = _peak_bytes(lambda: pattern_stream(3, n_codes))
@@ -736,6 +747,7 @@ _WHOLE_SITES = {
     "seed": ("seed", lambda v: SessionConfig(n_bits=100, seed=v), 0),
     "pattern_stream-seed": ("seed", lambda v: pattern_stream(v, 100), 0),
     "pattern_stream-n_codes": ("n_codes", lambda v: pattern_stream(3, v), 1),
+    "pattern_stream-start": ("start", lambda v: pattern_stream(3, 100, v), 0),
     "generate_pattern": ("n_codes", lambda v: generate_pattern(np.random.SeedSequence(5), v), 1),
     "generate_pattern-start": ("start", lambda v: generate_pattern(np.random.SeedSequence(5), 3, v), 0),
     "max_workers": ("max_workers", lambda v: delay_scan(SessionConfig(n_bits=200), [0.0, 1.0], max_workers=v), 1),
@@ -785,6 +797,7 @@ def test_whole_numbers_accept_numpy_integers(site):
      ("pattern_stream-seed", -1, "seed must be >= 0, got -1"),
      ("pattern_stream-n_codes", 0, f"n_codes must be in [1, {_LARGEST}], got 0"),
      ("pattern_stream-n_codes", 2**70, f"n_codes must be in [1, {_LARGEST}], got {2**70}"),
+     ("pattern_stream-start", -1, "start must be >= 0, got -1"),
      ("generate_pattern", 0, f"n_codes must be in [1, {_LARGEST}], got 0"),
      ("generate_pattern", _LARGEST + 1, f"n_codes must be in [1, {_LARGEST}], got {_LARGEST + 1}"),
      ("generate_pattern-start", -1, "start must be >= 0, got -1"),
@@ -796,8 +809,8 @@ def test_whole_numbers_accept_numpy_integers(site):
      ("n_max", math.isqrt(_LARGEST // 2),
       f"n_max must be in [1, {math.isqrt(_LARGEST // 2) - 1}], got {math.isqrt(_LARGEST // 2)}")],
     ids=["n_bits-low", "n_bits-high", "seed-low", "pattern_stream-seed-low", "pattern_stream-n_codes-low",
-         "pattern_stream-n_codes-high", "generate_pattern-low", "generate_pattern-high", "generate_pattern-start-low",
-         "max_workers-low",
+         "pattern_stream-n_codes-high", "pattern_stream-start-low", "generate_pattern-low", "generate_pattern-high",
+         "generate_pattern-start-low", "max_workers-low",
          "n_bins-low", "n_values-low", "n_max-low", "n_max-high"],
 )
 def test_whole_numbers_refuse_one_past_each_bound(site, value, message):

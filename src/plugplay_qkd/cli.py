@@ -60,9 +60,9 @@ EXIT_REJECTED = 3
 # of delays is built.
 _MAX_SCAN_POINTS = 100_000
 
-# Codes per window of an audited pattern stream: the window's int32 codes
-# and float64 phases are the only temporaries beside the whole phase array.
-# Much smaller windows pay more for the substream spawn than they save.
+# Codes per window of an audited pattern stream: the window's raw words, its
+# int32 codes and their intp cast in bincount are the audit's only
+# temporaries, so it holds O(window) memory for any --codes.
 _AUDIT_WINDOW = 1 << 17
 
 
@@ -214,19 +214,21 @@ def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
     n_codes = whole("codes", args.codes, 1, MAX_FLOAT64S)
     # the bin count is checked before anything is drawn or allocated
     _audit_bins(args.bins, n_codes)
+    # the sample is given as distinct codes and how often each was drawn
     if args.constant_code is not None:
         # an int32 code like pattern_stream's; a code off the grid is clipped to
         # one just off it, so code_to_phase refuses it without an int32 overflow
-        code = min(max(args.constant_code, -1), CODE_LEVELS)
-        phases = np.full(n_codes, code_to_phase(np.int32(code)))
+        codes = np.array([min(max(args.constant_code, -1), CODE_LEVELS)], dtype=np.int32)
+        counts = np.array([n_codes])
     else:
         # audit the same stream a session would feed to the modulator, drawn a
         # window at a time so its codes never exist whole
-        phases = np.empty(n_codes)
+        codes = np.arange(CODE_LEVELS)
+        counts = np.zeros(CODE_LEVELS, dtype=np.int64)
         for start in range(0, n_codes, _AUDIT_WINDOW):
             stop = min(start + _AUDIT_WINDOW, n_codes)
-            phases[start:stop] = code_to_phase(pattern_stream(args.seed, stop - start, start))
-    statistic, threshold = uniformity_chisq(phases, n_bins=args.bins)
+            counts += np.bincount(pattern_stream(args.seed, stop - start, start), minlength=CODE_LEVELS)
+    statistic, threshold = uniformity_chisq(code_to_phase(codes), n_bins=args.bins, counts=counts)
     print(
         f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
         f"({args.bins} bins, {args.codes} codes)"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 # The longest float64 array numpy can size at all (a session's detector
-# means, an audit's phases).
+# means); it also caps an audit's code count.
 MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
 

@@ -6,7 +6,9 @@ Three independent ways of checking the randomizer does its job:
   error rate versus the generator trigger delay. Aligned timing leaves the
   key unaffected; misaligned timing scrambles it.
 * :func:`uniformity_chisq` audits the emitted phase sample directly with a
-  chi-square test against the uniform distribution on [0, 2*pi).
+  chi-square test against the uniform distribution on [0, 2*pi); the
+  sample may come as distinct phases with their counts, such as the DAC
+  grid weighted by how often each code was drawn.
 * :func:`fock_density_matrix` gives the analytic photon-number picture: what
   the attenuated pulses look like to an observer with no phase reference,
   for perfect, discrete or absent phase randomization.
@@ -203,7 +205,7 @@ def _audit_bins(n_bins, n_samples: int) -> int:
     return n_bins
 
 
-def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, float]:
+def uniformity_chisq(phases: np.ndarray, n_bins: int = 256, counts=None) -> tuple[float, float]:
     """Chi-square statistic of a phase sample against uniformity on [0, 2*pi).
 
     Returns ``(statistic, threshold)`` where ``threshold`` is the 99th
@@ -211,10 +213,16 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
     statistic above it rejects uniformity at the 1% level. The sample must
     average at least ten counts per bin or the test is meaningless.
 
-    The sample is binned in blocks of ``_AUDIT_BLOCK`` phases, so no
-    temporary is as long as the sample. Phases are wrapped onto [0, 2*pi)
-    only when the sample's minimum or maximum lies outside it; on that range
-    the wrap is exactly the identity.
+    With ``counts``, the sample is ``phases[i]`` taken ``counts[i]`` times
+    (non-negative integers, one per phase), which gives exactly the
+    statistic of ``np.repeat(phases, counts)`` without building it: the
+    audit passes the 4096 DAC grid phases with how often each code was
+    drawn. Each phase is binned once and its count added in int64.
+
+    The phases are binned in blocks of ``_AUDIT_BLOCK``, so no temporary is
+    as long as the sample. Phases are wrapped onto [0, 2*pi) only when the
+    minimum or maximum phase lies outside it; on that range the wrap is
+    exactly the identity.
     """
     arr = np.asarray(phases)
     # a bool or string sample would otherwise be read as phases
@@ -223,15 +231,18 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
     arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 1:
         raise ValidationError("phase sample must be one-dimensional")
+    n_samples = arr.size
+    if counts is not None:
+        counts, n_samples = _phase_counts(counts, arr.size)
     # min and max carry any NaN or infinity, so no full-length mask is built
     lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("phase sample must be finite")
-    n_bins = _audit_bins(n_bins, arr.size)
+    n_bins = _audit_bins(n_bins, n_samples)
     two_pi = 2.0 * math.pi
     wrap = lo < 0.0 or hi >= two_pi
     scale = n_bins / two_pi
-    counts = np.zeros(n_bins, dtype=np.int64)
+    binned = np.zeros(n_bins, dtype=np.int64)
     for start in range(0, arr.size, _AUDIT_BLOCK):
         block = arr[start:start + _AUDIT_BLOCK]
         if wrap:
@@ -243,11 +254,32 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256) -> tuple[float, floa
         # floor, and only rounding can reach n_bins.
         idx = (block * scale).astype(np.intp)
         np.minimum(idx, n_bins - 1, out=idx)
-        counts += np.bincount(idx, minlength=n_bins)
-    expected = arr.size / n_bins
-    statistic = float(((counts - expected) ** 2 / expected).sum())
+        if counts is None:
+            binned += np.bincount(idx, minlength=n_bins)
+        else:
+            np.add.at(binned, idx, counts[start:start + _AUDIT_BLOCK])
+    expected = n_samples / n_bins
+    statistic = float(((binned - expected) ** 2 / expected).sum())
     threshold = _chi2_ppf99(n_bins - 1)
     return statistic, threshold
+
+
+def _phase_counts(counts, n_phases: int) -> tuple[np.ndarray, int]:
+    """``counts`` as int64 and their total, if they give each of ``n_phases``
+    phases a non-negative integer multiplicity, totalling less than 2**62."""
+    arr = np.asarray(counts)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"phase counts must be integers, got dtype {arr.dtype}")
+    if arr.shape != (n_phases,):
+        raise ValidationError(f"need one count per phase ({n_phases}), got shape {arr.shape}")
+    if arr.size and arr.min() < 0:
+        raise ValidationError("phase counts must be >= 0")
+    # a float64 sum is within a part in 10**12 of the total, so below 2**62
+    # neither the int64 total nor an int64 bin can wrap
+    if float(arr.sum(dtype=np.float64)) >= 2.0**62:
+        raise ValidationError("phase counts must total less than 2**62")
+    arr = arr.astype(np.int64, copy=False)
+    return arr, int(arr.sum())
 
 
 # ---------------------------------------------------------------------------

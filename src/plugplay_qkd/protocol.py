@@ -61,9 +61,15 @@ _KERNEL_BLOCK = 1 << 15
 _SUBSTREAM_ROLES = ("pattern", "alice", "bob", "polarization", "detection")
 
 
+def _substream(seed: int, role: str) -> np.random.SeedSequence:
+    """The ``role`` substream of the session seeded by ``seed``: child
+    ``_SUBSTREAM_ROLES.index(role)`` of ``SeedSequence(seed)``, as ``spawn``
+    makes it, built without spawning its siblings."""
+    return np.random.SeedSequence(seed, spawn_key=(_SUBSTREAM_ROLES.index(role),))
+
+
 def _substreams(seed: int) -> dict:
-    children = np.random.SeedSequence(seed).spawn(len(_SUBSTREAM_ROLES))
-    return dict(zip(_SUBSTREAM_ROLES, children))
+    return {role: _substream(seed, role) for role in _SUBSTREAM_ROLES}
 
 
 def pattern_stream(seed: int, n_codes: int, start: int = 0) -> np.ndarray:
@@ -74,7 +80,7 @@ def pattern_stream(seed: int, n_codes: int, start: int = 0) -> np.ndarray:
     :func:`~plugplay_qkd.randomizer.generate_pattern`), which the kernel
     reads a block's slots at a time. It does not depend on the frame length.
     """
-    return generate_pattern(_substreams(whole("seed", seed, 0))["pattern"], n_codes, start)
+    return generate_pattern(_substream(whole("seed", seed, 0), "pattern"), n_codes, start)
 
 
 # SessionConfig's real fields as (name, low, high, ends) for errors.real, in check order: timing,

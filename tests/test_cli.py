@@ -472,22 +472,49 @@ def test_density_output_matches_golden_digest(dist, tmp_path, monkeypatch, capsy
     assert hashlib.sha256(output).hexdigest() == DENSITY_DIGESTS[dist]
 
 
-@pytest.mark.parametrize("extra", [[], ["--constant-code", "0"]])
-def test_verify_uniformity_memory_is_bounded(extra, capsys):
-    # the 8 B/code of float64 phases, one window of codes and their phases,
-    # and one binning block of temporaries: the codes never exist whole, and
-    # nothing else is as long as the stream
-    n_codes = 4_000_000
+def _audit_peak(n_codes, extra):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        code = main(["verify-uniformity", "--codes", str(n_codes), *extra])
+        status = main(["verify-uniformity", "--codes", str(n_codes), *extra])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert code == (3 if extra else 0)
+    return status, peak
+
+
+@pytest.mark.parametrize("extra", [[], ["--constant-code", "0"]])
+def test_verify_uniformity_memory_is_bounded(extra, capsys):
+    # one window of raw words, its codes and their bincount cast, beside a
+    # 4096-entry histogram: nothing is as long as the stream
+    n_codes = 4_000_000
+    status, peak = _audit_peak(n_codes, extra)
+    assert status == (3 if extra else 0)
     assert f"{n_codes} codes)" in capsys.readouterr().out
-    assert peak / n_codes < 9
+    assert peak / n_codes < 1
+
+
+def test_constant_code_audit_allocates_no_stream(capsys):
+    # one phase with one count, however many codes: no 800 MB of phases
+    status, peak = _audit_peak(99_999_999, ["--constant-code", "0"])
+    assert status == 3
+    assert "REJECTED" in capsys.readouterr().out
+    assert peak < 1 << 20
+
+
+# 26 and 96 bins put some grid codes one bin low through rounding (code 2048
+# at 26 bins); the counted audit keeps that binning, so it prints the float
+# phases' statistic
+@pytest.mark.parametrize("n_bins", [26, 96])
+def test_verify_uniformity_prints_the_statistic_of_the_float_phases(n_bins, capsys):
+    n_codes = 300_001
+    statistic, threshold = uniformity_chisq(code_to_phase(pattern_stream(11, n_codes)), n_bins=n_bins)
+    status = main(["verify-uniformity", "--codes", str(n_codes), "--seed", "11", "--bins", str(n_bins)])
+    assert status == (3 if statistic > threshold else 0)
+    assert capsys.readouterr().out.startswith(
+        f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
+        f"({n_bins} bins, {n_codes} codes)\n"
+    )
 
 
 @pytest.mark.parametrize("extra", [[], ["--constant-code", "5"]])

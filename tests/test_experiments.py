@@ -350,6 +350,63 @@ def test_chisq_does_not_depend_on_the_audit_block(monkeypatch):
     assert [uniformity_chisq(p, n_bins=26)[0] for p in samples.values()] == whole
 
 
+@pytest.mark.parametrize("n_bins", [2, 26, 96, 256, 4096])
+def test_counted_chisq_is_the_chisq_of_the_repeated_sample(n_bins):
+    # about a third of the counts are zero, so some phases (a wrapped one,
+    # exactly 2*pi) may carry no weight at all
+    rng = np.random.default_rng(n_bins)
+    for name, phases in _audit_samples(41_000).items():
+        counts = rng.integers(0, 30, size=phases.size) * (rng.random(phases.size) < 0.7)
+        counted = uniformity_chisq(phases, n_bins=n_bins, counts=counts)
+        assert counted == uniformity_chisq(np.repeat(phases, counts), n_bins=n_bins), name
+        assert uniformity_chisq(phases, n_bins=n_bins, counts=np.ones(phases.size, dtype=np.uint8)) == \
+            uniformity_chisq(phases, n_bins=n_bins), name
+
+
+def test_counted_chisq_does_not_depend_on_the_audit_block(monkeypatch):
+    phases = _audit_samples(3000)["mixed"]
+    counts = np.random.default_rng(5).integers(0, 9, size=phases.size)
+    whole = uniformity_chisq(phases, n_bins=26, counts=counts)
+    monkeypatch.setattr(experiments, "_AUDIT_BLOCK", 7)
+    assert uniformity_chisq(phases, n_bins=26, counts=counts) == whole
+
+
+def test_counted_chisq_keeps_totals_past_float_precision_exact():
+    # one count past 2**53 beside a count of one: float weights would lose the one
+    grid = code_to_phase(np.arange(4096))
+    counts = np.zeros(4096, dtype=np.int64)
+    counts[0], counts[2048] = 2**53, 1
+    n = 2**53 + 1
+    expected = n / 2
+    want = float((2**53 - expected) ** 2 / expected + (1 - expected) ** 2 / expected)
+    assert uniformity_chisq(grid, n_bins=2, counts=counts)[0] == want
+    assert uniformity_chisq(grid[[0]], n_bins=2, counts=[n])[0] == float(n)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [(np.full(3000, -1), "^phase counts must be >= 0$"),
+     (np.r_[np.ones(2999, dtype=int), -1], "^phase counts must be >= 0$"),
+     (np.ones(3000), "^phase counts must be integers, got dtype float64$"),
+     (np.ones(3000, dtype=bool), "^phase counts must be integers, got dtype bool$"),
+     (["1"] * 3000, "^phase counts must be integers, got dtype <U1$"),
+     (np.ones((3000, 1), dtype=int), r"^need one count per phase \(3000\), got shape \(3000, 1\)$"),
+     (np.ones(2999, dtype=int), r"^need one count per phase \(3000\), got shape \(2999,\)$"),
+     (5, r"^need one count per phase \(3000\), got shape \(\)$"),
+     (np.zeros(3000, dtype=int), "^need at least 2560 samples for 256 bins, got 0$"),
+     (np.r_[np.ones(2559, dtype=int), np.zeros(441, dtype=int)],
+      "^need at least 2560 samples for 256 bins, got 2559$"),
+     (np.full(3000, 2**62, dtype=np.uint64), r"^phase counts must total less than 2\*\*62$"),
+     (np.full(3000, 2**63 - 1), r"^phase counts must total less than 2\*\*62$")],
+    ids=["negative", "one-negative", "float", "bool", "str", "2-d", "short", "scalar", "all-zero",
+         "undersampled", "uint64-past-int64", "total-past-int64"],
+)
+def test_counted_chisq_validation(counts, message):
+    phases = code_to_phase(np.arange(3000))
+    with pytest.raises(ValidationError, match=message):
+        uniformity_chisq(phases, counts=counts)
+
+
 # ---------------------------------------------------------------------------
 # Photon-number picture
 

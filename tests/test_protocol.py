@@ -179,6 +179,19 @@ def test_detection_records_refuse_a_column_that_is_not_1d(cols):
         DetectionRecords(*cols)
 
 
+# each role is built alone, as the child numpy's spawn would give it, in the
+# order the roles were first spawned; the golden digests rest on that order
+@pytest.mark.parametrize("seed", [0, 7, 42, 123_456_789, 2**70 + 3])
+def test_substreams_are_the_spawned_children(seed):
+    children = np.random.SeedSequence(seed).spawn(5)
+    streams = _substreams(seed)
+    assert list(streams) == ["pattern", "alice", "bob", "polarization", "detection"]
+    for (role, stream), child in zip(streams.items(), children):
+        assert stream.spawn_key == child.spawn_key, role
+        assert np.array_equal(stream.generate_state(8), child.generate_state(8)), role
+        assert np.array_equal(protocol._substream(seed, role).generate_state(8), child.generate_state(8))
+
+
 # alice_bit starts at uint32 word ceil(n / 4), so an n not divisible by 4
 # leaves part of alice_basis' last word unused, and an odd word count starts
 # alice_bit in the high half of a 64-bit word

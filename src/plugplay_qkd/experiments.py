@@ -73,6 +73,15 @@ def qber_or_nan(sifted: np.ndarray) -> QberEstimate:
     return estimate_qber(sifted)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, which ``os.cpu_count()`` ignores, else the machine's count or 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
                max_workers: int = 1) -> DelayScanResult:
     """Run one session per trigger delay and collect sifted error rates.
@@ -99,7 +108,8 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
 
     # map submits every point at once, and the pool starts a thread per
     # submit up to its size, so the size is capped by the points and the CPUs
-    workers = min(max_workers, len(delays), os.cpu_count() or 1)
+    # the process may run on
+    workers = min(max_workers, len(delays), _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         estimates = list(pool.map(one_point, range(len(delays))))
     return DelayScanResult(delays_ns=tuple(delays), estimates=tuple(estimates))

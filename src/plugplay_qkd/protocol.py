@@ -308,25 +308,27 @@ def _path_amplitude(config: SessionConfig) -> float:
 
 
 def _block_means(
-    choices: tuple[np.ndarray, ...], pass_codes: tuple[np.ndarray, ...], a_h: float, a_v: float
+    choices: tuple[np.ndarray, ...], code_diffs: tuple[np.ndarray, np.ndarray], a_h: float, a_v: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Detector means ``(mu_d0, mu_d1)`` of a set of bits.
 
     ``choices`` are the three choice columns at those bits and
-    ``pass_codes`` the codes their four passes see, in :func:`_session_means`'
-    order. The mirror swaps H and V: the H component leaving Alice was V on
-    the way in and took its phase on the return pass, V on the forward pass.
-    Each detector mean is a_H (1 +- cos dH) + a_V (1 +- cos dV), where the
-    signal-minus-reference phase difference in codes is the randomizer's plus
-    Alice's coding phase minus Bob's basis phase, in quarter turns.
+    ``code_diffs`` the randomizer's signal-minus-reference code differences
+    of their return and forward pass pairs, ``(sig_ret - ref_ret, sig_fwd -
+    ref_fwd)``, as int32. The mirror swaps H and V: the H component leaving
+    Alice was V on the way in and took its phase on the return pass, V on
+    the forward pass. Each detector mean is a_H (1 +- cos dH) + a_V (1 +-
+    cos dV), where the signal-minus-reference phase difference in codes is
+    the randomizer's plus Alice's coding phase minus Bob's basis phase, in
+    quarter turns.
     """
     alice_basis, alice_bit, bob_basis = choices
-    ref_fwd, ref_ret, sig_fwd, sig_ret = pass_codes
+    ret_diff, fwd_diff = code_diffs
     # int32: 1024 * 3 overflows the int8 choice columns
     quarter_turns = (2 * alice_bit + alice_basis - bob_basis).astype(np.int32)
     coding = quarter_turns * _QUARTER_TURN_CODES
-    cos_h = _COS[(sig_ret - ref_ret + coding) & (CODE_LEVELS - 1)]
-    cos_v = _COS[(sig_fwd - ref_fwd + coding) & (CODE_LEVELS - 1)]
+    cos_h = _COS[(ret_diff + coding) & (CODE_LEVELS - 1)]
+    cos_v = _COS[(fwd_diff + coding) & (CODE_LEVELS - 1)]
     return a_h * (1.0 + cos_h) + a_v * (1.0 + cos_v), a_h * (1.0 - cos_h) + a_v * (1.0 - cos_v)
 
 
@@ -337,7 +339,9 @@ def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarr
     mu_d1)`` at the ascending bit indexes ``bits`` of the block ``[start,
     stop)``, and no detector mean of the session exceeds ``peak``. Each call
     draws the codes of the slots the block's four passes touch, in one
-    window of the pattern stream.
+    window of the pattern stream, and gathers the bits' codes once per
+    distinct slot shift of the passes: a bit's four passes fit in one
+    pattern step, so they see at most two adjacent slots.
     """
     n = config.n_bits
     h0, v0 = _polarization(config, streams)
@@ -357,8 +361,9 @@ def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarr
         # the block's bits sample the slots [lo, hi) of the grid
         lo, hi = max(start + lowest, 0), min(stop + highest, n_codes)
         codes = generate_pattern(streams["pattern"], hi - lo, lo) if lo < hi else np.zeros(0, dtype=np.int32)
-        pass_codes = tuple(_pass_codes(codes, shift - lo, bits) for shift in shifts)
-        return _block_means(tuple(c[bits] for c in choices), pass_codes, a_h, a_v)
+        by_shift = {shift: _pass_codes(codes, shift - lo, bits) for shift in set(shifts)}
+        ref_fwd, ref_ret, sig_fwd, sig_ret = (by_shift[shift] for shift in shifts)
+        return _block_means(tuple(c[bits] for c in choices), (sig_ret - ref_ret, sig_fwd - ref_fwd), a_h, a_v)
 
     # cos <= 1 puts each term of _block_means at or below 2 a_h or 2 a_v, also
     # in float64: rounding is monotone and doubling exact
@@ -392,18 +397,34 @@ def _block_clicks(
     :func:`_click_bound`) clicks on neither. ``bits`` are the other,
     candidate bits: only their means (from ``means``, see
     :func:`_session_means`) and click probabilities are computed.
+
+    One block-length column is alive at a time. D0's is cut to its
+    below-bound (index, uniform) pairs before D1's is drawn, D1's is cut to
+    the candidates before the means are computed, and the coins are drawn
+    last. A candidate whose D0 uniform reached the bound gets 1.0 in its
+    place, which no click probability exceeds, so it still does not click.
     """
     rng_d0, rng_d1, rng_coin = rngs
-    u0, u1 = rng_d0.random(stop - start), rng_d1.random(stop - start)
-    candidates = np.flatnonzero((u0 < bound) | (u1 < bound))
+    u = rng_d0.random(stop - start)
+    below0 = np.flatnonzero(u < bound)
+    u0_below = u[below0]
+    del u
+    u = rng_d1.random(stop - start)
+    below = u < bound
+    below[below0] = True
+    candidates = np.flatnonzero(below)
+    u1 = u[candidates]
+    del u, below
+    u0 = np.ones(candidates.size)
+    u0[np.searchsorted(candidates, below0)] = u0_below
     bits = candidates + start
     mu_d0, mu_d1 = means(start, stop, bits)
     eta = config.efficiency
     dark = config.dark_prob
     p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0)
     p1 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d1)
-    clicked_d0 = u0[candidates] < p0
-    clicked_d1 = u1[candidates] < p1
+    clicked_d0 = u0 < p0
+    clicked_d1 = u1 < p1
     if config.double_click_policy == "random":
         both = clicked_d0 & clicked_d1
         keep0 = rng_coin.random(stop - start)[candidates] < 0.5
@@ -433,15 +454,18 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     the top bits of the raw bytes of Alice's and Bob's streams, exactly the
     values ``Generator.integers(0, 2, dtype=np.int8)`` would draw (see
     :func:`_choices`). The clicks are then drawn in blocks
-    of ``_KERNEL_BLOCK`` bits. Each block draws its detection uniforms
-    first, and the detector means and click probabilities are computed only
-    for its candidate bits, those with a uniform below the session's click
-    bound (see :func:`_block_clicks`); every other bit has no click. At the
-    defaults about 1% of bits are candidates. Each block also draws the
-    codes of the slots its passes touch, one window of the pattern stream
-    from raw words (see :func:`_session_means`). The session holds its
-    5 B/bit of records and one block, never a full-length code or float
-    column; :func:`detector_means` returns the means of every bit.
+    of ``_KERNEL_BLOCK`` bits. Each block draws its two detection uniform
+    columns first, one at a time, each cut to its bits below the session's
+    click bound before the next is drawn, and the detector means and click
+    probabilities are computed only for the candidate bits, those with a
+    uniform below the bound (see :func:`_block_clicks`); every other bit has
+    no click. At the defaults about 1% of bits are candidates. Each block
+    also draws the codes of the slots its passes touch, one window of the
+    pattern stream from raw words, and gathers them once per distinct slot
+    shift (see :func:`_session_means`). The session holds its 5 B/bit of
+    records and one block-length float column at a time, never a
+    full-length code or float column; :func:`detector_means` returns the
+    means of every bit.
     """
     n = config.n_bits
     streams = _substreams(config.seed)

@@ -114,25 +114,43 @@ def _record_pool_sizes(monkeypatch) -> list:
     return sizes
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, read independently of the package."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_usable_cpus(monkeypatch, cpus):
+    """Pin the process to ``cpus`` CPUs of a 1024-CPU machine; ``None``
+    removes the affinity mask and makes the machine's CPU count unknown."""
+    if cpus is None:
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1024)
+
+
 def test_scan_pool_never_exceeds_the_cpus(monkeypatch):
     # the pool starts a thread per submitted point up to its size, so an
     # uncapped 10**6 would start one thread per point
     cfg = _scan_config(n_bits=50)
-    delays = [10.0 * k for k in range((os.cpu_count() or 1) + 2)]
+    delays = [10.0 * k for k in range(_usable_cpus() + 2)]
     serial = delay_scan(cfg, delays)
     sizes = _record_pool_sizes(monkeypatch)
     assert delay_scan(cfg, delays, max_workers=10**6) == serial
-    assert sizes == [os.cpu_count() or 1]
+    assert sizes == [_usable_cpus()]
 
 
 @pytest.mark.parametrize("cpus, n_points, asked, size", [
-    (4, 9, 10**6, 4),   # the CPUs cap it
+    (4, 9, 10**6, 4),   # the CPUs it may run on cap it, not the machine's
     (64, 3, 10**6, 3),  # the points cap it
     (64, 9, 2, 2),      # the request stands
     (None, 5, 10**6, 1),  # an unknown CPU count allows one
 ])
 def test_scan_pool_size(cpus, n_points, asked, size, monkeypatch):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    _set_usable_cpus(monkeypatch, cpus)
     sizes = _record_pool_sizes(monkeypatch)
     delay_scan(_scan_config(n_bits=50), [10.0 * k for k in range(n_points)], max_workers=asked)
     assert sizes == [size]

@@ -277,20 +277,65 @@ _IDLE_DIGESTS = {
     0: "fa25c30ba4e574e445cf185332e1a3e054f85f0e031124422eeaca202f5977bf",
     42: "300a96c5841736756376cd421f2b702eb0e83aef352e48549cc4eda9e3f725eb",
 }
-_STRADDLED_DIGESTS = {  # 70 ns, randomizer on
-    0: "fce573caacf731a0aab0f4490e274340a55b3e25a8b0d01e9b088c970d380184",
-    42: "a3430a361b2216c6184dad0fd43263b6dcc9c8f2e03cf72296fb93d32b06c15b",
+# randomizer on, by delay: a step falls between the V pair's passes at 70 ns,
+# between both pairs' at 100 ns and between the return pair's only at 120 ns
+_STRADDLED_DIGESTS = {
+    70.0: {
+        0: "fce573caacf731a0aab0f4490e274340a55b3e25a8b0d01e9b088c970d380184",
+        42: "a3430a361b2216c6184dad0fd43263b6dcc9c8f2e03cf72296fb93d32b06c15b",
+    },
+    100.0: {
+        0: "9526e29e2cae35c801686479ca815de56ed96803a093479894a3b4df7e418c57",
+        42: "757242986a389f951edbbaaa6b35780770e715994be7338b866cbcd953522dfc",
+    },
+    120.0: {
+        0: "55c3da7112a5df7949a2c0a4a1d412de956704161c59659ec9116b0754e4d2f7",
+        42: "d08cbb8a6582ea713efb07541a6dfdff2a0b6441bc91bf5558b6b84dc4e7dd11",
+    },
 }
 
 
 @pytest.mark.parametrize("seed", [0, 42])
-@pytest.mark.parametrize("delay", [0.0, 65.0, 70.0, -135.0])
+@pytest.mark.parametrize("delay", [0.0, 65.0, 70.0, 100.0, 120.0, -135.0])
 def test_records_match_golden_digests(seed, delay):
     for enabled, policy in itertools.product((True, False), ("discard", "random")):
         cfg = SessionConfig(n_bits=100_003, seed=seed, delay_ns=delay,
                             randomizer_enabled=enabled, double_click_policy=policy)
-        digests = _STRADDLED_DIGESTS if enabled and delay == 70.0 else _IDLE_DIGESTS
+        digests = _STRADDLED_DIGESTS[delay] if enabled and delay in _STRADDLED_DIGESTS else _IDLE_DIGESTS
         assert _records_digest(cfg) == digests[seed], (enabled, policy)
+
+
+# One photon on half-efficient detectors: the click bound is about 0.27, so
+# the kernel skips most bits, and double clicks are common enough for the
+# 'random' policy's coins to shape the records. The last case's arm delay plus
+# round trip is the largest float below the period, and its signal return
+# pass lands exactly on the step edge at 200 ns, alone in the next slot.
+_EDGE_TAU_NS = float(np.nextafter(200.0, 0.0)) - 20.0
+
+
+@pytest.mark.parametrize(
+    ("seed", "delay", "tau", "policy", "digest"),
+    [
+        (0, 100.0, 50.0, "discard", "4e2297880212c976c1e6de31d6e571bdb4f308457be9e888dcc72bf1a89818e8"),
+        (0, 100.0, 50.0, "random", "99e3bd0a3e5ae3214461627b2f4709da19880851a3dfc0379c57f619a47e06c6"),
+        (0, 120.0, 50.0, "discard", "ec457c265a11a17e55ad23a0bf16494fe4ae9be432fc16de40f34e9075c49352"),
+        (0, 120.0, 50.0, "random", "8d89300eb236ffbc67c1d5ab074afca7f0ba8994ea12f073cc16551c1f47f9de"),
+        (42, 200.0, _EDGE_TAU_NS, "random", "740223137b634f17e2a91c94c35694796b1befd99a0a542a95db8342e7146151"),
+    ],
+)
+def test_skipping_kernel_records_match_golden_digests(seed, delay, tau, policy, digest):
+    cfg = SessionConfig(n_bits=100_003, seed=seed, delay_ns=delay, tau_mzi_ns=tau, mu_target=1.0,
+                        efficiency=0.5, double_click_policy=policy)
+    assert _records_digest(cfg) == digest
+
+
+def test_edge_session_straddles_only_its_last_pass():
+    cfg = SessionConfig(n_bits=600, tau_mzi_ns=_EDGE_TAU_NS, delay_ns=200.0)
+    assert cfg.tau_mzi_ns + cfg.roundtrip_ns == np.nextafter(cfg.period_ns, 0.0)
+    t0 = cfg.first_event_ns()
+    passes = (t0, t0 + cfg.roundtrip_ns, t0 + cfg.tau_mzi_ns, t0 + cfg.tau_mzi_ns + cfg.roundtrip_ns)
+    assert passes[-1] == cfg.delay_ns
+    assert [protocol._pass_shift(p, cfg.n_bits, 1008, cfg) for p in passes] == [-1, -1, -1, 0]
 
 
 # 20 photons on perfect detectors at a straddling delay: most bits click on
@@ -440,10 +485,11 @@ def _peak_bytes(fn):
     return peak, result
 
 
-def _peak_bytes_per_bit(fn, n_bits):
-    """tracemalloc's peak during ``fn(config)`` at ``n_bits`` bits, per bit,
-    and the call's result."""
-    peak, result = _peak_bytes(lambda: fn(SessionConfig(n_bits=n_bits, seed=42)))
+def _peak_bytes_per_bit(fn, n_bits, **settings):
+    """tracemalloc's peak during ``fn(config)`` at ``n_bits`` bits and
+    ``settings``, per bit, and the call's result."""
+    fn(SessionConfig(n_bits=1, seed=42, **settings))  # the first PCG64 imports the rest of numpy.random
+    peak, result = _peak_bytes(lambda: fn(SessionConfig(n_bits=n_bits, seed=42, **settings)))
     return peak / n_bits, result
 
 
@@ -470,13 +516,24 @@ def test_pattern_stream_memory_is_bounded():
 
 
 def test_session_memory_is_bounded():
-    # the session holds the 5 B/bit of records it returns and one block of
-    # detection uniforms and pattern codes (under 1 B/bit at 843,000 bits);
-    # means exist only for a block's candidate bits, so no float column of
-    # even block length is built for them
+    # the session holds the 5 B/bit of records it returns and one block's
+    # temporaries (under 0.6 B/bit at 843,000 bits): one detection column at
+    # a time, each cut to its below-bound bits before the next is drawn, and
+    # the block's pattern codes; means exist only for a block's candidate
+    # bits, so no float column of even block length is built for them
     per_bit, records = _peak_bytes_per_bit(run_session, 843_000)
     assert len(records) == 843_000
-    assert per_bit < 6.5
+    assert per_bit < 5.6
+
+
+# the benchmark's scan point, where one block's temporaries weigh more per
+# bit, and the 'random' policy, whose coin column is drawn only after both
+# detection columns are cut (two columns at once read 13.3 and 5.98 B/bit)
+@pytest.mark.parametrize(("n_bits", "policy", "bound"), [(84_300, "discard", 9.5), (843_000, "random", 5.6)])
+def test_session_memory_is_bounded_per_size_and_policy(n_bits, policy, bound):
+    per_bit, records = _peak_bytes_per_bit(run_session, n_bits, double_click_policy=policy)
+    assert len(records) == n_bits
+    assert per_bit < bound
 
 
 def test_detector_means_memory_is_bounded():

@@ -212,8 +212,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
     n_codes = whole("codes", args.codes, 1, MAX_FLOAT64S)
-    # the bin count is checked before anything is drawn or allocated
-    _audit_bins(args.bins, n_codes)
+    # the bin count is checked before anything is drawn or allocated; only
+    # bins that split the DAC grid evenly can expect equal counts
+    n_bins = _audit_bins(args.bins, n_codes)
+    if CODE_LEVELS % n_bins:
+        raise ValidationError(
+            f"--bins must divide the {CODE_LEVELS} DAC codes evenly "
+            f"(a power of two up to {CODE_LEVELS}), got {n_bins}"
+        )
     # the sample is given as distinct codes and how often each was drawn
     if args.constant_code is not None:
         # an int32 code like pattern_stream's; a code off the grid is clipped to
@@ -228,7 +234,7 @@ def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
         for start in range(0, n_codes, _AUDIT_WINDOW):
             stop = min(start + _AUDIT_WINDOW, n_codes)
             counts += np.bincount(pattern_stream(args.seed, stop - start, start), minlength=CODE_LEVELS)
-    statistic, threshold = uniformity_chisq(code_to_phase(codes), n_bins=args.bins, counts=counts)
+    statistic, threshold = uniformity_chisq(code_to_phase(codes), n_bins=n_bins, counts=counts)
     print(
         f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
         f"({args.bins} bins, {args.codes} codes)"
@@ -301,7 +307,8 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--config", metavar="PATH", help="read defaults from a key = value file")
     p_verify.add_argument("--seed", type=int, default=42, help="base RNG seed")
     p_verify.add_argument("--codes", type=int, default=1_000_000, help="number of codes to audit")
-    p_verify.add_argument("--bins", type=int, default=256, help="histogram bins over [0, 2*pi)")
+    p_verify.add_argument("--bins", type=int, default=256,
+                          help="histogram bins over [0, 2*pi): a power of two from 2 to 4096")
     p_verify.add_argument("--constant-code", type=int, metavar="CODE",
                           help="audit a degenerate constant-code stream instead")
     p_verify.set_defaults(handler=_cmd_verify_uniformity)

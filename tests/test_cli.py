@@ -502,10 +502,9 @@ def test_constant_code_audit_allocates_no_stream(capsys):
     assert peak < 1 << 20
 
 
-# 26 and 96 bins put some grid codes one bin low through rounding (code 2048
-# at 26 bins); the counted audit keeps that binning, so it prints the float
-# phases' statistic
-@pytest.mark.parametrize("n_bins", [26, 96])
+# the counted audit prints the statistic of the whole sample of float phases
+# at every accepted bin count
+@pytest.mark.parametrize("n_bins", [2**k for k in range(1, 13)])
 def test_verify_uniformity_prints_the_statistic_of_the_float_phases(n_bins, capsys):
     n_codes = 300_001
     statistic, threshold = uniformity_chisq(code_to_phase(pattern_stream(11, n_codes)), n_bins=n_bins)
@@ -519,13 +518,16 @@ def test_verify_uniformity_prints_the_statistic_of_the_float_phases(n_bins, caps
 
 @pytest.mark.parametrize("extra", [[], ["--constant-code", "5"]])
 def test_verify_uniformity_does_not_depend_on_the_window(extra, monkeypatch, capsys):
-    # windows of 7 codes cut the stream off every raw PCG64 word and audit block
-    argv = ["verify-uniformity", "--codes", "30001", "--bins", "26", *extra]
+    # windows of 7 codes cut the stream off every raw PCG64 word
+    argv = ["verify-uniformity", "--codes", "30001", "--bins", "32", *extra]
     status = main(argv)
     default = capsys.readouterr()
     monkeypatch.setattr(plugplay_qkd.cli, "_AUDIT_WINDOW", 7)
     assert main(argv) == status
     assert capsys.readouterr() == default
+
+
+_UNEVEN_BINS = [3, 26, 96, 100, 1000, 3000, 4097, 6000, 8192]
 
 
 @pytest.mark.parametrize(
@@ -534,8 +536,12 @@ def test_verify_uniformity_does_not_depend_on_the_window(extra, monkeypatch, cap
      (["--bins", "10000000"], "need at least 100000000 samples for 10000000 bins, got 99999999"),
      # a bad bin count is named ahead of a bad seed or constant code
      (["--bins", "1", "--seed", "-1"], "n_bins must be >= 2, got 1"),
-     (["--bins", "1", "--constant-code", "5000"], "n_bins must be >= 2, got 1")],
-    ids=["bins-low", "undersampled", "bins-before-seed", "bins-before-constant-code"],
+     (["--bins", "1", "--constant-code", "5000"], "n_bins must be >= 2, got 1")]
+    # a count that does not divide the grid leaves its bins unequal shares of codes
+    + [(["--bins", str(n)], f"--bins must divide the 4096 DAC codes evenly (a power of two up to 4096), got {n}")
+       for n in _UNEVEN_BINS],
+    ids=["bins-low", "undersampled", "bins-before-seed", "bins-before-constant-code"]
+    + [f"uneven-{n}" for n in _UNEVEN_BINS],
 )
 def test_verify_uniformity_checks_bins_before_the_draw(extra, message, monkeypatch, capsys):
     def no_draw(*args):
@@ -570,7 +576,10 @@ def test_density_rejects_bad_distribution(capsys):
 # distribution's own rule, not as a failed parse
 @pytest.mark.parametrize(
     "form, message",
-    [("discrete:0", "n_values must be >= 1, got 0"), ("discrete:-3", "n_values must be >= 1, got -3"),
+    [("discrete:0", f"n_values must be in [1, {2**63 - 1}], got 0"),
+     ("discrete:-3", f"n_values must be in [1, {2**63 - 1}], got -3"),
+     # a count past int64 used to end in an OverflowError traceback
+     ("discrete:99999999999999999999", f"n_values must be in [1, {2**63 - 1}], got 99999999999999999999"),
      ("fixed:nan", "phi must be finite, got nan"), ("fixed:inf", "phi must be finite, got inf"),
      ("discrete:few", "discrete needs an integer count, got 'few'")],
 )
@@ -579,6 +588,13 @@ def test_density_names_the_fault_of_a_distribution(form, message, tmp_path, caps
     assert main(["density", "--phase-dist", form, "--output", str(target)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not target.exists()
+
+
+def test_density_of_a_huge_fixed_phase_is_finite(tmp_path, capsys):
+    # it used to exit 0 with max_offdiag=nan and 380 NaN entries
+    target = tmp_path / "density.csv"
+    assert main(["density", "--phase-dist", "fixed:1e308", "--output", str(target)]) == 0
+    assert "nan" not in capsys.readouterr().out + target.read_text()
 
 
 def test_huge_sessions_are_errors(monkeypatch, capsys):

@@ -285,6 +285,14 @@ def test_chisq_dac_grid_bins_exactly():
         codes = np.tile(np.arange(4096), -(-10 * n_bins // 4096))
         statistic, _ = uniformity_chisq(code_to_phase(codes), n_bins=n_bins)
         assert statistic == 0.0, n_bins
+    # why verify-uniformity takes no other count: 96 bins hold 42 or 43 grid
+    # codes each, so a perfectly even tally of 1000 draws per code scores
+    # 500.0, far past the threshold, while every power of two scores 0.0
+    grid, even = code_to_phase(np.arange(4096)), np.full(4096, 1000)
+    statistic, threshold = uniformity_chisq(grid, n_bins=96, counts=even)
+    assert statistic == 500.0 and statistic > threshold
+    for n_bins in (2**k for k in range(1, 13)):
+        assert uniformity_chisq(grid, n_bins=n_bins, counts=even)[0] == 0.0, n_bins
 
 
 def test_chisq_invariant_under_whole_turn_shifts():
@@ -334,8 +342,8 @@ def test_chisq_validation():
 def _audit_samples(n):
     # in range, negative, whole turns off, exactly 2*pi, -0.0 and a negative
     # phase that wraps to 2*pi, one bin past the last, and is clipped; the
-    # in-range grid alone, which skips the wrap; and the grid with one phase
-    # of exactly 2*pi, which must still be wrapped to bin 0
+    # in-range grid alone; and the grid with one phase of exactly 2*pi, which
+    # must be wrapped to bin 0
     rng = np.random.default_rng(n)
     grid = code_to_phase(rng.integers(0, 4096, size=n))
     mixed = grid + 2.0 * math.pi * rng.integers(-3, 4, size=n)
@@ -349,8 +357,8 @@ def _audit_samples(n):
 @pytest.mark.parametrize("n_bins", [2, 26, 96, 256, 4096])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_blocked_chisq_matches_the_unblocked_formula(n_bins, offset):
-    # the whole-sample binning formula is the reference
-    n = experiments._AUDIT_BLOCK + offset
+    # the binning formula, with floor and clip, is the reference
+    n = (1 << 16) + offset
     two_pi = 2.0 * math.pi
     for name, phases in _audit_samples(n).items():
         idx = np.floor(np.mod(phases, two_pi) * (n_bins / two_pi)).astype(np.int64)
@@ -358,14 +366,6 @@ def test_blocked_chisq_matches_the_unblocked_formula(n_bins, offset):
         expected = n / n_bins
         reference = float(((counts - expected) ** 2 / expected).sum())
         assert uniformity_chisq(phases, n_bins=n_bins)[0] == reference, name
-
-
-def test_chisq_does_not_depend_on_the_audit_block(monkeypatch):
-    # blocks of 7 phases cut the sample off every bin and grid boundary
-    samples = _audit_samples(3000)
-    whole = [uniformity_chisq(p, n_bins=26)[0] for p in samples.values()]
-    monkeypatch.setattr(experiments, "_AUDIT_BLOCK", 7)
-    assert [uniformity_chisq(p, n_bins=26)[0] for p in samples.values()] == whole
 
 
 @pytest.mark.parametrize("n_bins", [2, 26, 96, 256, 4096])
@@ -379,14 +379,6 @@ def test_counted_chisq_is_the_chisq_of_the_repeated_sample(n_bins):
         assert counted == uniformity_chisq(np.repeat(phases, counts), n_bins=n_bins), name
         assert uniformity_chisq(phases, n_bins=n_bins, counts=np.ones(phases.size, dtype=np.uint8)) == \
             uniformity_chisq(phases, n_bins=n_bins), name
-
-
-def test_counted_chisq_does_not_depend_on_the_audit_block(monkeypatch):
-    phases = _audit_samples(3000)["mixed"]
-    counts = np.random.default_rng(5).integers(0, 9, size=phases.size)
-    whole = uniformity_chisq(phases, n_bins=26, counts=counts)
-    monkeypatch.setattr(experiments, "_AUDIT_BLOCK", 7)
-    assert uniformity_chisq(phases, n_bins=26, counts=counts) == whole
 
 
 def test_counted_chisq_keeps_totals_past_float_precision_exact():
@@ -468,6 +460,20 @@ def test_fixed_phase_keeps_coherences():
     assert cmath.isclose(spun[0, 1], RHO01_MU01 * cmath.exp(-1j * phi), rel_tol=1e-12)
     assert cmath.isclose(spun[1, 0], RHO01_MU01 * cmath.exp(1j * phi), rel_tol=1e-12)
     np.testing.assert_allclose(spun, spun.conj().T, atol=1e-15)
+
+
+@pytest.mark.parametrize("phi", [0.0, -0.0, 0.3, 0.5, -2.0, math.pi, -math.pi])
+def test_fixed_phase_within_half_a_turn_is_used_as_given(phi):
+    # the reduction onto [-pi, pi] is the identity there, so the moments are
+    # exp(i k phi) of the given phase, bit for bit
+    k = np.arange(-20, 21)
+    np.testing.assert_array_equal(FixedPhase(phi).circular_moment(k), np.exp(1j * k.astype(np.float64) * phi))
+
+
+@pytest.mark.parametrize("phi", [0.3, -2.0, 3.0, 100.0])
+def test_fixed_phase_is_periodic(phi):
+    np.testing.assert_allclose(fock_density_matrix(0.1, FixedPhase(phi + 2.0 * math.pi)),
+                               fock_density_matrix(0.1, FixedPhase(phi)), rtol=0, atol=1e-12)
 
 
 def test_discrete_phase_keeps_every_third_coherence():

@@ -827,6 +827,7 @@ _WHOLE_SITES = {
 }
 _NOT_WHOLE = {"fraction": 1.5, "float": 10.0, "bool": True, "str": "3"}
 _LARGEST = np.iinfo(np.intp).max // 8  # the longest float64 array
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 # each SessionConfig row used to pass validation and fail inside run_session
@@ -873,7 +874,9 @@ def test_whole_numbers_accept_numpy_integers(site):
      ("generate_pattern-start", -1, "start must be >= 0, got -1"),
      ("max_workers", 0, "max_workers must be >= 1, got 0"),
      ("n_bins", 1, "n_bins must be >= 2, got 1"),
-     ("n_values", 0, "n_values must be >= 1, got 0"),
+     ("n_values", 0, f"n_values must be in [1, {_INT64_MAX}], got 0"),
+     # its circular moment takes k % n_values in int64
+     ("n_values", _INT64_MAX + 1, f"n_values must be in [1, {_INT64_MAX}], got {_INT64_MAX + 1}"),
      ("n_max", 0, f"n_max must be in [1, {math.isqrt(_LARGEST // 2) - 1}], got 0"),
      # (n_max + 1)^2 complex128 entries pass numpy's limit
      ("n_max", math.isqrt(_LARGEST // 2),
@@ -881,7 +884,7 @@ def test_whole_numbers_accept_numpy_integers(site):
     ids=["n_bits-low", "n_bits-high", "seed-low", "pattern_stream-seed-low", "pattern_stream-n_codes-low",
          "pattern_stream-n_codes-high", "pattern_stream-start-low", "generate_pattern-low", "generate_pattern-high",
          "generate_pattern-start-low", "max_workers-low",
-         "n_bins-low", "n_values-low", "n_max-low", "n_max-high"],
+         "n_bins-low", "n_values-low", "n_values-high", "n_max-low", "n_max-high"],
 )
 def test_whole_numbers_refuse_one_past_each_bound(site, value, message):
     _, call, _ = _WHOLE_SITES[site]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -197,7 +198,11 @@ def _scan_delays(range_ns: float, step_ns: float) -> list[float]:
         )
     if abs(n_steps * step_ns - 2.0 * range_ns) > 1e-9 * max(1.0, range_ns):
         raise ValidationError("scan range must be a whole number of steps")
-    return [-range_ns + k * step_ns for k in range(n_steps + 1)]
+    # each point is the double nearest the exact decimal -range + k * step of
+    # the values as given, so the ends are +-range, the centre 0.0, and no
+    # float sum drifts a point off the delay it prints
+    start, step = Fraction(repr(-range_ns)), Fraction(repr(step_ns))
+    return [float(start + k * step) for k in range(n_steps + 1)]
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -212,14 +217,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
     n_codes = whole("codes", args.codes, 1, MAX_FLOAT64S)
-    # the bin count is checked before anything is drawn or allocated; only
-    # bins that split the DAC grid evenly can expect equal counts
+    # the bin count is checked before anything is drawn or allocated
     n_bins = _audit_bins(args.bins, n_codes)
-    if CODE_LEVELS % n_bins:
-        raise ValidationError(
-            f"--bins must divide the {CODE_LEVELS} DAC codes evenly "
-            f"(a power of two up to {CODE_LEVELS}), got {n_bins}"
-        )
     # the sample is given as distinct codes and how often each was drawn
     if args.constant_code is not None:
         # an int32 code like pattern_stream's; a code off the grid is clipped to

@@ -6,9 +6,11 @@ Three independent ways of checking the randomizer does its job:
   error rate versus the generator trigger delay. Aligned timing leaves the
   key unaffected; misaligned timing scrambles it.
 * :func:`uniformity_chisq` audits the emitted phase sample directly with a
-  chi-square test against the uniform distribution on [0, 2*pi); the
-  sample may come as distinct phases with their counts, such as the DAC
-  grid weighted by how often each code was drawn.
+  chi-square test against the uniform distribution on [0, 2*pi), in a
+  power-of-two number of bins from 2 to 4096, the counts that split the
+  4096-code DAC grid evenly; the sample may come as distinct phases with
+  their counts, such as the DAC grid weighted by how often each code was
+  drawn.
 * :func:`fock_density_matrix` gives the analytic photon-number picture: what
   the attenuated pulses look like to an observer with no phase reference,
   for perfect, discrete or absent phase randomization.
@@ -16,19 +18,17 @@ Three independent ways of checking the randomizer does its job:
 
 from __future__ import annotations
 
-import decimal
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from decimal import Decimal
 from typing import Sequence
 
 import numpy as np
 
 from .errors import MAX_FLOAT64S, ValidationError, real, whole
 from .protocol import QberEstimate, SessionConfig, estimate_qber, run_session, sift
+from .randomizer import CODE_LEVELS
 
 
 # ---------------------------------------------------------------------------
@@ -118,96 +118,34 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
 # ---------------------------------------------------------------------------
 # Phase uniformity audit
 
-# pi to 50 digits, for Gamma at the half-integer shapes of odd df
-_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
-_QUANTILE_DIGITS = 45
-# the 0.99 quantile of the standard normal, for the Wilson-Hilferty start
-_Z99 = 2.3263478740408408
-
-
-def _gamma_half(df: int) -> Decimal:
-    """Gamma(df/2) in the current decimal context.
-
-    That is (df/2 - 1)! for even df and (1/2)(3/2)...(df/2 - 1) sqrt(pi),
-    the factorial ratio (2k)! / (4^k k!) times sqrt(pi), for df = 2k + 1.
-    The product is rounded factor by factor, because converting an exact
-    factorial of tens of thousands of digits to decimal takes seconds.
-    """
-    gamma = _PI.sqrt() if df % 2 else Decimal(1)
-    factor = Decimal(df) / 2 - 1
-    while factor > 0:
-        gamma *= factor
-        factor -= 1
-    return gamma
-
-
-def _gamma_q(a: Decimal, y: Decimal, gamma_a: Decimal, tol: Decimal) -> tuple[Decimal, Decimal]:
-    """Regularized upper incomplete gamma Q(a, y) and the gamma(a) density at y,
-    for y >= a + 1, in the current decimal context.
-
-    Evaluates the continued fraction of Q (modified Lentz), which converges
-    fast there. The 99th percentile lies above a + 1, and the Newton iterates
-    of :func:`_chi2_ppf99` stay above it too (a test spies on them).
-    """
-    density = (a * y.ln() - y).exp() / (gamma_a * y)
-    tiny = Decimal("1e-300")
-    b = y + 1 - a
-    c = 1 / tiny
-    d = 1 / b
-    frac = d
-    i = 0
-    while True:
-        i += 1
-        an = -i * (i - a)
-        b += 2
-        d = an * d + b
-        d = 1 / (d if d != 0 else tiny)
-        c = b + an / c
-        if c == 0:
-            c = tiny
-        delta = c * d
-        frac *= delta
-        if abs(delta - 1) < tol:
-            return density * y * frac, density
-
-
-@functools.cache
-def _chi2_ppf99(df: int) -> float:
-    """99th percentile of chi-square with ``df`` degrees of freedom, correctly rounded.
-
-    Solves Q(df/2, x/2) = 1 - p for p = float(0.99) by Newton's method in
-    45-digit decimal arithmetic from the Wilson-Hilferty guess; the root is
-    then rounded once, to the float nearest it.
-    """
-    with decimal.localcontext() as ctx:
-        ctx.prec = _QUANTILE_DIGITS
-        # Gamma(df/2) passes 1e999999, the default exponent limit, near df = 4e5
-        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
-        a = Decimal(df) / 2
-        gamma_a = _gamma_half(df)
-        tol = Decimal(10) ** (2 - _QUANTILE_DIGITS)
-        target = 1 - Decimal(0.99)
-        h = 2.0 / (9.0 * df)
-        y = Decimal(0.5 * df * (1.0 - h + _Z99 * math.sqrt(h)) ** 3)
-        for _ in range(100):
-            q, density = _gamma_q(a, y, gamma_a, tol)
-            step = (q - target) / density
-            # Q falls with y, so a tail above target moves the root right
-            y_next = y + step if y + step > 0 else y / 2
-            done = abs(y_next - y) <= y * tol
-            y = y_next
-            if done:
-                break
-        return float(2 * y)
+# The 99th percentile of chi-square with n_bins - 1 degrees of freedom at each
+# bin count an audit takes: the root of P((n_bins - 1)/2, x/2) = float(0.99),
+# correctly rounded (mpmath at 60 digits)
+_CHI2_P99 = {
+    2: 6.634896601021214, 4: 11.34486673014437, 8: 18.47530690658236,
+    16: 30.57791416689249, 32: 52.19139483319192, 64: 92.01002361413198,
+    128: 166.98739013667387, 256: 310.45738821990585, 512: 588.2977941452372,
+    1024: 1131.158738963494, 2048: 2198.7844972643143, 4096: 4308.467865579965,
+}
 
 
 def _audit_bins(n_bins, n_samples: int) -> int:
-    """``n_bins`` as an ``int``, if ``n_samples`` phases can fill it: at least
-    two bins, and ten samples a bin on average."""
+    """``n_bins`` as an ``int``, if ``n_samples`` phases can fill it fairly: at
+    least two bins, ten samples a bin on average, and a power of two up to
+    the 4096 DAC codes.
+
+    Only those counts give every bin an equal run of the DAC grid; at any
+    other, even a perfectly even tally of the grid fails the test.
+    """
     n_bins = whole("n_bins", n_bins, 2)
     if n_samples < 10 * n_bins:
         raise ValidationError(
             f"need at least {10 * n_bins} samples for {n_bins} bins, got {n_samples}"
+        )
+    if n_bins not in _CHI2_P99:
+        raise ValidationError(
+            f"n_bins must divide the {CODE_LEVELS} DAC codes evenly "
+            f"(a power of two up to {CODE_LEVELS}), got {n_bins}"
         )
     return n_bins
 
@@ -216,9 +154,13 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256, counts=None) -> tupl
     """Chi-square statistic of a phase sample against uniformity on [0, 2*pi).
 
     Returns ``(statistic, threshold)`` where ``threshold`` is the 99th
-    percentile of chi-square with ``n_bins - 1`` degrees of freedom; a
-    statistic above it rejects uniformity at the 1% level. The sample must
-    average at least ten counts per bin or the test is meaningless.
+    percentile of chi-square with ``n_bins - 1`` degrees of freedom, read
+    from a table; a statistic above it rejects uniformity at the 1% level.
+    ``n_bins`` must be a power of two from 2 to 4096: only those split the
+    4096-code DAC grid into equal runs, so the grid bins exactly (at 96
+    bins, 42 or 43 codes each, a perfectly even tally of the grid would
+    score 500.0 against 129.97). The sample must average at least ten counts
+    per bin or the test is meaningless.
 
     With ``counts``, the sample is ``phases[i]`` taken ``counts[i]`` times
     (non-negative integers, one per phase), which gives exactly the
@@ -226,10 +168,7 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256, counts=None) -> tupl
     audit passes the 4096 DAC grid phases with how often each code was
     drawn. Each phase is binned once and its count added in int64.
 
-    The whole sample is binned in one pass. On the 4096-code DAC grid only a
-    power-of-two ``n_bins`` (2 to 4096) gives every bin as many codes and
-    bins exactly; at 96 bins even a perfectly even tally scores 500.0 against
-    129.97, so ``verify-uniformity`` takes only powers of two.
+    The whole sample is binned in one pass.
     """
     arr = np.asarray(phases)
     # a bool or string sample would otherwise be read as phases
@@ -258,8 +197,7 @@ def uniformity_chisq(phases: np.ndarray, n_bins: int = 256, counts=None) -> tupl
     np.add.at(binned, idx, 1 if counts is None else counts)
     expected = n_samples / n_bins
     statistic = float(((binned - expected) ** 2 / expected).sum())
-    threshold = _chi2_ppf99(n_bins - 1)
-    return statistic, threshold
+    return statistic, _CHI2_P99[n_bins]
 
 
 def _phase_counts(counts, n_phases: int) -> tuple[np.ndarray, int]:

@@ -151,10 +151,7 @@ class SessionConfig:
             # complex() would read "1" as 1 and True as 1, and end "x" in a bare ValueError
             if not all(isinstance(c, (int, float, complex, np.number)) and not isinstance(c, bool) for c in pol):
                 raise ValidationError(f"polarization entries must be numbers, got {pol!r}")
-            h, v = (complex(c) for c in pol)
-            norm = abs(h) ** 2 + abs(v) ** 2
-            if not math.isfinite(norm) or norm <= 0.0:
-                raise ValidationError("polarization must be finite with positive norm")
+            _unit_pair(*(complex(c) for c in pol))
 
     def first_event_ns(self) -> float:
         """Arrival time of bit 0's reference pulse at the randomizer.
@@ -253,8 +250,30 @@ def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, comple
         h0, v0 = complex(z[0], z[1]), complex(z[2], z[3])
     else:
         h0, v0 = (complex(c) for c in config.polarization)
-    norm = math.sqrt(abs(h0) ** 2 + abs(v0) ** 2)
-    return h0 / norm, v0 / norm
+    return _unit_pair(h0, v0)
+
+
+def _unit_pair(h: complex, v: complex) -> tuple[complex, complex]:
+    """``(h, v)`` divided by its norm, if it is finite and positive.
+
+    Only where the squared norm overflows or underflows to zero is the pair
+    first scaled by a power of two, bringing its largest component into
+    [0.5, 1); every other pair is divided as it is.
+    """
+    parts = (h.real, h.imag, v.real, v.imag)
+    if not all(map(math.isfinite, parts)) or not any(parts):
+        raise ValidationError("polarization must be finite with positive norm")
+    try:
+        norm2 = abs(h) ** 2 + abs(v) ** 2
+    except OverflowError:  # a component's square, or a complex abs, past float range
+        norm2 = math.inf
+    if not 0.0 < norm2 < math.inf:
+        shift = -math.frexp(max(map(abs, parts)))[1]
+        hr, hi, vr, vi = (math.ldexp(x, shift) for x in parts)
+        h, v = complex(hr, hi), complex(vr, vi)
+        norm2 = abs(h) ** 2 + abs(v) ** 2
+    norm = math.sqrt(norm2)
+    return h / norm, v / norm
 
 
 def _pass_shift(first_ns: float, n: int, n_codes: int, config: SessionConfig) -> int:

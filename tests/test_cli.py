@@ -28,6 +28,22 @@ DENSITY_DIGESTS = {
     "fixed:0.3": "4fda1dfa253261650ace1c71818de085b6716e5868be725badff3e2b6999a8cb",
 }
 AUDIT_DIGEST = "21813c195289ca8c584272f768bbaf670cb7abc915e7aad694bb514b57aa2d1b"
+# SHA-256 of the stdout of `verify-uniformity --codes 100000 --seed 9 --bins N`
+# at every bin count the audit takes
+AUDIT_BIN_DIGESTS = {
+    2: "ae82e50c3c32efcb41282f0e280a6b1ec0e3f4436473c3b5fee38b662b02a6b2",
+    4: "4d2cc7be681c8af0d1751eb1194d7a6e9172e1529b1a6eef73619bb5238cbc94",
+    8: "178cf108d4914948cf7361c4d072046e628b606aefaec01f4a8ebd3df93b993a",
+    16: "08935be78ea07d941c6b1eb9e1ae0870eddabf3371d5f3c4474eb196a6d97595",
+    32: "80775af2fcc957591d1786275c33278848a7fc492e09ac0c7f7f2ec5a298d237",
+    64: "5fc89af8343ee1a1d95812358fae8550328e044ab4716c57db8a35d702ff7931",
+    128: "30163d7f8d5b6898be893a348317bc03a1519e05102988e10b50f43730ac453c",
+    256: "a2c0ef4f30e87d35f8848d77dbbd8f00c4624edbb325fa4289dae201c5082d75",
+    512: "fc98247fd9e9baf552c8af95160131c91756b15fcd8cfbb6b3e41bee9ae82830",
+    1024: "49c11c5469a0d98402905e559c9c55b095f00d67056be7eb346bc155ecc7e225",
+    2048: "32a804f69579e5c3ef3af3394c646ed7a5c318c70962ecf2475592e79cebddc9",
+    4096: "189cb0aab32f868162031428fe0fc37dd82f6ae8fec64807045a49e9089d35c7",
+}
 
 
 def test_session_happy_path(capsys):
@@ -112,6 +128,20 @@ def test_session_rejects_non_finite_parameters(capsys):
         assert captured.out == ""
 
 
+def test_polarizations_past_float_range_run(tmp_path, capsys):
+    # their squared norms overflow or underflow to zero: the first two used to
+    # end in an OverflowError traceback, the last was refused
+    for form in ("0,0,1e200,0", "1.5e308,1.5e308,0,0", "1e-200,0,0,0"):
+        assert main(FAST_SESSION + ["--polarization", form]) == 0, form
+        assert capsys.readouterr().out.startswith("qber="), form
+    runs = {}
+    for form in ("v", "0,0,1e200,0"):
+        target = tmp_path / "records.csv"
+        assert main(FAST_SESSION + ["--polarization", form, "--output", str(target)]) == 0
+        runs[form] = (capsys.readouterr(), target.read_bytes())
+    assert runs["0,0,1e200,0"] == runs["v"]
+
+
 def test_negative_values_after_a_flag(capsys):
     # argparse alone reads -1e2, -inf and -0.6,0,0.8,0 as flags, not values
     for flag, value in (("--delay-ns", "-1e2"), ("--polarization", "-0.6,0,0.8,0")):
@@ -164,6 +194,18 @@ def test_scan_writes_expected_grid(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"wrote 7 points to {target}" in out
     assert out.count("delay_ns=") == 7
+
+
+def test_scan_points_are_the_decimal_grid():
+    # a float sum used to drift: the point printed as 65 ran at
+    # 65.00000000000003 ns, past a step edge, and the last one past the range
+    delays = _scan_delays(130.2, 0.2)
+    assert len(delays) == 1303 and delays[0] == -130.2 and delays[-1] == 130.2
+    assert delays[651] == 0.0 and delays[976] == 65.0
+    assert delays == [-d for d in reversed(delays)]
+    assert _scan_delays(0.3, 0.1)[3] == 0.0
+    # an integer grid is unchanged
+    assert _scan_delays(200, 10) == [-200.0 + k * 10.0 for k in range(41)]
 
 
 def test_scan_reruns_identically(tmp_path):
@@ -538,7 +580,7 @@ _UNEVEN_BINS = [3, 26, 96, 100, 1000, 3000, 4097, 6000, 8192]
      (["--bins", "1", "--seed", "-1"], "n_bins must be >= 2, got 1"),
      (["--bins", "1", "--constant-code", "5000"], "n_bins must be >= 2, got 1")]
     # a count that does not divide the grid leaves its bins unequal shares of codes
-    + [(["--bins", str(n)], f"--bins must divide the 4096 DAC codes evenly (a power of two up to 4096), got {n}")
+    + [(["--bins", str(n)], f"n_bins must divide the 4096 DAC codes evenly (a power of two up to 4096), got {n}")
        for n in _UNEVEN_BINS],
     ids=["bins-low", "undersampled", "bins-before-seed", "bins-before-constant-code"]
     + [f"uneven-{n}" for n in _UNEVEN_BINS],
@@ -563,6 +605,12 @@ def test_verify_uniformity_checks_bins_before_the_draw(extra, message, monkeypat
 def test_verify_uniformity_output_matches_golden_digest(capsys):
     assert main(["verify-uniformity", "--seed", "9"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == AUDIT_DIGEST
+
+
+@pytest.mark.parametrize("n_bins", sorted(AUDIT_BIN_DIGESTS))
+def test_verify_uniformity_matches_golden_digests_at_every_bin_count(n_bins, capsys):
+    assert main(["verify-uniformity", "--codes", "100000", "--seed", "9", "--bins", str(n_bins)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == AUDIT_BIN_DIGESTS[n_bins]
 
 
 def test_density_rejects_bad_distribution(capsys):

@@ -1,11 +1,9 @@
 """Unit tests for the delay scan, phase audit and photon-number picture."""
 
 import cmath
-import decimal
 import math
 import os
 from dataclasses import replace
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -28,19 +26,21 @@ from plugplay_qkd import (
     export_density_csv,
     fock_density_matrix,
     offdiag_norm,
+    pattern_stream,
     run_session,
     sift,
     uniformity_chisq,
 )
 from plugplay_qkd import experiments
-from plugplay_qkd.experiments import _chi2_ppf99, _gamma_half, _gamma_q, scan_point_seed
+from plugplay_qkd.experiments import scan_point_seed
 
 CHI2_P99_DF255 = 310.45738821990585
-# Correctly rounded 99th percentiles for df 1 and 4095: the root of
+# Correctly rounded 99th percentiles for df 1, 63 and 4095: the root of
 # P(df/2, x/2) = float(0.99) found with mpmath.findroot on
 # mpmath.gammainc(df/2, 0, x/2, regularized=True) at 60 digits, then rounded
 # once to the nearest double.
 CHI2_P99_DF1 = 6.634896601021214
+CHI2_P99_DF63 = 92.01002361413198
 CHI2_P99_DF4095 = 4308.467865579965
 EXP_M01 = 0.9048374180359595  # e**-0.1
 RHO01_MU01 = 0.2861347153139552  # e**-0.1 * sqrt(0.1)
@@ -230,44 +230,24 @@ def test_chisq_threshold_is_the_99th_percentile():
     assert abs(stats.chi2.cdf(threshold, 255) - 0.99) < 1e-12
 
 
-@pytest.mark.parametrize("df, expected", [(1, CHI2_P99_DF1), (255, CHI2_P99_DF255),
-                                          (4095, CHI2_P99_DF4095)])
+def _threshold(df):
+    # the threshold uniformity_chisq reports at df + 1 bins
+    return uniformity_chisq(np.zeros(10 * (df + 1)), n_bins=df + 1)[1]
+
+
+# scipy's own chi2.ppf is 11 ulps off at df 63, so that value is pinned here
+# and not compared with scipy below
+@pytest.mark.parametrize("df, expected", [(1, CHI2_P99_DF1), (63, CHI2_P99_DF63),
+                                          (255, CHI2_P99_DF255), (4095, CHI2_P99_DF4095)])
 def test_chi2_quantile_pinned_values(df, expected):
-    assert _chi2_ppf99(df) == expected
+    assert _threshold(df) == expected
 
 
-@pytest.mark.parametrize("df", [1, 2, 3, 15, 255, 1023, 4095, 65535])
+@pytest.mark.parametrize("df", [1, 3, 7, 15, 31, 127, 255, 511, 1023, 2047, 4095])
 def test_chi2_quantile_matches_scipy(df):
-    ours = _chi2_ppf99(df)
+    ours = _threshold(df)
     theirs = stats.chi2.ppf(0.99, df)
     assert abs(ours - theirs) <= 4 * math.ulp(theirs)
-
-
-@pytest.mark.parametrize("a2, y", [(1, 3.3), (6, 9.0), (255, 155.0), (4095, 2154.0)])
-def test_upper_gamma_both_branches_match_scipy(a2, y):
-    # the continued fraction holds for y >= a + 1, where _chi2_ppf99 calls it
-    a = a2 / 2
-    with decimal.localcontext() as ctx:
-        ctx.prec = 45
-        q, density = _gamma_q(Decimal(a2) / 2, Decimal(y), _gamma_half(a2), Decimal("1e-43"))
-    assert math.isclose(float(q), special.gammaincc(a, y), rel_tol=1e-13)
-    # scipy's pdf goes through log space and is 1.8e-12 off at a = 2047.5
-    assert math.isclose(float(density), stats.gamma.pdf(y, a), rel_tol=1e-11)
-
-
-@pytest.mark.parametrize("df", [1, 2, 3, 255, 4095, 65535])
-def test_chi2_quantile_evaluates_gamma_q_only_above_a_plus_one(df, monkeypatch):
-    calls = []
-
-    def spy(a, y, gamma_a, tol):
-        calls.append((a, y))
-        return _gamma_q(a, y, gamma_a, tol)
-
-    monkeypatch.setattr(experiments, "_gamma_q", spy)
-    # the uncached solve, so every df runs its Newton iterates here
-    assert _chi2_ppf99.__wrapped__(df) == _chi2_ppf99(df)
-    assert calls
-    assert all(y >= a + 1 for a, y in calls)
 
 
 def test_chisq_degenerate_sample_hits_closed_form():
@@ -285,14 +265,31 @@ def test_chisq_dac_grid_bins_exactly():
         codes = np.tile(np.arange(4096), -(-10 * n_bins // 4096))
         statistic, _ = uniformity_chisq(code_to_phase(codes), n_bins=n_bins)
         assert statistic == 0.0, n_bins
-    # why verify-uniformity takes no other count: 96 bins hold 42 or 43 grid
-    # codes each, so a perfectly even tally of 1000 draws per code scores
-    # 500.0, far past the threshold, while every power of two scores 0.0
+    # why no other count is taken: 96 bins hold 42 or 43 grid codes each, so
+    # a perfectly even tally of 1000 draws per code would score 500.0, far
+    # past the threshold, while every power of two scores 0.0
     grid, even = code_to_phase(np.arange(4096)), np.full(4096, 1000)
-    statistic, threshold = uniformity_chisq(grid, n_bins=96, counts=even)
-    assert statistic == 500.0 and statistic > threshold
+    with pytest.raises(ValidationError, match="^n_bins must divide the 4096 DAC codes evenly"):
+        uniformity_chisq(grid, n_bins=96, counts=even)
     for n_bins in (2**k for k in range(1, 13)):
         assert uniformity_chisq(grid, n_bins=n_bins, counts=even)[0] == 0.0, n_bins
+
+
+@pytest.fixture(scope="module")
+def generator_phases():
+    return code_to_phase(pattern_stream(42, 10**6))
+
+
+# each count leaves the 4096-code grid in unequal shares, so the package's own
+# generator would fail (at 96 bins it scored 216.54 against 129.97)
+@pytest.mark.parametrize("n_bins", [3, 26, 96, 100, 1000, 4097, 8192])
+def test_chisq_refuses_bins_that_do_not_split_the_dac_grid(n_bins, generator_phases):
+    message = (f"^n_bins must divide the 4096 DAC codes evenly "
+               rf"\(a power of two up to 4096\), got {n_bins}$")
+    with pytest.raises(ValidationError, match=message):
+        uniformity_chisq(generator_phases, n_bins=n_bins)
+    with pytest.raises(ValidationError, match=message):
+        uniformity_chisq(code_to_phase(np.arange(4096)), n_bins=n_bins, counts=np.full(4096, 1000))
 
 
 def test_chisq_invariant_under_whole_turn_shifts():
@@ -354,7 +351,7 @@ def _audit_samples(n):
     return {"mixed": mixed, "in_range": grid, "full_turn": full_turn}
 
 
-@pytest.mark.parametrize("n_bins", [2, 26, 96, 256, 4096])
+@pytest.mark.parametrize("n_bins", [2, 32, 256, 1024, 4096])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_blocked_chisq_matches_the_unblocked_formula(n_bins, offset):
     # the binning formula, with floor and clip, is the reference
@@ -368,7 +365,7 @@ def test_blocked_chisq_matches_the_unblocked_formula(n_bins, offset):
         assert uniformity_chisq(phases, n_bins=n_bins)[0] == reference, name
 
 
-@pytest.mark.parametrize("n_bins", [2, 26, 96, 256, 4096])
+@pytest.mark.parametrize("n_bins", [2, 32, 256, 1024, 4096])
 def test_counted_chisq_is_the_chisq_of_the_repeated_sample(n_bins):
     # about a third of the counts are zero, so some phases (a wrapped one,
     # exactly 2*pi) may carry no weight at all

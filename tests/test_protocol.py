@@ -568,9 +568,14 @@ def test_kernel_matches_scalar_with_randomizer_off():
 
 def test_polarization_norm_is_irrelevant():
     a = detector_means(SessionConfig(n_bits=300, seed=8, polarization=(1.0, 0.5j)))
-    b = detector_means(SessionConfig(n_bits=300, seed=8, polarization=(4.0, 2.0j)))
-    for mu_a, mu_b in zip(a, b):
-        assert np.allclose(mu_a, mu_b, rtol=1e-12)
+    # the squared norms of the last two overflow and underflow to zero
+    for pol in ((4.0, 2.0j), (2.0**600, 2.0**599 * 1j), (2.0**-600, 2.0**-601 * 1j)):
+        b = detector_means(SessionConfig(n_bits=300, seed=8, polarization=pol))
+        for mu_a, mu_b in zip(a, b):
+            assert np.allclose(mu_a, mu_b, rtol=1e-12), pol
+    for pol in ((0.0, 0.0), (math.inf, 0.0), (0.0, complex(1.0, math.nan))):
+        with pytest.raises(ValidationError, match="^polarization must be finite with positive norm$"):
+            SessionConfig(n_bits=300, polarization=pol)
 
 
 def test_frame_patterns_are_regenerated():

@@ -187,21 +187,18 @@ def _cmd_session(args: argparse.Namespace) -> int:
 def _scan_delays(range_ns: float, step_ns: float) -> list[float]:
     range_ns = real("scan_range_ns", range_ns, 0, None, "()")
     step_ns = real("scan_step_ns", step_ns, 0, None, "()")
-    steps = 2.0 * range_ns / step_ns
-    if not math.isfinite(steps):
-        raise ValidationError(f"scan grid of {range_ns} ns in {step_ns} ns steps has too many points")
-    n_steps = round(steps)
+    # each point is the double nearest the exact decimal -range + k * step of
+    # the values as given, as is the step count, so the ends are +-range, the
+    # centre 0.0, and no float sum drifts a point off the delay it prints
+    start, step = Fraction(repr(-range_ns)), Fraction(repr(step_ns))
+    n_steps, rest = divmod(-2 * start, step)
     if n_steps + 1 > _MAX_SCAN_POINTS:
         raise ValidationError(
             f"scan grid of {range_ns} ns in {step_ns} ns steps has too many points "
             f"({n_steps + 1}, at most {_MAX_SCAN_POINTS})"
         )
-    if abs(n_steps * step_ns - 2.0 * range_ns) > 1e-9 * max(1.0, range_ns):
+    if rest:
         raise ValidationError("scan range must be a whole number of steps")
-    # each point is the double nearest the exact decimal -range + k * step of
-    # the values as given, so the ends are +-range, the centre 0.0, and no
-    # float sum drifts a point off the delay it prints
-    start, step = Fraction(repr(-range_ns)), Fraction(repr(step_ns))
     return [float(start + k * step) for k in range(n_steps + 1)]
 
 

@@ -256,9 +256,10 @@ def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, comple
 def _unit_pair(h: complex, v: complex) -> tuple[complex, complex]:
     """``(h, v)`` divided by its norm, if it is finite and positive.
 
-    Only where the squared norm overflows or underflows to zero is the pair
-    first scaled by a power of two, bringing its largest component into
-    [0.5, 1); every other pair is divided as it is.
+    Only where the squared norm overflows or falls below the normal range
+    (where it keeps too few digits) is the pair first scaled by a power of
+    two, bringing its largest component into [0.5, 1); every other pair is
+    divided as it is.
     """
     parts = (h.real, h.imag, v.real, v.imag)
     if not all(map(math.isfinite, parts)) or not any(parts):
@@ -267,7 +268,7 @@ def _unit_pair(h: complex, v: complex) -> tuple[complex, complex]:
         norm2 = abs(h) ** 2 + abs(v) ** 2
     except OverflowError:  # a component's square, or a complex abs, past float range
         norm2 = math.inf
-    if not 0.0 < norm2 < math.inf:
+    if not 2.0**-1022 <= norm2 < math.inf:
         shift = -math.frexp(max(map(abs, parts)))[1]
         hr, hi, vr, vi = (math.ldexp(x, shift) for x in parts)
         h, v = complex(hr, hi), complex(vr, vi)
@@ -283,18 +284,6 @@ def _pass_shift(first_ns: float, n: int, n_codes: int, config: SessionConfig) ->
     # clipping keeps a far-off (even infinite) quotient off the grid without
     # building a huge integer; every clipped shift still idles all n bits
     return math.floor(min(max(quotient, -n), n_codes))
-
-
-def _pass_codes(codes: np.ndarray, shift: int, bits: np.ndarray) -> np.ndarray:
-    """Codes the ascending bit indexes ``bits`` see on a pass of slot shift
-    ``shift``, where ``codes`` holds the slots from slot 0 on; outside them
-    the code is 0."""
-    # bit i samples slot i + shift, so the bits on the slots are one run of
-    # ``bits``; with no codes that run is empty
-    lo, hi = np.searchsorted(bits, (-shift, codes.size - shift))
-    out = np.zeros(bits.size, dtype=np.int32)
-    out[lo:hi] = codes[bits[lo:hi] + shift]
-    return out
 
 
 def _path_amplitude(config: SessionConfig) -> float:
@@ -357,10 +346,10 @@ def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarr
     Returns ``(means, peak)``: ``means(start, stop, bits)`` gives ``(mu_d0,
     mu_d1)`` at the ascending bit indexes ``bits`` of the block ``[start,
     stop)``, and no detector mean of the session exceeds ``peak``. Each call
-    draws the codes of the slots the block's four passes touch, in one
-    window of the pattern stream, and gathers the bits' codes once per
-    distinct slot shift of the passes: a bit's four passes fit in one
-    pattern step, so they see at most two adjacent slots.
+    fills one window over the slots the block's passes touch, with the idle
+    code 0 off the grid, and gathers the bits' codes from it once per
+    distinct slot shift; rounding can spread a bit's four passes, which fit
+    in one pattern step, over three slots, and the window spans them all.
     """
     n = config.n_bits
     h0, v0 = _polarization(config, streams)
@@ -377,10 +366,13 @@ def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarr
     a_v = abs(h0 * path_amp) ** 2
 
     def means(start: int, stop: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the block's bits sample the slots [lo, hi) of the grid
-        lo, hi = max(start + lowest, 0), min(stop + highest, n_codes)
-        codes = generate_pattern(streams["pattern"], hi - lo, lo) if lo < hi else np.zeros(0, dtype=np.int32)
-        by_shift = {shift: _pass_codes(codes, shift - lo, bits) for shift in set(shifts)}
+        # the block's passes sample slots [first, stop + highest); [lo, hi) is on the grid
+        first = start + lowest
+        window = np.zeros(stop + highest - first, dtype=np.int32)
+        lo, hi = max(first, 0), min(stop + highest, n_codes)
+        if lo < hi:
+            window[lo - first : hi - first] = generate_pattern(streams["pattern"], hi - lo, lo)
+        by_shift = {shift: window[bits + (shift - first)] for shift in set(shifts)}
         ref_fwd, ref_ret, sig_fwd, sig_ret = (by_shift[shift] for shift in shifts)
         return _block_means(tuple(c[bits] for c in choices), (sig_ret - ref_ret, sig_fwd - ref_fwd), a_h, a_v)
 
@@ -479,9 +471,9 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     probabilities are computed only for the candidate bits, those with a
     uniform below the bound (see :func:`_block_clicks`); every other bit has
     no click. At the defaults about 1% of bits are candidates. Each block
-    also draws the codes of the slots its passes touch, one window of the
-    pattern stream from raw words, and gathers them once per distinct slot
-    shift (see :func:`_session_means`). The session holds its 5 B/bit of
+    also gathers its codes once per distinct slot shift from one window,
+    idle off the grid and drawn from the pattern stream's raw words on it
+    (see :func:`_session_means`). The session holds its 5 B/bit of
     records and one block-length float column at a time, never a
     full-length code or float column; :func:`detector_means` returns the
     means of every bit.

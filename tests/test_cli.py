@@ -240,6 +240,11 @@ def test_scan_rejects_ragged_grid(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     assert main(_scan_args(target) + ["--scan-step-ns", "7"]) == 1
     assert "whole number of steps" in capsys.readouterr().err
+    # the step count is exact in the decimals given, below 1 ns too: 1e-10
+    # is 6 2/3 steps of 3e-11, and 2 * 0.30000000000000004 is not 6 * 0.1
+    for range_ns, step_ns in (("1e-10", "3e-11"), ("0.30000000000000004", "0.1")):
+        assert main(_scan_args(target) + ["--scan-range-ns", range_ns, "--scan-step-ns", step_ns]) == 1
+        assert "whole number of steps" in capsys.readouterr().err
     # a non-finite range or step is refused before any session runs
     for flag, value in (("--scan-range-ns", "nan"), ("--scan-range-ns", "inf"),
                         ("--scan-step-ns", "nan"), ("--scan-step-ns", "inf")):

@@ -338,6 +338,23 @@ def test_edge_session_straddles_only_its_last_pass():
     assert [protocol._pass_shift(p, cfg.n_bits, 1008, cfg) for p in passes] == [-1, -1, -1, 0]
 
 
+# A 7.3 ns period where rounding of (t - delay) / period spreads bit 0's four
+# passes over three slots though they fit in one step; five photons on
+# 90%-efficient detectors make clicks plentiful. Digest computed before the
+# kernel read its pass codes from one idle-padded window.
+_SPREAD_CFG = SessionConfig(n_bits=70_001, seed=5, mu_target=5.0, efficiency=0.9, period_ns=7.3,
+                            tau_mzi_ns=5.6545130764362925, roundtrip_ns=1.6454869235637013,
+                            delay_ns=-34426.799999999996)
+
+
+def test_three_slot_session_matches_golden_digest():
+    cfg = _SPREAD_CFG
+    t0 = cfg.first_event_ns()
+    passes = (t0, t0 + cfg.roundtrip_ns, t0 + cfg.tau_mzi_ns, t0 + cfg.tau_mzi_ns + cfg.roundtrip_ns)
+    assert [protocol._pass_shift(p, cfg.n_bits, 70_056, cfg) for p in passes] == [4715, 4716, 4716, 4717]
+    assert _records_digest(cfg) == "5216e8dae31c2e2803365e0c5b82c5b3b6d0084324a3ad3b77af44174f14f4b2"
+
+
 # 20 photons on perfect detectors at a straddling delay: most bits click on
 # both detectors, so the 'random' policy's coin draws shape the records
 @pytest.mark.parametrize(
@@ -425,13 +442,20 @@ def test_kernel_matches_scalar_across_block_edges(n_bits):
     assert np.allclose(mu_d1, mus[:, 1], rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("delay", [70.0, 200.0, -1e12])
-def test_records_do_not_depend_on_the_kernel_block(delay, monkeypatch):
-    # blocks of 7 bits cut every frame, pass slice and grid edge differently;
+# by delay, and the session whose passes take three slots
+_BLOCK_CONFIGS = {
+    str(delay): SessionConfig(n_bits=1200, seed=6, delay_ns=delay, mu_target=20.0,
+                              efficiency=1.0, double_click_policy="random")
+    for delay in (70.0, 200.0, -1e12)
+} | {"three-slot": _SPREAD_CFG}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_CONFIGS))
+def test_records_do_not_depend_on_the_kernel_block(name, monkeypatch):
+    # blocks of 7 bits cut every frame, pass window and grid edge differently;
     # double clicks are common, so the 'random' coins are read block by block;
     # the digest covers both run_session's records and detector_means' columns
-    cfg = SessionConfig(n_bits=1200, seed=6, delay_ns=delay, mu_target=20.0,
-                        efficiency=1.0, double_click_policy="random")
+    cfg = _BLOCK_CONFIGS[name]
     whole = _records_digest(cfg)
     monkeypatch.setattr(protocol, "_KERNEL_BLOCK", 7)
     assert _records_digest(cfg) == whole
@@ -573,6 +597,13 @@ def test_polarization_norm_is_irrelevant():
         b = detector_means(SessionConfig(n_bits=300, seed=8, polarization=pol))
         for mu_a, mu_b in zip(a, b):
             assert np.allclose(mu_a, mu_b, rtol=1e-12), pol
+    # squared norms below the normal range are scaled too, so no digit is lost
+    assert protocol._unit_pair(1e-160 + 0j, 0j) == (1 + 0j, 0j)
+    b = detector_means(SessionConfig(n_bits=300, seed=8, polarization=(1e-160, 0.0)))
+    for mu_a, mu_b in zip(detector_means(SessionConfig(n_bits=300, seed=8, polarization=(1.0, 0.0))), b):
+        assert np.array_equal(mu_a, mu_b)
+    h, _ = protocol._unit_pair(1e-155 + 0j, 1e-156j)
+    assert abs(h.real - 1.0 / math.sqrt(1.01)) <= math.ulp(h.real) and h.imag == 0.0
     for pol in ((0.0, 0.0), (math.inf, 0.0), (0.0, complex(1.0, math.nan))):
         with pytest.raises(ValidationError, match="^polarization must be finite with positive norm$"):
             SessionConfig(n_bits=300, polarization=pol)

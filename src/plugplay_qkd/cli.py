@@ -216,21 +216,22 @@ def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
     n_codes = whole("codes", args.codes, 1, MAX_FLOAT64S)
     # the bin count is checked before anything is drawn or allocated
     n_bins = _audit_bins(args.bins, n_codes)
-    # the sample is given as distinct codes and how often each was drawn
+    # the sample is how often each DAC code was drawn
+    counts = np.zeros(CODE_LEVELS, dtype=np.int64)
     if args.constant_code is not None:
         # an int32 code like pattern_stream's; a code off the grid is clipped to
-        # one just off it, so code_to_phase refuses it without an int32 overflow
-        codes = np.array([min(max(args.constant_code, -1), CODE_LEVELS)], dtype=np.int32)
-        counts = np.array([n_codes])
+        # one just off it, so code_to_phase, the one rule for a valid code,
+        # refuses it without an int32 overflow
+        code = min(max(args.constant_code, -1), CODE_LEVELS)
+        code_to_phase(np.int32(code))
+        counts[code] = n_codes
     else:
         # audit the same stream a session would feed to the modulator, drawn a
         # window at a time so its codes never exist whole
-        codes = np.arange(CODE_LEVELS)
-        counts = np.zeros(CODE_LEVELS, dtype=np.int64)
         for start in range(0, n_codes, _AUDIT_WINDOW):
             stop = min(start + _AUDIT_WINDOW, n_codes)
             counts += np.bincount(pattern_stream(args.seed, stop - start, start), minlength=CODE_LEVELS)
-    statistic, threshold = uniformity_chisq(code_to_phase(codes), n_bins=n_bins, counts=counts)
+    statistic, threshold = uniformity_chisq(counts, n_bins=n_bins)
     print(
         f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "
         f"({args.bins} bins, {args.codes} codes)"
@@ -371,8 +372,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return args.handler(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    except SystemExit:
+        # only --help exits: _Parser.error raises ValidationError instead
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,12 +5,10 @@ Three independent ways of checking the randomizer does its job:
 * :func:`delay_scan` reproduces the timing-alignment measurement: sifted
   error rate versus the generator trigger delay. Aligned timing leaves the
   key unaffected; misaligned timing scrambles it.
-* :func:`uniformity_chisq` audits the emitted phase sample directly with a
-  chi-square test against the uniform distribution on [0, 2*pi), in a
-  power-of-two number of bins from 2 to 4096, the counts that split the
-  4096-code DAC grid evenly; the sample may come as distinct phases with
-  their counts, such as the DAC grid weighted by how often each code was
-  drawn.
+* :func:`uniformity_chisq` audits the emitted phases directly with a
+  chi-square test against the uniform distribution on [0, 2*pi). Its sample
+  is how often each of the 4096 DAC codes was drawn, binned into a
+  power-of-two number of equal runs of codes from 2 to 4096.
 * :func:`fock_density_matrix` gives the analytic photon-number picture: what
   the attenuated pulses look like to an observer with no phase reference,
   for perfect, discrete or absent phase randomization.
@@ -150,72 +148,37 @@ def _audit_bins(n_bins, n_samples: int) -> int:
     return n_bins
 
 
-def uniformity_chisq(phases: np.ndarray, n_bins: int = 256, counts=None) -> tuple[float, float]:
-    """Chi-square statistic of a phase sample against uniformity on [0, 2*pi).
+def uniformity_chisq(code_counts, n_bins: int = 256) -> tuple[float, float]:
+    """Chi-square statistic of a DAC code sample against uniformity on [0, 2*pi).
 
-    Returns ``(statistic, threshold)`` where ``threshold`` is the 99th
-    percentile of chi-square with ``n_bins - 1`` degrees of freedom, read
-    from a table; a statistic above it rejects uniformity at the 1% level.
-    ``n_bins`` must be a power of two from 2 to 4096: only those split the
-    4096-code DAC grid into equal runs, so the grid bins exactly (at 96
-    bins, 42 or 43 codes each, a perfectly even tally of the grid would
-    score 500.0 against 129.97). The sample must average at least ten counts
-    per bin or the test is meaningless.
-
-    With ``counts``, the sample is ``phases[i]`` taken ``counts[i]`` times
-    (non-negative integers, one per phase), which gives exactly the
-    statistic of ``np.repeat(phases, counts)`` without building it: the
-    audit passes the 4096 DAC grid phases with how often each code was
-    drawn. Each phase is binned once and its count added in int64.
-
-    The whole sample is binned in one pass.
+    ``code_counts`` holds how often each of the 4096 DAC codes was drawn, as
+    non-negative integers totalling less than 2**62. Returns ``(statistic,
+    threshold)`` where ``threshold`` is the 99th percentile of chi-square
+    with ``n_bins - 1`` degrees of freedom, read from a table; a statistic
+    above it rejects uniformity at the 1% level. ``n_bins`` must be a power
+    of two from 2 to 4096, so that bin ``j`` is the run of ``4096 // n_bins``
+    codes whose phases lie in [2*pi*j/n_bins, 2*pi*(j+1)/n_bins) (at 96
+    bins, 42 or 43 codes each, a perfectly even tally would score 500.0
+    against 129.97). The sample must average at least ten counts per bin.
     """
-    arr = np.asarray(phases)
-    # a bool or string sample would otherwise be read as phases
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"phase sample must hold integers or floats, got dtype {arr.dtype}")
-    arr = arr.astype(np.float64, copy=False)
-    if arr.ndim != 1:
-        raise ValidationError("phase sample must be one-dimensional")
-    n_samples = arr.size
-    if counts is not None:
-        counts, n_samples = _phase_counts(counts, arr.size)
-    # min and max carry any NaN or infinity, so no full-length mask is built
-    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError("phase sample must be finite")
+    counts = np.asarray(code_counts)
+    if counts.dtype.kind not in "iu":
+        raise ValidationError(f"code counts must be integers, got dtype {counts.dtype}")
+    if counts.shape != (CODE_LEVELS,):
+        raise ValidationError(f"need one count per DAC code ({CODE_LEVELS}), got shape {counts.shape}")
+    if counts.min() < 0:
+        raise ValidationError("code counts must be >= 0")
+    # a float64 sum is within a part in 10**12 of the total, so below 2**62
+    # neither the int64 total nor an int64 bin can wrap
+    if float(counts.sum(dtype=np.float64)) >= 2.0**62:
+        raise ValidationError("code counts must total less than 2**62")
+    counts = counts.astype(np.int64, copy=False)
+    n_samples = int(counts.sum())
     n_bins = _audit_bins(n_bins, n_samples)
-    two_pi = 2.0 * math.pi
-    # multiply before dividing, so the grid bins exactly where it can; every
-    # wrapped phase is >= 0 (or -0.0), so truncation is the floor, and only
-    # rounding can reach n_bins
-    scaled = np.mod(arr, two_pi)
-    scaled *= n_bins / two_pi
-    idx = scaled.astype(np.intp)
-    np.minimum(idx, n_bins - 1, out=idx)
-    binned = np.zeros(n_bins, dtype=np.int64)
-    np.add.at(binned, idx, 1 if counts is None else counts)
+    binned = counts.reshape(n_bins, -1).sum(axis=1)
     expected = n_samples / n_bins
     statistic = float(((binned - expected) ** 2 / expected).sum())
     return statistic, _CHI2_P99[n_bins]
-
-
-def _phase_counts(counts, n_phases: int) -> tuple[np.ndarray, int]:
-    """``counts`` as int64 and their total, if they give each of ``n_phases``
-    phases a non-negative integer multiplicity, totalling less than 2**62."""
-    arr = np.asarray(counts)
-    if arr.dtype.kind not in "iu":
-        raise ValidationError(f"phase counts must be integers, got dtype {arr.dtype}")
-    if arr.shape != (n_phases,):
-        raise ValidationError(f"need one count per phase ({n_phases}), got shape {arr.shape}")
-    if arr.size and arr.min() < 0:
-        raise ValidationError("phase counts must be >= 0")
-    # a float64 sum is within a part in 10**12 of the total, so below 2**62
-    # neither the int64 total nor an int64 bin can wrap
-    if float(arr.sum(dtype=np.float64)) >= 2.0**62:
-        raise ValidationError("phase counts must total less than 2**62")
-    arr = arr.astype(np.int64, copy=False)
-    return arr, int(arr.sum())
 
 
 # ---------------------------------------------------------------------------

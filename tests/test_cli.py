@@ -315,15 +315,16 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 
 def test_config_file_errors(tmp_path, capsys):
+    # an error names its line, counting from 1 over comments and blank lines
     bad_key = tmp_path / "bad_key.conf"
-    bad_key.write_text("volume = 11\n")
+    bad_key.write_text("# run\nvolume = 11\n")
     assert main(["session", "--config", str(bad_key)]) == 1
-    assert "unknown option" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad_key}:2: unknown option 'volume'\n"
 
     bad_line = tmp_path / "bad_line.conf"
-    bad_line.write_text("seed\n")
+    bad_line.write_text("seed = 7\n\nseed\n")
     assert main(["session", "--config", str(bad_line)]) == 1
-    assert "expected 'key = value'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad_line}:3: expected 'key = value'\n"
 
     bad_value = tmp_path / "bad_value.conf"
     bad_value.write_text("bits = plenty\n")
@@ -422,6 +423,15 @@ def test_verify_uniformity_accepts_default_stream(capsys):
     assert "chi-square statistic" in out
 
 
+# the second count ends the stream in a partial window
+@pytest.mark.parametrize("n_codes", ["100000", "300001"])
+def test_verify_uniformity_seed_defaults_to_42(n_codes, capsys):
+    assert main(["verify-uniformity", "--codes", n_codes]) == 0
+    default = capsys.readouterr().out
+    assert main(["verify-uniformity", "--codes", n_codes, "--seed", "42"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_verify_uniformity_rejects_constant_stream(capsys):
     assert main(["verify-uniformity", "--codes", "100000", "--constant-code", "100"]) == 3
     out = capsys.readouterr().out
@@ -439,10 +449,19 @@ def test_verify_uniformity_parameter_errors(capsys):
         assert capsys.readouterr().err == "error: phase codes must lie in [0, 4095]\n"
 
 
+def _reference_audit(codes, n_bins):
+    # the statistic by hand, each code in its run of 4096 // n_bins codes,
+    # and the threshold from the package's table
+    binned = np.bincount(codes // (4096 // n_bins), minlength=n_bins)
+    expected = codes.size / n_bins
+    statistic = float(((binned - expected) ** 2 / expected).sum())
+    return statistic, uniformity_chisq(np.bincount(codes, minlength=4096), n_bins=n_bins)[1]
+
+
 def test_verify_uniformity_audits_the_session_pattern_stream(capsys):
     n_codes = 30_000
     codes = pattern_stream(7, n_codes)
-    statistic, threshold = uniformity_chisq(code_to_phase(codes), n_bins=256)
+    statistic, threshold = _reference_audit(codes, 256)
     base = ["verify-uniformity", "--codes", str(n_codes), "--seed", "7"]
     assert main(base) in (0, 3)
     first = capsys.readouterr().out
@@ -502,6 +521,16 @@ def test_density_writes_matrix(tmp_path, capsys):
     assert "trace=" in out and "max_offdiag=0.000000e+00" in out
 
 
+def test_density_n_max_defaults_to_20(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["density"]) == 0
+    default = capsys.readouterr().out
+    assert default.endswith("\nwrote (21)x(21) matrix to density.csv\n")
+    assert main(["density", "--n-max", "20", "--output", "given.csv"]) == 0
+    assert capsys.readouterr().out == default.replace("density.csv", "given.csv")
+    assert (tmp_path / "density.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+
+
 def test_density_distribution_forms(tmp_path):
     for dist in ("discrete:4", "fixed:0.5", "fixed"):
         target = tmp_path / f"{dist.replace(':', '_')}.csv"
@@ -550,11 +579,14 @@ def test_constant_code_audit_allocates_no_stream(capsys):
 
 
 # the counted audit prints the statistic of the whole sample of float phases
-# at every accepted bin count
+# at every accepted bin count: each code's phase falls in its run's bin
 @pytest.mark.parametrize("n_bins", [2**k for k in range(1, 13)])
 def test_verify_uniformity_prints_the_statistic_of_the_float_phases(n_bins, capsys):
     n_codes = 300_001
-    statistic, threshold = uniformity_chisq(code_to_phase(pattern_stream(11, n_codes)), n_bins=n_bins)
+    codes = pattern_stream(11, n_codes)
+    phase_bins = np.floor(code_to_phase(codes) * (n_bins / (2.0 * math.pi))).astype(np.int64)
+    assert np.array_equal(phase_bins, codes // (4096 // n_bins))
+    statistic, threshold = _reference_audit(codes, n_bins)
     status = main(["verify-uniformity", "--codes", str(n_codes), "--seed", "11", "--bins", str(n_bins)])
     assert status == (3 if statistic > threshold else 0)
     assert capsys.readouterr().out.startswith(

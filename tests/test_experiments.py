@@ -217,22 +217,38 @@ def test_reference_split_waist_rate_is_one_quarter():
 # Phase uniformity audit
 
 
+def _one_code(n, code=803):
+    # a stuck generator: n draws of one code
+    counts = np.zeros(4096, dtype=np.int64)
+    counts[code] = n
+    return counts
+
+
+def _reference_chisq(codes, n_bins):
+    # the audit by hand: each drawn code in its bin of 4096 // n_bins codes
+    binned = np.bincount(np.asarray(codes) // (4096 // n_bins), minlength=n_bins)
+    expected = binned.sum() / n_bins
+    return float(((binned - expected) ** 2 / expected).sum())
+
+
 def test_chisq_zero_for_perfectly_even_sample():
-    centers = (np.arange(256) + 0.5) * (2.0 * math.pi / 256.0)
-    statistic, threshold = uniformity_chisq(np.repeat(centers, 10))
+    # ten draws of each bin's middle code
+    counts = np.zeros(4096, dtype=np.int64)
+    counts[8::16] = 10
+    statistic, threshold = uniformity_chisq(counts)
     assert statistic == 0.0
     assert threshold == CHI2_P99_DF255
 
 
 def test_chisq_threshold_is_the_99th_percentile():
-    _, threshold = uniformity_chisq(np.zeros(2560))
+    _, threshold = uniformity_chisq(_one_code(2560))
     assert threshold == CHI2_P99_DF255
     assert abs(stats.chi2.cdf(threshold, 255) - 0.99) < 1e-12
 
 
 def _threshold(df):
     # the threshold uniformity_chisq reports at df + 1 bins
-    return uniformity_chisq(np.zeros(10 * (df + 1)), n_bins=df + 1)[1]
+    return uniformity_chisq(np.full(4096, 10), n_bins=df + 1)[1]
 
 
 # scipy's own chi2.ppf is 11 ulps off at df 63, so that value is pinned here
@@ -252,166 +268,130 @@ def test_chi2_quantile_matches_scipy(df):
 
 def test_chisq_degenerate_sample_hits_closed_form():
     n = 2560
-    statistic, threshold = uniformity_chisq(np.full(n, 1.234))
+    statistic, threshold = uniformity_chisq(_one_code(n))
     assert statistic == n * 255.0  # all mass in one bin
     assert statistic > threshold
 
 
 def test_chisq_dac_grid_bins_exactly():
-    # at every power-of-two bin count each equal run of the 4096-level grid
-    # must land in its own bin, with no boundary code leaking into a
-    # neighbour through rounding; the grid is tiled to 10 samples per bin
+    # at every power-of-two bin count each bin is an equal run of the grid, so
+    # an even tally scores 0.0, from ten draws a bin on average up
     for n_bins in (2**k for k in range(1, 13)):
-        codes = np.tile(np.arange(4096), -(-10 * n_bins // 4096))
-        statistic, _ = uniformity_chisq(code_to_phase(codes), n_bins=n_bins)
-        assert statistic == 0.0, n_bins
+        for per_code in (-(-10 * n_bins // 4096), 1000):
+            assert uniformity_chisq(np.full(4096, per_code), n_bins=n_bins)[0] == 0.0, n_bins
     # why no other count is taken: 96 bins hold 42 or 43 grid codes each, so
-    # a perfectly even tally of 1000 draws per code would score 500.0, far
-    # past the threshold, while every power of two scores 0.0
-    grid, even = code_to_phase(np.arange(4096)), np.full(4096, 1000)
+    # an even tally of 1000 draws per code would score 500.0, far past the
+    # threshold
     with pytest.raises(ValidationError, match="^n_bins must divide the 4096 DAC codes evenly"):
-        uniformity_chisq(grid, n_bins=96, counts=even)
-    for n_bins in (2**k for k in range(1, 13)):
-        assert uniformity_chisq(grid, n_bins=n_bins, counts=even)[0] == 0.0, n_bins
+        uniformity_chisq(np.full(4096, 1000), n_bins=96)
 
 
 @pytest.fixture(scope="module")
-def generator_phases():
-    return code_to_phase(pattern_stream(42, 10**6))
+def generator_counts():
+    return np.bincount(pattern_stream(42, 10**6), minlength=4096)
 
 
 # each count leaves the 4096-code grid in unequal shares, so the package's own
 # generator would fail (at 96 bins it scored 216.54 against 129.97)
 @pytest.mark.parametrize("n_bins", [3, 26, 96, 100, 1000, 4097, 8192])
-def test_chisq_refuses_bins_that_do_not_split_the_dac_grid(n_bins, generator_phases):
+def test_chisq_refuses_bins_that_do_not_split_the_dac_grid(n_bins, generator_counts):
     message = (f"^n_bins must divide the 4096 DAC codes evenly "
                rf"\(a power of two up to 4096\), got {n_bins}$")
     with pytest.raises(ValidationError, match=message):
-        uniformity_chisq(generator_phases, n_bins=n_bins)
+        uniformity_chisq(generator_counts, n_bins=n_bins)
     with pytest.raises(ValidationError, match=message):
-        uniformity_chisq(code_to_phase(np.arange(4096)), n_bins=n_bins, counts=np.full(4096, 1000))
-
-
-def test_chisq_invariant_under_whole_turn_shifts():
-    rng = np.random.default_rng(99)
-    codes = rng.integers(0, 256, size=4000) * 16 + 8  # bin centers
-    phases = code_to_phase(codes)
-    turns = 2.0 * math.pi * rng.integers(-3, 4, size=4000)
-    base, _ = uniformity_chisq(phases)
-    shifted, _ = uniformity_chisq(phases + turns)
-    negated, _ = uniformity_chisq(phases - 2.0 * math.pi)
-    assert shifted == base
-    assert negated == base
+        uniformity_chisq(np.full(4096, 1000), n_bins=n_bins)
 
 
 def test_chisq_accepts_a_real_pattern_stream():
     rng = np.random.default_rng(20240321)
     codes = rng.integers(0, 4096, size=200_000)
-    statistic, threshold = uniformity_chisq(code_to_phase(codes))
+    statistic, threshold = uniformity_chisq(np.bincount(codes, minlength=4096))
     assert statistic < threshold
 
 
 def test_chisq_validation():
-    with pytest.raises(ValidationError, match="one-dimensional"):
-        uniformity_chisq(np.full((10, 10), math.nan))
     with pytest.raises(ValidationError, match="need at least 2560 samples for 256 bins, got 2559"):
-        uniformity_chisq(np.zeros(2559))
+        uniformity_chisq(_one_code(2559))
     with pytest.raises(ValidationError, match="n_bins must be >= 2"):
-        uniformity_chisq(np.zeros(100), n_bins=1)
-    # strings and bools used to be read as phases
-    for sample in (np.array(["1"] * 3000), np.ones(3000, dtype=bool), ["0.5"] * 3000):
-        with pytest.raises(ValidationError, match="^phase sample must hold integers or floats, got dtype "):
-            uniformity_chisq(sample)
-    # an empty sample has no min or max to check; it is too small
-    with pytest.raises(ValidationError, match="need at least 2560 samples for 256 bins, got 0"):
-        uniformity_chisq(np.array([]))
-    # a sample both too small and not finite is refused as not finite
-    with pytest.raises(ValidationError, match="finite"):
-        uniformity_chisq(np.array([0.0, math.nan, 1.0]))
-    # non-finite samples would otherwise be counted in bin 0
-    for bad in (math.nan, math.inf, -math.inf):
-        phases = np.zeros(2560)
-        phases[7] = bad
-        with pytest.raises(ValidationError, match="finite"):
-            uniformity_chisq(phases)
+        uniformity_chisq(_one_code(100), n_bins=1)
+    # a sample of phases is not a tally, and a NaN count is no count; the
+    # counts are checked ahead of the bin count
+    for sample in (code_to_phase(np.arange(4096)), np.full(4096, math.nan)):
+        with pytest.raises(ValidationError, match="^code counts must be integers, got dtype float64$"):
+            uniformity_chisq(sample, n_bins=1)
+    with pytest.raises(ValidationError, match=r"^need one count per DAC code \(4096\), got shape \(0,\)$"):
+        uniformity_chisq(np.array([], dtype=int), n_bins=1)
 
 
 def _audit_samples(n):
-    # in range, negative, whole turns off, exactly 2*pi, -0.0 and a negative
-    # phase that wraps to 2*pi, one bin past the last, and is clipped; the
-    # in-range grid alone; and the grid with one phase of exactly 2*pi, which
-    # must be wrapped to bin 0
+    # code streams: uniform over the grid; confined to its lower half; and
+    # each code the first or last of a run of 2**k codes, the edges of the
+    # bins at every width
     rng = np.random.default_rng(n)
-    grid = code_to_phase(rng.integers(0, 4096, size=n))
-    mixed = grid + 2.0 * math.pi * rng.integers(-3, 4, size=n)
-    mixed[: n // 3] = rng.uniform(-20.0, 20.0, size=n // 3)
-    mixed[-5:] = [2.0 * math.pi, -0.0, -2.0 * math.pi, 0.0, -1e-20]
-    full_turn = grid.copy()
-    full_turn[n // 2] = 2.0 * math.pi
-    return {"mixed": mixed, "in_range": grid, "full_turn": full_turn}
+    base = rng.integers(0, 4096, size=n)
+    low = (1 << rng.integers(0, 12, size=n)) - 1
+    edges = np.where(rng.random(n) < 0.5, base & ~low, base | low)
+    return {"uniform": base, "half_range": rng.integers(0, 2048, size=n), "edges": edges}
 
 
 @pytest.mark.parametrize("n_bins", [2, 32, 256, 1024, 4096])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_blocked_chisq_matches_the_unblocked_formula(n_bins, offset):
-    # the binning formula, with floor and clip, is the reference
+    # the package sums the tally over runs of codes; the reference bins each
+    # drawn code on its own
     n = (1 << 16) + offset
-    two_pi = 2.0 * math.pi
-    for name, phases in _audit_samples(n).items():
-        idx = np.floor(np.mod(phases, two_pi) * (n_bins / two_pi)).astype(np.int64)
-        counts = np.bincount(np.clip(idx, 0, n_bins - 1), minlength=n_bins)
-        expected = n / n_bins
-        reference = float(((counts - expected) ** 2 / expected).sum())
-        assert uniformity_chisq(phases, n_bins=n_bins)[0] == reference, name
+    for name, codes in _audit_samples(n).items():
+        counts = np.bincount(codes, minlength=4096)
+        assert uniformity_chisq(counts, n_bins=n_bins)[0] == _reference_chisq(codes, n_bins), name
 
 
 @pytest.mark.parametrize("n_bins", [2, 32, 256, 1024, 4096])
 def test_counted_chisq_is_the_chisq_of_the_repeated_sample(n_bins):
-    # about a third of the counts are zero, so some phases (a wrapped one,
-    # exactly 2*pi) may carry no weight at all
+    # about a third of the counts are zero, so some codes, the first and last
+    # among them, may carry no weight at all
     rng = np.random.default_rng(n_bins)
-    for name, phases in _audit_samples(41_000).items():
-        counts = rng.integers(0, 30, size=phases.size) * (rng.random(phases.size) < 0.7)
-        counted = uniformity_chisq(phases, n_bins=n_bins, counts=counts)
-        assert counted == uniformity_chisq(np.repeat(phases, counts), n_bins=n_bins), name
-        assert uniformity_chisq(phases, n_bins=n_bins, counts=np.ones(phases.size, dtype=np.uint8)) == \
-            uniformity_chisq(phases, n_bins=n_bins), name
+    counts = rng.integers(0, 60, size=4096) * (rng.random(4096) < 0.7)
+    statistic = uniformity_chisq(counts, n_bins=n_bins)
+    assert statistic[0] == _reference_chisq(np.repeat(np.arange(4096), counts), n_bins)
+    # any integer dtype holding the counts gives the same result
+    for dtype in (np.uint8, np.int16, np.uint64):
+        assert uniformity_chisq(counts.astype(dtype), n_bins=n_bins) == statistic, dtype
 
 
 def test_counted_chisq_keeps_totals_past_float_precision_exact():
     # one count past 2**53 beside a count of one: float weights would lose the one
-    grid = code_to_phase(np.arange(4096))
     counts = np.zeros(4096, dtype=np.int64)
     counts[0], counts[2048] = 2**53, 1
     n = 2**53 + 1
     expected = n / 2
     want = float((2**53 - expected) ** 2 / expected + (1 - expected) ** 2 / expected)
-    assert uniformity_chisq(grid, n_bins=2, counts=counts)[0] == want
-    assert uniformity_chisq(grid[[0]], n_bins=2, counts=[n])[0] == float(n)
+    assert uniformity_chisq(counts, n_bins=2)[0] == want
+    assert uniformity_chisq(_one_code(n, code=0), n_bins=2)[0] == float(n)
 
 
 @pytest.mark.parametrize(
     "counts, message",
-    [(np.full(3000, -1), "^phase counts must be >= 0$"),
-     (np.r_[np.ones(2999, dtype=int), -1], "^phase counts must be >= 0$"),
-     (np.ones(3000), "^phase counts must be integers, got dtype float64$"),
-     (np.ones(3000, dtype=bool), "^phase counts must be integers, got dtype bool$"),
-     (["1"] * 3000, "^phase counts must be integers, got dtype <U1$"),
-     (np.ones((3000, 1), dtype=int), r"^need one count per phase \(3000\), got shape \(3000, 1\)$"),
-     (np.ones(2999, dtype=int), r"^need one count per phase \(3000\), got shape \(2999,\)$"),
-     (5, r"^need one count per phase \(3000\), got shape \(\)$"),
-     (np.zeros(3000, dtype=int), "^need at least 2560 samples for 256 bins, got 0$"),
-     (np.r_[np.ones(2559, dtype=int), np.zeros(441, dtype=int)],
+    [(np.full(4096, -1), "^code counts must be >= 0$"),
+     (np.r_[np.ones(4095, dtype=int), -1], "^code counts must be >= 0$"),
+     (np.ones(4096), "^code counts must be integers, got dtype float64$"),
+     (np.ones(4096, dtype=bool), "^code counts must be integers, got dtype bool$"),
+     (["1"] * 4096, "^code counts must be integers, got dtype <U1$"),
+     (np.ones((4096, 1), dtype=int), r"^need one count per DAC code \(4096\), got shape \(4096, 1\)$"),
+     (np.ones(4095, dtype=int), r"^need one count per DAC code \(4096\), got shape \(4095,\)$"),
+     (5, r"^need one count per DAC code \(4096\), got shape \(\)$"),
+     (np.zeros(4096, dtype=int), "^need at least 2560 samples for 256 bins, got 0$"),
+     (np.r_[np.ones(2559, dtype=int), np.zeros(1537, dtype=int)],
       "^need at least 2560 samples for 256 bins, got 2559$"),
-     (np.full(3000, 2**62, dtype=np.uint64), r"^phase counts must total less than 2\*\*62$"),
-     (np.full(3000, 2**63 - 1), r"^phase counts must total less than 2\*\*62$")],
+     (np.full(4096, 2**62, dtype=np.uint64), r"^code counts must total less than 2\*\*62$"),
+     (np.full(4096, 2**63 - 1), r"^code counts must total less than 2\*\*62$"),
+     (_one_code(2**62), r"^code counts must total less than 2\*\*62$")],
     ids=["negative", "one-negative", "float", "bool", "str", "2-d", "short", "scalar", "all-zero",
-         "undersampled", "uint64-past-int64", "total-past-int64"],
+         "undersampled", "uint64-past-int64", "total-past-int64", "total-at-the-bound"],
 )
 def test_counted_chisq_validation(counts, message):
-    phases = code_to_phase(np.arange(3000))
     with pytest.raises(ValidationError, match=message):
-        uniformity_chisq(phases, counts=counts)
+        uniformity_chisq(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -857,7 +857,7 @@ _WHOLE_SITES = {
     "generate_pattern": ("n_codes", lambda v: generate_pattern(np.random.SeedSequence(5), v), 1),
     "generate_pattern-start": ("start", lambda v: generate_pattern(np.random.SeedSequence(5), 3, v), 0),
     "max_workers": ("max_workers", lambda v: delay_scan(SessionConfig(n_bits=200), [0.0, 1.0], max_workers=v), 1),
-    "n_bins": ("n_bins", lambda v: uniformity_chisq(np.linspace(0.0, 6.0, 1000), n_bins=v), 2),
+    "n_bins": ("n_bins", lambda v: uniformity_chisq(np.full(4096, 1), n_bins=v), 2),
     "n_values": ("n_values", lambda v: DiscreteUniformPhase(v), 1),
     "n_max": ("n_max", lambda v: fock_density_matrix(0.1, UniformPhase(), n_max=v), 1),
 }

@@ -512,6 +512,10 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     return mu_d0, mu_d1
 
 
+# Bits per slice of the click columns that sift compares at once.
+_SIFT_SLICE = 1 << 16
+
+
 def sift(records: DetectionRecords) -> np.ndarray:
     """Keep conclusive, basis-matched bits; return (alice_bit, bob_bit) pairs.
 
@@ -519,8 +523,12 @@ def sift(records: DetectionRecords) -> np.ndarray:
     bit 1). Double clicks survive only if the session already rewrote them
     under the 'random' policy; under 'discard' they are dropped here.
     """
-    # a few percent of bits are conclusive, so their bases are compared by index
-    keep = np.flatnonzero(records.clicked_d0 ^ records.clicked_d1)
+    # a few percent of bits are conclusive, so they are found a slice at a
+    # time, with no whole-length column, and their bases compared by index
+    d0, d1 = records.clicked_d0, records.clicked_d1
+    keep = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero(d0[start : start + _SIFT_SLICE] ^ d1[start : start + _SIFT_SLICE]) + start
+        for start in range(0, len(records), _SIFT_SLICE)])
     keep = keep[records.alice_basis[keep] == records.bob_basis[keep]]
     return np.column_stack((records.alice_bit[keep], records.clicked_d1[keep].astype(np.int8)))
 
@@ -541,10 +549,11 @@ def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEst
     return QberEstimate(qber=qber, std_error=std_error, n_sifted=n, n_errors=n_errors)
 
 
-# Rows formatted per write: bounds the text held at once to 2 MB. From
-# row 100,000 on, blocks start at its multiples, as every power of ten there
-# does, so the rows of a block share one index width.
-_CSV_BLOCK_ROWS = 100_000
+# Rows formatted per write: about 0.2 B/bit of text at the paper's 843,000
+# bits. From row 10,000 on, runs start at its multiples, as every power of ten
+# there does, so the rows of a run share one index width and one table of
+# low four digits.
+_CSV_RUN_ROWS = 10_000
 
 # The four ASCII digits of the indexes 0 to 9,999, one row each.
 _FOUR_DIGITS = np.stack(
@@ -555,42 +564,32 @@ _FOUR_DIGITS.setflags(write=False)
 
 def _lay_out_rows(start: int, n_rows: int, width: int) -> np.ndarray:
     """A buffer for ``n_rows`` rows of index width ``width`` from row ``start``,
-    with the low five index digits and the separators in place.
+    with the low four index digits and the separators in place.
 
-    Both are the same for every block of one width: a width's first block is
-    its longest, and every later one starts at a multiple of
-    ``_CSV_BLOCK_ROWS``.
+    Both are the same for every run of one width: a width's first run is its
+    longest, and every later one starts at a multiple of ``_CSV_RUN_ROWS``.
     """
     # after the index: five one-character fields, each after a comma, and "\n"
     rows = np.empty((n_rows, width + 11), dtype=np.uint8)
-    offset, low = start % _CSV_BLOCK_ROWS, min(width, 4)
-    # the first 10,000 rows, whose low four digits and separators every later
-    # run of 10,000 repeats; below row 10,000 a width starts mid-table
-    head = rows[:10_000]
-    first = offset % 10_000
-    head[:, width - low : width] = _FOUR_DIGITS[first : first + len(head), 4 - low :]
-    head[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
-    for j in range(0, n_rows, 10_000):
-        if j:
-            rows[j : j + 10_000] = head[: n_rows - j]
-        if width > 4:
-            rows[j : j + 10_000, width - 5] = ord("0") + (offset + j) // 10_000 % 10
+    low, first = min(width, 4), start % _CSV_RUN_ROWS
+    rows[:, width - low : width] = _FOUR_DIGITS[first : first + n_rows, 4 - low :]
+    rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
     return rows
 
 
 def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> None:
     """Write one CSV row per bit: index, bases as letters, clicks as 0/1.
 
-    Rows are formatted a block of up to ``_CSV_BLOCK_ROWS`` at a time into one
-    buffer of ``uint8`` rows, about 2 B/bit at the paper's 843,000 bits. Its
-    low index digits and its separators are laid out once per index width
-    (see :func:`_lay_out_rows`); each block then writes only its high index
-    digits and its five fields.
+    Rows are formatted a run of up to ``_CSV_RUN_ROWS`` at a time into one
+    buffer of ``uint8`` rows, about 0.2 B/bit at the paper's 843,000 bits.
+    Its low four index digits and its separators are laid out once per index
+    width (see :func:`_lay_out_rows`); each run then writes its higher index
+    digits, one column at a time, and its five fields.
     """
     n = len(records)
-    # below 100,000 rows a block ends at each power of ten instead
-    edges = [e for e in (0, 10, 100, 1_000, 10_000) if e < n]
-    edges += [*range(_CSV_BLOCK_ROWS, n, _CSV_BLOCK_ROWS), n]
+    # below 10,000 rows a run ends at each power of ten instead
+    edges = [e for e in (0, 10, 100, 1_000) if e < n]
+    edges += [*range(_CSV_RUN_ROWS, n, _CSV_RUN_ROWS), n]
     # each field after the index, with the character of its 0 ('Y' follows 'X')
     fields = ((records.alice_basis, BASES[0]), (records.alice_bit, "0"), (records.bob_basis, BASES[0]),
               (records.clicked_d0, "0"), (records.clicked_d1, "0"))
@@ -604,8 +603,9 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
                 rows = block = None
                 rows = _lay_out_rows(start, stop - start, width)
             block = rows[: stop - start]
-            if width > 5:
-                block[:, : width - 5] = np.frombuffer(str(start // _CSV_BLOCK_ROWS).encode(), np.uint8)
+            if width > 4:
+                for col, digit in enumerate(str(start // _CSV_RUN_ROWS).encode()):
+                    block[:, col] = digit
             for k, (values, zero) in enumerate(fields):
                 np.add(values[start:stop].view(np.uint8), ord(zero), out=block[:, width + 1 + 2 * k])
             fh.write(block)

@@ -85,7 +85,8 @@ def test_session_with_no_sifted_bit_reports_it_and_writes_records(tmp_path, monk
 
 def test_paper_session_export_memory_is_bounded(tmp_path, capsys):
     # warm (the second run), so only per-run allocations count: the 5 B/bit
-    # of records, one kernel block and the export's one 1.7 MB row buffer
+    # of records, one kernel block, sift's one slice and the conclusive bits,
+    # and the export's one 170 KB row buffer
     n_bits = 843_000
     argv = ["session", "--bits", str(n_bits), "--output", str(tmp_path / "records.csv")]
     assert main(argv) == 0
@@ -98,7 +99,7 @@ def test_paper_session_export_memory_is_bounded(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert f"wrote {n_bits} records" in capsys.readouterr().out
-    assert peak / n_bits < 7.5
+    assert peak / n_bits < 5.8
 
 
 def test_session_rejects_invalid_parameters(capsys):
@@ -414,6 +415,25 @@ def test_config_keys_cover_every_flag(tmp_path, capsys):
     config.write_text("config = other.conf\n")
     assert main(["session", "--config", str(config)]) == 1
     assert "unknown option 'config'" in capsys.readouterr().err
+
+
+def test_session_seed_defaults_to_42(tmp_path, capsys):
+    argv = ["session", "--bits", "3000", "--output", str(tmp_path / "r.csv")]
+    outputs = []
+    for seed in ([], ["--seed", "42"], ["--seed", "43"]):
+        assert main([*argv, *seed]) == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / "r.csv").read_bytes()))
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
+def test_scan_seed_defaults_to_42(tmp_path, capsys):
+    argv = ["scan", "--bits", "2000", "--scan-range-ns", "100", "--scan-step-ns", "50",
+            "--output", str(tmp_path / "g.csv")]
+    outputs = []
+    for seed in ([], ["--seed", "42"], ["--seed", "43"]):
+        assert main([*argv, *seed]) == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / "g.csv").read_bytes()))
+    assert outputs[0] == outputs[1] != outputs[2]
 
 
 def test_verify_uniformity_accepts_default_stream(capsys):

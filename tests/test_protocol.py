@@ -120,6 +120,48 @@ def test_sift_fraction_is_binomial_half():
     assert abs(frac - 0.5) < 5.0 * math.sqrt(0.25 / n)
 
 
+def _sift_by_mask(records):
+    """Reference sift: one whole-length mask of conclusive, basis-matched bits."""
+    mask = (records.clicked_d0 != records.clicked_d1) & (records.alice_basis == records.bob_basis)
+    return np.column_stack((records.alice_bit[mask], records.clicked_d1[mask].astype(np.int8)))
+
+
+_SLICE = protocol._SIFT_SLICE
+
+
+# random clicks at lengths around the slice edges, then whole columns of one
+# kind of event; with every bit on D0 the bases match, so every bit sifts
+@pytest.mark.parametrize(
+    ("n", "clicks"),
+    [(_SLICE - 1, "random"), (_SLICE + 1, "random"), (2 * _SLICE + 1, "random"), (0, "random"),
+     (2 * _SLICE + 1, "d0"), (2 * _SLICE + 1, "double"), (2 * _SLICE + 1, "none")],
+    ids=["slice-1", "slice+1", "2slice+1", "empty", "all-d0", "all-double", "no-click"],
+)
+def test_sift_matches_whole_column_reference(n, clicks):
+    rng = np.random.default_rng(n)
+    choices = rng.integers(0, 2, size=(3, n), dtype=np.int8)
+    d0, d1 = {"random": rng.random((2, n)) < 0.3, "d0": (np.ones(n, bool), np.zeros(n, bool)),
+              "double": np.ones((2, n), bool), "none": np.zeros((2, n), bool)}[clicks]
+    if clicks == "d0":
+        choices[2] = choices[0]
+    records = _records(*choices, d0, d1)
+    pairs, expected = sift(records), _sift_by_mask(records)
+    assert pairs.shape == expected.shape and pairs.dtype == expected.dtype
+    assert np.array_equal(pairs, expected)
+    if clicks == "d0":
+        assert len(pairs) == n and not pairs[:, 1].any()
+
+
+def test_sift_memory_is_bounded():
+    # one slice's comparison of the click columns at a time and the
+    # conclusive bits' indexes, about 0.12 B/bit here; a whole-length
+    # comparison column alone would take 1 B/bit
+    records = run_session(SessionConfig(n_bits=843_000, seed=42))
+    peak, pairs = _peak_bytes(lambda: sift(records))
+    assert np.array_equal(pairs, _sift_by_mask(records))
+    assert peak / len(records) < 0.3
+
+
 def test_detection_records_views():
     records = _records([0, 1], [1, 0], [0, 1], [True, False], [False, True])
     assert len(records) == 2
@@ -370,6 +412,26 @@ def test_double_click_records_match_golden_digests(seed, policy, digest):
     cfg = SessionConfig(n_bits=100_003, seed=seed, delay_ns=70.0, mu_target=20.0,
                         efficiency=1.0, double_click_policy=policy)
     assert _records_digest(cfg) == digest
+
+
+def test_random_policy_coins_match_one_whole_session_draw():
+    # the records are the 'discard' policy's clicks with each double click
+    # rewritten from one whole-session draw of the coins, uniforms [2n, 3n)
+    # of the detection substream; at these settings some kernel blocks hold
+    # a double click and others none, so a block that drew its coins out of
+    # step would show
+    cfg = SessionConfig(n_bits=300_001, seed=2, mu_target=0.3, double_click_policy="random")
+    n = cfg.n_bits
+    raw = run_session(replace(cfg, double_click_policy="discard"))
+    both = raw.clicked_d0 & raw.clicked_d1
+    per_block = np.add.reduceat(both, np.arange(0, n, _KERNEL_BLOCK))
+    assert per_block.min() == 0 and np.count_nonzero(per_block) >= 5
+    coins = np.random.default_rng(_substreams(cfg.seed)["detection"]).random(3 * n)[2 * n :] < 0.5
+    records = run_session(cfg)
+    for name in ("alice_basis", "alice_bit", "bob_basis"):
+        assert np.array_equal(getattr(records, name), getattr(raw, name))
+    assert np.array_equal(records.clicked_d0, np.where(both, coins, raw.clicked_d0))
+    assert np.array_equal(records.clicked_d1, np.where(both, ~coins, raw.clicked_d1))
 
 
 def test_paper_session_matches_golden_digest():
@@ -946,12 +1008,14 @@ def _records_csv_by_row(records):
     return "\n".join(lines) + "\n"
 
 
-# rows change index width at each power of ten, and from row 100,000 on the
-# export formats aligned blocks of 100,000 rows; 1,000,001 rows reach width 7,
-# and 1,100,001 rows reuse the width-7 buffer under a new two-digit prefix
+# rows change index width at each power of ten, and from row 10,000 on the
+# export formats aligned runs of 10,000 rows, each writing its index digits
+# above the low four; 1,000,001 rows reach width 7, and 1,100,001 rows reuse
+# the width-7 buffer under a new two-digit prefix
 @pytest.mark.parametrize(
     "n",
-    [1, 10, 1001, 65_537, 0, 9, 11, 100, 101, 100_001, 99_999, 100_000, 200_001, 1_000_001, 1_100_001],
+    [1, 10, 1001, 65_537, 0, 9, 11, 100, 101, 100_001, 99_999, 100_000, 200_001, 1_000_001, 1_100_001,
+     19_999, 20_000, 20_001, 40_001, 10_000, 10_001],
 )
 def test_records_csv_matches_row_by_row_reference(n, tmp_path):
     rng = np.random.default_rng(n)
@@ -964,7 +1028,7 @@ def test_records_csv_matches_row_by_row_reference(n, tmp_path):
 
 def test_records_csv_export_memory_is_bounded(tmp_path):
     # the paper's 843,000-bit session writes 14.7 MB of text; the export
-    # formats it a block at a time into one 1.7 MB buffer
+    # formats it a run of 10,000 rows at a time into one 170 KB buffer
     records = run_session(SessionConfig(n_bits=843_000, seed=42))
     tracemalloc.start()
     try:
@@ -974,7 +1038,7 @@ def test_records_csv_export_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "records.csv").stat().st_size > 14_000_000
-    assert peak < 2_500_000
+    assert peak < 250_000
 
 
 def test_records_csv_export(tmp_path):

@@ -169,10 +169,10 @@ def uniformity_chisq(code_counts, n_bins: int = 256) -> tuple[float, float]:
     if counts.min() < 0:
         raise ValidationError("code counts must be >= 0")
     # a float64 sum is within a part in 10**12 of the total, so below 2**62
-    # neither the int64 total nor an int64 bin can wrap
+    # neither the total nor a bin can wrap: numpy sums a narrower integer
+    # dtype in the platform integer of its sign, 64-bit on Linux and macOS
     if float(counts.sum(dtype=np.float64)) >= 2.0**62:
         raise ValidationError("code counts must total less than 2**62")
-    counts = counts.astype(np.int64, copy=False)
     n_samples = int(counts.sum())
     n_bins = _audit_bins(n_bins, n_samples)
     binned = counts.reshape(n_bins, -1).sum(axis=1)
@@ -185,14 +185,12 @@ def uniformity_chisq(code_counts, n_bins: int = 256) -> tuple[float, float]:
 # Photon-number (Fock) picture
 
 
+@dataclass(frozen=True)
 class UniformPhase:
     """Perfect continuous phase randomization on [0, 2*pi)."""
 
     def circular_moment(self, k):
         return np.where(np.asarray(k) == 0, 1.0 + 0.0j, 0.0 + 0.0j)
-
-    def __repr__(self) -> str:
-        return "UniformPhase()"
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ _COS.setflags(write=False)
 _QUARTER_TURN_CODES = CODE_LEVELS // 4
 
 # Bits per kernel block: its float64 temporaries stay in a 2 MB L2 cache.
+# sift compares the click columns one block-sized slice at a time.
 _KERNEL_BLOCK = 1 << 15
 
 _SUBSTREAM_ROLES = ("pattern", "alice", "bob", "polarization", "detection")
@@ -512,10 +513,6 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     return mu_d0, mu_d1
 
 
-# Bits per slice of the click columns that sift compares at once.
-_SIFT_SLICE = 1 << 16
-
-
 def sift(records: DetectionRecords) -> np.ndarray:
     """Keep conclusive, basis-matched bits; return (alice_bit, bob_bit) pairs.
 
@@ -523,12 +520,12 @@ def sift(records: DetectionRecords) -> np.ndarray:
     bit 1). Double clicks survive only if the session already rewrote them
     under the 'random' policy; under 'discard' they are dropped here.
     """
-    # a few percent of bits are conclusive, so they are found a slice at a
-    # time, with no whole-length column, and their bases compared by index
+    # a few percent of bits are conclusive, so they are found a kernel block
+    # at a time, with no whole-length column, and their bases compared by index
     d0, d1 = records.clicked_d0, records.clicked_d1
     keep = np.concatenate([np.empty(0, dtype=np.intp)] + [
-        np.flatnonzero(d0[start : start + _SIFT_SLICE] ^ d1[start : start + _SIFT_SLICE]) + start
-        for start in range(0, len(records), _SIFT_SLICE)])
+        np.flatnonzero(d0[start : start + _KERNEL_BLOCK] ^ d1[start : start + _KERNEL_BLOCK]) + start
+        for start in range(0, len(records), _KERNEL_BLOCK)])
     keep = keep[records.alice_basis[keep] == records.bob_basis[keep]]
     return np.column_stack((records.alice_bit[keep], records.clicked_d1[keep].astype(np.int8)))
 

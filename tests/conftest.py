@@ -1,5 +1,10 @@
 """Shared pytest plumbing: collect acceptance-criterion verdicts and print
-them in the terminal summary, where output capture cannot swallow them."""
+them in the terminal summary, where output capture cannot swallow them;
+measure a call's peak allocation; give a child interpreter this package."""
+
+import os
+import tracemalloc
+from pathlib import Path
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -9,3 +14,27 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def peak_bytes(fn):
+    """tracemalloc's peak during ``fn()`` above what was traced at its start,
+    and the call's result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def child_env():
+    """The environment of a child interpreter that runs in any directory on
+    the package these tests imported: a relative ``PYTHONPATH`` entry such as
+    ``src`` names nothing elsewhere, so the package's own directory goes first."""
+    import plugplay_qkd  # here, so a broken package fails its tests, not this plugin
+
+    package_root = str(Path(plugplay_qkd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

@@ -6,7 +6,8 @@ module states the same physics a second way: one pulse at a time, as
 complex Jones vectors ``(h, v)`` over the linear polarization basis in units
 of sqrt(photons), with explicit arrival times in nanoseconds at the
 randomizer. The tests compare the two bit by bit. It also holds the exact
-Poisson photon-number distribution that the Fock-space picture must match.
+Poisson photon-number distribution that the Fock-space picture must match,
+and the phase audit's chi-square statistic computed code by code.
 
 Nothing here validates its inputs; callers pass values a valid
 :class:`~plugplay_qkd.protocol.SessionConfig` allows.
@@ -180,3 +181,11 @@ def poisson_deviation(diagonal, mu):
             pmf = weight * Decimal(term.numerator) / Decimal(term.denominator)
             worst = max(worst, abs(Decimal(value) / pmf - 1))
     return float(worst)
+
+
+def reference_chisq(codes, n_bins):
+    """The audit's chi-square statistic by hand: each drawn code in its bin of
+    ``CODE_LEVELS // n_bins`` codes, against an even share of the draws."""
+    binned = np.bincount(np.asarray(codes) // (CODE_LEVELS // n_bins), minlength=n_bins)
+    expected = binned.sum() / n_bins
+    return float(((binned - expected) ** 2 / expected).sum())

@@ -2,19 +2,19 @@
 
 import hashlib
 import math
-import os
 import re
 import subprocess
 import sys
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import child_env, peak_bytes
+from oracle import reference_chisq
+
 import plugplay_qkd
 from plugplay_qkd import code_to_phase, uniformity_chisq
-from plugplay_qkd.cli import _MAX_SCAN_POINTS, _scan_delays, main
+from plugplay_qkd.cli import _scan_delays, main
 from plugplay_qkd.protocol import pattern_stream
 
 FAST_SESSION = ["session", "--bits", "3000", "--seed", "5"]
@@ -90,13 +90,7 @@ def test_paper_session_export_memory_is_bounded(tmp_path, capsys):
     n_bits = 843_000
     argv = ["session", "--bits", str(n_bits), "--output", str(tmp_path / "records.csv")]
     assert main(argv) == 0
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, code = peak_bytes(lambda: main(argv))
     assert code == 0
     assert f"wrote {n_bits} records" in capsys.readouterr().out
     assert peak / n_bits < 5.8
@@ -107,6 +101,9 @@ def test_session_rejects_invalid_parameters(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["session", "--mean-photon", "-1"]) == 1
     assert main(["session", "--polarization", "bogus"]) == 1
+    capsys.readouterr()
+    assert main(["session", "--polarization", "1,x,0,0"]) == 1
+    assert capsys.readouterr() == ("", "error: polarization components must be numbers: '1,x,0,0'\n")
 
 
 @pytest.mark.parametrize("flags", [["--fiber-km", "16000"], ["--fiber-km", "16200"]])
@@ -132,7 +129,7 @@ def test_session_rejects_non_finite_parameters(capsys):
 def test_polarizations_past_float_range_run(tmp_path, capsys):
     # their squared norms overflow or underflow to zero: the first two used to
     # end in an OverflowError traceback, the last was refused
-    for form in ("0,0,1e200,0", "1.5e308,1.5e308,0,0", "1e-200,0,0,0"):
+    for form in ("0,0,1e200,0", "1.5e308,1.5e308,0,0", "1e-160,0,0,0", "1e-200,0,0,0"):
         assert main(FAST_SESSION + ["--polarization", form]) == 0, form
         assert capsys.readouterr().out.startswith("qber="), form
     runs = {}
@@ -161,6 +158,8 @@ def test_negative_values_after_a_flag(capsys):
 
 def test_usage_errors(capsys):
     assert main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: plugplay-qkd [-h] {session,scan,")
     assert main(["no-such-command"]) == 1
     assert main(["session", "--no-such-flag"]) == 1
     err = capsys.readouterr().err
@@ -197,7 +196,7 @@ def test_scan_writes_expected_grid(tmp_path, capsys):
     assert out.count("delay_ns=") == 7
 
 
-def test_scan_points_are_the_decimal_grid():
+def test_scan_points_are_the_decimal_grid(tmp_path, capsys):
     # a float sum used to drift: the point printed as 65 ran at
     # 65.00000000000003 ns, past a step edge, and the last one past the range
     delays = _scan_delays(130.2, 0.2)
@@ -207,6 +206,12 @@ def test_scan_points_are_the_decimal_grid():
     assert _scan_delays(0.3, 0.1)[3] == 0.0
     # an integer grid is unchanged
     assert _scan_delays(200, 10) == [-200.0 + k * 10.0 for k in range(41)]
+    # and the centre of the 0.3/0.1 grid prints as 0, not -0
+    target = tmp_path / "grid.csv"
+    assert main(["scan", "--bits", "2000", "--scan-range-ns", "0.3", "--scan-step-ns", "0.1",
+                 "--output", str(target)]) == 0
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert printed == [f"delay_ns={d}" for d in ("-0.3", "-0.2", "-0.1", "0", "0.1", "0.2", "0.3")]
 
 
 def test_scan_reruns_identically(tmp_path):
@@ -268,21 +273,17 @@ def test_scan_refuses_a_grid_past_the_point_limit(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     for range_ns, step_ns, points in (("1e10", "1e-10", "200000000000000000001"),
                                       ("1000", "1e-3", "2000001")):
-        tracemalloc.start()
-        try:
-            code = main(_scan_args(target) + ["--scan-range-ns", range_ns, "--scan-step-ns", step_ns])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, code = peak_bytes(
+            lambda: main(_scan_args(target) + ["--scan-range-ns", range_ns, "--scan-step-ns", step_ns]))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"too many points ({points}," in err
         assert peak < 2_000_000
     assert not target.exists()
-    # the cap itself is a valid grid, one step more is not
-    assert len(_scan_delays(0.5 * (_MAX_SCAN_POINTS - 1), 1.0)) == _MAX_SCAN_POINTS
-    with pytest.raises(plugplay_qkd.ValidationError, match="too many points"):
-        _scan_delays(0.5 * _MAX_SCAN_POINTS, 1.0)
+    # the documented cap of 100,000 points is itself a valid grid, one step more is not
+    assert len(_scan_delays(0.5 * 99_999, 1.0)) == 100_000
+    with pytest.raises(plugplay_qkd.ValidationError, match=r"too many points \(100001, at most 100000\)"):
+        _scan_delays(0.5 * 100_000, 1.0)
 
 
 def test_config_file_equivalent_to_flags(tmp_path, capsys):
@@ -470,12 +471,9 @@ def test_verify_uniformity_parameter_errors(capsys):
 
 
 def _reference_audit(codes, n_bins):
-    # the statistic by hand, each code in its run of 4096 // n_bins codes,
-    # and the threshold from the package's table
-    binned = np.bincount(codes // (4096 // n_bins), minlength=n_bins)
-    expected = codes.size / n_bins
-    statistic = float(((binned - expected) ** 2 / expected).sum())
-    return statistic, uniformity_chisq(np.bincount(codes, minlength=4096), n_bins=n_bins)[1]
+    # the statistic by hand and the threshold from the package's table
+    threshold = uniformity_chisq(np.bincount(codes, minlength=4096), n_bins=n_bins)[1]
+    return reference_chisq(codes, n_bins), threshold
 
 
 def test_verify_uniformity_audits_the_session_pattern_stream(capsys):
@@ -520,11 +518,9 @@ def test_mu_convention_is_retired(tmp_path, capsys):
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; importing it would cost ~1 s per run
-    package_root = str(Path(plugplay_qkd.__file__).resolve().parents[1])
     code = ("import sys, plugplay_qkd.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=package_root))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -552,11 +548,13 @@ def test_density_n_max_defaults_to_20(tmp_path, monkeypatch, capsys):
 
 
 def test_density_distribution_forms(tmp_path):
-    for dist in ("discrete:4", "fixed:0.5", "fixed"):
-        target = tmp_path / f"{dist.replace(':', '_')}.csv"
+    for dist in ("discrete:4", "fixed:0.5", "fixed", " Discrete:4 "):
+        target = tmp_path / f"{dist.strip().replace(':', '_')}.csv"
         assert main(["density", "--n-max", "4", "--phase-dist", dist,
                      "--output", str(target)]) == 0
         assert target.exists()
+    # the name is read without case or surrounding space
+    assert (tmp_path / "Discrete_4.csv").read_bytes() == (tmp_path / "discrete_4.csv").read_bytes()
 
 
 @pytest.mark.parametrize("dist", sorted(DENSITY_DIGESTS))
@@ -568,23 +566,12 @@ def test_density_output_matches_golden_digest(dist, tmp_path, monkeypatch, capsy
     assert hashlib.sha256(output).hexdigest() == DENSITY_DIGESTS[dist]
 
 
-def _audit_peak(n_codes, extra):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        status = main(["verify-uniformity", "--codes", str(n_codes), *extra])
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return status, peak
-
-
 @pytest.mark.parametrize("extra", [[], ["--constant-code", "0"]])
 def test_verify_uniformity_memory_is_bounded(extra, capsys):
     # one window of raw words, its codes and their bincount cast, beside a
     # 4096-entry histogram: nothing is as long as the stream
     n_codes = 4_000_000
-    status, peak = _audit_peak(n_codes, extra)
+    peak, status = peak_bytes(lambda: main(["verify-uniformity", "--codes", str(n_codes), *extra]))
     assert status == (3 if extra else 0)
     assert f"{n_codes} codes)" in capsys.readouterr().out
     assert peak / n_codes < 1
@@ -592,7 +579,7 @@ def test_verify_uniformity_memory_is_bounded(extra, capsys):
 
 def test_constant_code_audit_allocates_no_stream(capsys):
     # one phase with one count, however many codes: no 800 MB of phases
-    status, peak = _audit_peak(99_999_999, ["--constant-code", "0"])
+    peak, status = peak_bytes(lambda: main(["verify-uniformity", "--codes", "99999999", "--constant-code", "0"]))
     assert status == 3
     assert "REJECTED" in capsys.readouterr().out
     assert peak < 1 << 20
@@ -647,12 +634,7 @@ def test_verify_uniformity_checks_bins_before_the_draw(extra, message, monkeypat
         raise AssertionError("the stream was drawn")
 
     monkeypatch.setattr(plugplay_qkd.cli, "pattern_stream", no_draw)
-    tracemalloc.start()
-    try:
-        status = main(["verify-uniformity", "--codes", "99999999", *extra])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, status = peak_bytes(lambda: main(["verify-uniformity", "--codes", "99999999", *extra]))
     assert status == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     # the 800 MB of phases were never allocated
@@ -686,7 +668,9 @@ def test_density_rejects_bad_distribution(capsys):
      # a count past int64 used to end in an OverflowError traceback
      ("discrete:99999999999999999999", f"n_values must be in [1, {2**63 - 1}], got 99999999999999999999"),
      ("fixed:nan", "phi must be finite, got nan"), ("fixed:inf", "phi must be finite, got inf"),
-     ("discrete:few", "discrete needs an integer count, got 'few'")],
+     ("discrete:few", "discrete needs an integer count, got 'few'"),
+     ("fixed:abc", "fixed needs a phase in radians, got 'abc'"),
+     ("uniform:3", "uniform takes no argument")],
 )
 def test_density_names_the_fault_of_a_distribution(form, message, tmp_path, capsys):
     target = tmp_path / "density.csv"
@@ -749,18 +733,11 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path, capsys):
-    # The child runs outside the repo, where a relative PYTHONPATH entry such
-    # as "src" names nothing; put the directory holding the package this test
-    # imported first on its path, so both runs use the same package copy.
-    package_root = str(Path(plugplay_qkd.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    )
+    # the child runs outside the repo, on the package this test imported
     args = ["session", "--bits", "500", "--seed", "1"]
     proc = subprocess.run(
         [sys.executable, "-m", "plugplay_qkd", *args],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("qber=")

@@ -1,12 +1,13 @@
 """Smoke tests of the public surface: every narrative script under
 ``demos/`` runs to completion, and every exported name resolves."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 import plugplay_qkd
 
@@ -19,16 +20,10 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    # same recipe as test_module_entry_point: the child runs in a scratch
-    # directory (demos write their CSVs to the working directory) with the
-    # directory of the imported package first on an absolute PYTHONPATH
-    package_root = str(Path(plugplay_qkd.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    )
+    # demos write their CSVs to the working directory, so the child runs in
+    # a scratch one, on the package this test imported
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=env,
+        [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

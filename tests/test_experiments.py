@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from oracle import poisson_deviation
+from oracle import poisson_deviation, reference_chisq
 
 from plugplay_qkd import (
     DelayScanResult,
@@ -224,13 +224,6 @@ def _one_code(n, code=803):
     return counts
 
 
-def _reference_chisq(codes, n_bins):
-    # the audit by hand: each drawn code in its bin of 4096 // n_bins codes
-    binned = np.bincount(np.asarray(codes) // (4096 // n_bins), minlength=n_bins)
-    expected = binned.sum() / n_bins
-    return float(((binned - expected) ** 2 / expected).sum())
-
-
 def test_chisq_zero_for_perfectly_even_sample():
     # ten draws of each bin's middle code
     counts = np.zeros(4096, dtype=np.int64)
@@ -343,7 +336,7 @@ def test_blocked_chisq_matches_the_unblocked_formula(n_bins, offset):
     n = (1 << 16) + offset
     for name, codes in _audit_samples(n).items():
         counts = np.bincount(codes, minlength=4096)
-        assert uniformity_chisq(counts, n_bins=n_bins)[0] == _reference_chisq(codes, n_bins), name
+        assert uniformity_chisq(counts, n_bins=n_bins)[0] == reference_chisq(codes, n_bins), name
 
 
 @pytest.mark.parametrize("n_bins", [2, 32, 256, 1024, 4096])
@@ -353,7 +346,7 @@ def test_counted_chisq_is_the_chisq_of_the_repeated_sample(n_bins):
     rng = np.random.default_rng(n_bins)
     counts = rng.integers(0, 60, size=4096) * (rng.random(4096) < 0.7)
     statistic = uniformity_chisq(counts, n_bins=n_bins)
-    assert statistic[0] == _reference_chisq(np.repeat(np.arange(4096), counts), n_bins)
+    assert statistic[0] == reference_chisq(np.repeat(np.arange(4096), counts), n_bins)
     # any integer dtype holding the counts gives the same result
     for dtype in (np.uint8, np.int16, np.uint64):
         assert uniformity_chisq(counts.astype(dtype), n_bins=n_bins) == statistic, dtype
@@ -400,6 +393,7 @@ def test_counted_chisq_validation(counts, message):
 
 def test_circular_moments():
     uni = UniformPhase()
+    assert repr(uni) == "UniformPhase()"
     assert uni.circular_moment(0) == 1.0 + 0.0j
     assert uni.circular_moment(3) == 0.0j
     disc = DiscreteUniformPhase(4)

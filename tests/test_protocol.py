@@ -3,13 +3,13 @@
 import hashlib
 import itertools
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracle
+from conftest import peak_bytes
 from plugplay_qkd import (
     DetectionRecords,
     SessionConfig,
@@ -126,7 +126,7 @@ def _sift_by_mask(records):
     return np.column_stack((records.alice_bit[mask], records.clicked_d1[mask].astype(np.int8)))
 
 
-_SLICE = protocol._SIFT_SLICE
+_SLICE = _KERNEL_BLOCK
 
 
 # random clicks at lengths around the slice edges, then whole columns of one
@@ -154,10 +154,10 @@ def test_sift_matches_whole_column_reference(n, clicks):
 
 def test_sift_memory_is_bounded():
     # one slice's comparison of the click columns at a time and the
-    # conclusive bits' indexes, about 0.12 B/bit here; a whole-length
+    # conclusive bits' indexes, about 0.09 B/bit here; a whole-length
     # comparison column alone would take 1 B/bit
     records = run_session(SessionConfig(n_bits=843_000, seed=42))
-    peak, pairs = _peak_bytes(lambda: sift(records))
+    peak, pairs = peak_bytes(lambda: sift(records))
     assert np.array_equal(pairs, _sift_by_mask(records))
     assert peak / len(records) < 0.3
 
@@ -559,23 +559,11 @@ def test_records_do_not_depend_on_the_click_bound(delay, n_bits, monkeypatch):
             assert _records_digest(cfg) == skipping, (enabled, policy)
 
 
-def _peak_bytes(fn):
-    """tracemalloc's peak during ``fn()``, and the call's result."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return peak, result
-
-
 def _peak_bytes_per_bit(fn, n_bits, **settings):
-    """tracemalloc's peak during ``fn(config)`` at ``n_bits`` bits and
+    """The peak allocation during ``fn(config)`` at ``n_bits`` bits and
     ``settings``, per bit, and the call's result."""
     fn(SessionConfig(n_bits=1, seed=42, **settings))  # the first PCG64 imports the rest of numpy.random
-    peak, result = _peak_bytes(lambda: fn(SessionConfig(n_bits=n_bits, seed=42, **settings)))
+    peak, result = peak_bytes(lambda: fn(SessionConfig(n_bits=n_bits, seed=42, **settings)))
     return peak / n_bits, result
 
 
@@ -585,7 +573,7 @@ def _peak_bytes_per_bit(fn, n_bits, **settings):
 @pytest.mark.parametrize("n", [84_300, 843_000])
 def test_choices_memory_is_bounded(n):
     protocol._choices(_substreams(5), 1)  # the first PCG64 imports the rest of numpy.random
-    peak, columns = _peak_bytes(lambda: protocol._choices(_substreams(5), n))
+    peak, columns = peak_bytes(lambda: protocol._choices(_substreams(5), n))
     assert [len(col) for col in columns] == [n] * 3
     assert peak / n < 3.05
 
@@ -596,7 +584,7 @@ def test_pattern_stream_memory_is_bounded():
     # bound would not catch a copy here
     n_codes = 4_000_000
     pattern_stream(3, 1)  # the first PCG64 imports the rest of numpy.random
-    peak, codes = _peak_bytes(lambda: pattern_stream(3, n_codes))
+    peak, codes = peak_bytes(lambda: pattern_stream(3, n_codes))
     assert len(codes) == n_codes
     assert peak / n_codes < 4.01
 
@@ -1030,13 +1018,7 @@ def test_records_csv_export_memory_is_bounded(tmp_path):
     # the paper's 843,000-bit session writes 14.7 MB of text; the export
     # formats it a run of 10,000 rows at a time into one 170 KB buffer
     records = run_session(SessionConfig(n_bits=843_000, seed=42))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        export_records_csv(records, tmp_path / "records.csv")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_bytes(lambda: export_records_csv(records, tmp_path / "records.csv"))
     assert (tmp_path / "records.csv").stat().st_size > 14_000_000
     assert peak < 250_000
 

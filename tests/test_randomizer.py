@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import apply_phase, faraday_swap, interfere, modulate_pi, phase_at, photon_number
+from oracle import apply_phase, faraday_swap, interfere, modulate_pi, phase_at, photon_number, reference_chisq
 from plugplay_qkd import SessionConfig, ValidationError, code_to_phase
 from plugplay_qkd.randomizer import CODE_LEVELS, _raw_window, generate_pattern
 
@@ -93,10 +93,7 @@ def test_generate_pattern_uniformity_chisq():
     # under the 0.999 quantile for this pinned seed
     seq = np.random.SeedSequence(20240321)
     codes = np.concatenate([generate_pattern(seq, 504, 504 * j) for j in range(1985)])[:1_000_000]
-    counts = np.bincount(codes // 16, minlength=256)
-    expected = codes.size / 256
-    statistic = float(((counts - expected) ** 2 / expected).sum())
-    assert 150.0 < statistic < CHI2_P999_DF255
+    assert 150.0 < reference_chisq(codes, 256) < CHI2_P999_DF255
 
 
 def test_code_to_phase_reference_points():

@@ -384,7 +384,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -547,9 +547,9 @@ def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEst
 
 
 # Rows formatted per write: about 0.2 B/bit of text at the paper's 843,000
-# bits. From row 10,000 on, runs start at its multiples, as every power of ten
-# there does, so the rows of a run share one index width and one table of
-# low four digits.
+# bits. Each index width gets one buffer of at most this many rows. From row
+# 10,000 on, runs start at its multiples, as every power of ten there does, so
+# every run of a width shares its buffer's low four index digits.
 _CSV_RUN_ROWS = 10_000
 
 # The four ASCII digits of the indexes 0 to 9,999, one row each.
@@ -559,50 +559,38 @@ _FOUR_DIGITS = np.stack(
 _FOUR_DIGITS.setflags(write=False)
 
 
-def _lay_out_rows(start: int, n_rows: int, width: int) -> np.ndarray:
-    """A buffer for ``n_rows`` rows of index width ``width`` from row ``start``,
-    with the low four index digits and the separators in place.
-
-    Both are the same for every run of one width: a width's first run is its
-    longest, and every later one starts at a multiple of ``_CSV_RUN_ROWS``.
-    """
-    # after the index: five one-character fields, each after a comma, and "\n"
-    rows = np.empty((n_rows, width + 11), dtype=np.uint8)
-    low, first = min(width, 4), start % _CSV_RUN_ROWS
-    rows[:, width - low : width] = _FOUR_DIGITS[first : first + n_rows, 4 - low :]
-    rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
-    return rows
-
-
 def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> None:
     """Write one CSV row per bit: index, bases as letters, clicks as 0/1.
 
-    Rows are formatted a run of up to ``_CSV_RUN_ROWS`` at a time into one
-    buffer of ``uint8`` rows, about 0.2 B/bit at the paper's 843,000 bits.
-    Its low four index digits and its separators are laid out once per index
-    width (see :func:`_lay_out_rows`); each run then writes its higher index
-    digits, one column at a time, and its five fields.
+    Rows are formatted one index width at a time. Each width lays out one
+    buffer of up to ``_CSV_RUN_ROWS`` ``uint8`` rows, about 0.2 B/bit at the
+    paper's 843,000 bits, with its low four index digits and its separators
+    in place, and releases it before the next width. Each run of the width
+    then writes its higher index digits, one column at a time, and its five
+    fields.
     """
     n = len(records)
-    # below 10,000 rows a run ends at each power of ten instead
-    edges = [e for e in (0, 10, 100, 1_000) if e < n]
-    edges += [*range(_CSV_RUN_ROWS, n, _CSV_RUN_ROWS), n]
     # each field after the index, with the character of its 0 ('Y' follows 'X')
     fields = ((records.alice_basis, BASES[0]), (records.alice_bit, "0"), (records.bob_basis, BASES[0]),
               (records.clicked_d0, "0"), (records.clicked_d1, "0"))
-    rows = None
     with open(path, "wb") as fh:
         fh.write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
-        for start, stop in zip(edges, edges[1:]):
-            width = len(str(start))
-            if rows is None or rows.shape[1] != width + 11:
-                # drop the last width's buffer first, so one is alive at a time
-                rows = block = None
-                rows = _lay_out_rows(start, stop - start, width)
-            block = rows[: stop - start]
-            if width > 4:
-                for col, digit in enumerate(str(start // _CSV_RUN_ROWS).encode()):
-                    block[:, col] = digit
-            for k, (values, zero) in enumerate(fields):
-                np.add(values[start:stop].view(np.uint8), ord(zero), out=block[:, width + 1 + 2 * k])
-            fh.write(block)
+        for width in range(1, len(str(max(n - 1, 0))) + 1):
+            first, end = (10 ** (width - 1) if width > 1 else 0), min(10**width, n)
+            # after the index: five one-character fields, each after a comma, and "\n"
+            rows = np.empty((min(end - first, _CSV_RUN_ROWS), width + 11), dtype=np.uint8)
+            low = min(width, 4)
+            rows[:, width - low : width] = _FOUR_DIGITS[first % _CSV_RUN_ROWS :][: len(rows), 4 - low :]
+            rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
+            # one run per width below row 10,000, then one per 10,000 rows
+            for start in range(first, end, _CSV_RUN_ROWS):
+                block = rows[: min(end - start, _CSV_RUN_ROWS)]
+                if width > 4:
+                    for col, digit in enumerate(str(start // _CSV_RUN_ROWS).encode()):
+                        block[:, col] = digit
+                for k, (values, zero) in enumerate(fields):
+                    np.add(values[start : start + len(block)].view(np.uint8), ord(zero),
+                           out=block[:, width + 1 + 2 * k])
+                fh.write(block)
+            # release the buffer before the next width's, so one is alive at a time
+            rows = block = None

@@ -1023,6 +1023,12 @@ def test_records_csv_export_memory_is_bounded(tmp_path):
     assert peak < 250_000
 
 
+def test_lookup_tables_are_read_only():
+    # the kernel's cosines and the export's digits are shared by every call
+    assert not protocol._COS.flags.writeable
+    assert not protocol._FOUR_DIGITS.flags.writeable
+
+
 def test_records_csv_export(tmp_path):
     records = run_session(SessionConfig(n_bits=8, seed=2))
     target = tmp_path / "records.csv"

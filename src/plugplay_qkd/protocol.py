@@ -56,8 +56,14 @@ _COS.setflags(write=False)
 _QUARTER_TURN_CODES = CODE_LEVELS // 4
 
 # Bits per kernel block: its float64 temporaries stay in a 2 MB L2 cache.
-# sift compares the click columns one block-sized slice at a time.
+# sift reads the records' flags one block-sized slice at a time.
 _KERNEL_BLOCK = 1 << 15
+
+# Bits per chunk of alice_bit and bob_basis ORed into the choice flags. Each
+# chunk seeds two PCG64s, so a scan point's 84,300 bits take one chunk, and
+# its 128 KB stay below one kernel block's temporaries (about 0.3 MB), so
+# building the flags never sets a session's peak.
+_CHOICE_CHUNK = 1 << 17
 
 _SUBSTREAM_ROLES = ("pattern", "alice", "bob", "polarization", "detection")
 
@@ -164,16 +170,35 @@ class SessionConfig:
         return 0.5 * (self.period_ns - self.tau_mzi_ns - self.roundtrip_ns)
 
 
-class DetectionRecords:
-    """Column-oriented store of per-bit outcomes for one session.
+# The record columns, in constructor order; column k is bit k of a record's flags byte.
+_COLUMNS = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
 
-    Bases are stored as int8 indexes into :data:`BASES`, bits as int8 and
-    clicks as bool: 5 bytes per bit. The pre-detection mean photon numbers,
-    which phase-randomization invariance is stated about, are not kept here;
+
+def _flag_column(k: int, dtype) -> property:
+    """A read-only record column: bit ``k`` of every bit's flags, as ``dtype``."""
+    return property(lambda self: ((self._flags >> k) & 1).view(dtype),
+                    doc=f"{_COLUMNS[k]} of every bit, as {np.dtype(dtype)} (derived on each read).")
+
+
+class DetectionRecords:
+    """Per-bit outcomes of one session, one flags byte per bit.
+
+    Bit 0 of a bit's byte is Alice's basis (an index into :data:`BASES`),
+    bit 1 her bit, bit 2 Bob's basis, and bits 3 and 4 the clicks of D0 and
+    D1: 1 byte per bit. The five columns are read-only properties, each
+    derived from the flags on every read, bases and bits as int8 and clicks
+    as bool. The pre-detection mean photon numbers, which
+    phase-randomization invariance is stated about, are not kept here;
     :func:`detector_means` returns them.
     """
 
-    __slots__ = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
+    __slots__ = ("_flags",)
+
+    alice_basis = _flag_column(0, np.int8)
+    alice_bit = _flag_column(1, np.int8)
+    bob_basis = _flag_column(2, np.int8)
+    clicked_d0 = _flag_column(3, bool)
+    clicked_d1 = _flag_column(4, bool)
 
     def __init__(
         self,
@@ -185,7 +210,7 @@ class DetectionRecords:
     ):
         cols = tuple(np.asarray(c) for c in (alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1))
         # a scalar has no length, and the rows of a 2-d column are not bits
-        for name, col in zip(self.__slots__, cols):
+        for name, col in zip(_COLUMNS, cols):
             if col.ndim != 1:
                 raise ValidationError(f"{name} must be a 1-d column, got shape {col.shape}")
         n = len(cols[0])
@@ -193,7 +218,8 @@ class DetectionRecords:
             raise ValidationError("record columns must have equal length")
         # checked before the cast, which would store 256 as 0 and 0.5 as True;
         # a bool column needs no check and an int8 one a single pass
-        for name, col, dtype in zip(self.__slots__, cols, (np.int8,) * 3 + (bool,) * 2):
+        self._flags = np.zeros(n, dtype=np.uint8)
+        for k, (name, col) in enumerate(zip(_COLUMNS, cols)):
             kind = col.dtype.kind
             if kind in "iu" and col.dtype.itemsize == 1:
                 bits = not n or col.view(np.uint8).max() <= 1
@@ -201,10 +227,17 @@ class DetectionRecords:
                 bits = kind == "b" or (kind in "iuf" and bool(np.all((col == 0) | (col == 1))))
             if not bits:
                 raise ValidationError(f"{name} must hold only 0 and 1")
-            setattr(self, name, col.astype(dtype, copy=False))
+            self._flags |= col.astype(np.uint8) << k
+
+    @classmethod
+    def _of_flags(cls, flags: np.ndarray) -> "DetectionRecords":
+        """Records holding ``flags``, a uint8 column laid out as above, uncopied and unchecked."""
+        records = cls.__new__(cls)
+        records._flags = flags
+        return records
 
     def __len__(self) -> int:
-        return len(self.alice_basis)
+        return len(self._flags)
 
 
 @dataclass(frozen=True)
@@ -217,10 +250,11 @@ class QberEstimate:
     n_errors: int
 
 
-def _choices(streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alice's basis and bit and Bob's basis for ``n`` bits, one int8 column each.
+def _choices(streams: dict, n: int) -> np.ndarray:
+    """Alice's basis and bit and Bob's basis for ``n`` bits, as flag bits 0,
+    1 and 2 of one uint8 column (see :class:`DetectionRecords`).
 
-    The columns are exactly ``integers(0, 2, size=n, dtype=np.int8)`` drawn
+    The bits are exactly ``integers(0, 2, size=n, dtype=np.int8)`` drawn
     twice from Alice's generator and once from Bob's, taken from the raw
     PCG64 words instead. numpy maps each such value from one byte of a
     uint32 stream, low byte first and a fresh word per call, by Lemire's
@@ -230,14 +264,21 @@ def _choices(streams: dict, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ``alice_basis`` therefore reads bytes ``[0, n)`` of Alice's raw
     stream, ``alice_bit`` bytes ``[4w, 4w + n)`` after the ``w = ceil(n / 4)``
     words the first column used, and ``bob_basis`` bytes ``[0, n)`` of Bob's.
-    Each column is drawn whole and shifted in place.
+    ``alice_basis`` is drawn whole and shifted in place, and is the column;
+    the other two are drawn and ORed in ``_CHOICE_CHUNK`` bits at a time.
     """
-    columns = (_raw_window(streams["alice"], np.uint8, 0, n),
-               _raw_window(streams["alice"], np.uint8, 4 * -(-n // 4), n),
-               _raw_window(streams["bob"], np.uint8, 0, n))
-    for col in columns:
-        col >>= 7
-    return tuple(col.view(np.int8) for col in columns)
+    flags = _raw_window(streams["alice"], np.uint8, 0, n)
+    flags >>= 7
+    for start in range(0, n, _CHOICE_CHUNK):
+        count = min(n - start, _CHOICE_CHUNK)
+        for k, seed, first in ((1, streams["alice"], 4 * -(-n // 4)), (2, streams["bob"], 0)):
+            # each byte's top bit, moved to bit k; one chunk is alive at a time
+            chunk = _raw_window(seed, np.uint8, first + start, count)
+            chunk >>= 7 - k
+            chunk &= 1 << k
+            flags[start : start + count] |= chunk
+            del chunk
+    return flags
 
 
 def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, complex]:
@@ -316,12 +357,21 @@ def _path_amplitude(config: SessionConfig) -> float:
     return path_amp
 
 
+# Each bit's coding offset in codes, by its choice flags (flags & 7): Alice's
+# coding phase minus Bob's basis phase, 2 * alice_bit + alice_basis - bob_basis
+# quarter turns, as int32 like the code differences it is added to.
+_CODING = np.array([(2 * ((f >> 1) & 1) + (f & 1) - ((f >> 2) & 1)) * _QUARTER_TURN_CODES for f in range(8)],
+                   dtype=np.int32)
+_CODING.setflags(write=False)
+
+
 def _block_means(
-    choices: tuple[np.ndarray, ...], code_diffs: tuple[np.ndarray, np.ndarray], a_h: float, a_v: float
+    choices: np.ndarray, code_diffs: tuple[np.ndarray, np.ndarray], a_h: float, a_v: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Detector means ``(mu_d0, mu_d1)`` of a set of bits.
 
-    ``choices`` are the three choice columns at those bits and
+    ``choices`` are the flag bytes of those bits (see
+    :class:`DetectionRecords`; only the three choice bits are read) and
     ``code_diffs`` the randomizer's signal-minus-reference code differences
     of their return and forward pass pairs, ``(sig_ret - ref_ret, sig_fwd -
     ref_fwd)``, as int32. The mirror swaps H and V: the H component leaving
@@ -331,26 +381,24 @@ def _block_means(
     the randomizer's plus Alice's coding phase minus Bob's basis phase, in
     quarter turns.
     """
-    alice_basis, alice_bit, bob_basis = choices
     ret_diff, fwd_diff = code_diffs
-    # int32: 1024 * 3 overflows the int8 choice columns
-    quarter_turns = (2 * alice_bit + alice_basis - bob_basis).astype(np.int32)
-    coding = quarter_turns * _QUARTER_TURN_CODES
+    coding = _CODING[choices & 7]
     cos_h = _COS[(ret_diff + coding) & (CODE_LEVELS - 1)]
     cos_v = _COS[(fwd_diff + coding) & (CODE_LEVELS - 1)]
     return a_h * (1.0 + cos_h) + a_v * (1.0 + cos_v), a_h * (1.0 - cos_h) + a_v * (1.0 - cos_v)
 
 
-def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarray, ...]):
+def _session_means(config: SessionConfig, streams: dict):
     """The session's detector means at any of its bits, and their ceiling.
 
-    Returns ``(means, peak)``: ``means(start, stop, bits)`` gives ``(mu_d0,
-    mu_d1)`` at the ascending bit indexes ``bits`` of the block ``[start,
-    stop)``, and no detector mean of the session exceeds ``peak``. Each call
-    fills one window over the slots the block's passes touch, with the idle
-    code 0 off the grid, and gathers the bits' codes from it once per
-    distinct slot shift; rounding can spread a bit's four passes, which fit
-    in one pattern step, over three slots, and the window spans them all.
+    Returns ``(means, peak)``: ``means(start, stop, bits, choices)`` gives
+    ``(mu_d0, mu_d1)`` at the ascending bit indexes ``bits`` of the block
+    ``[start, stop)``, whose flag bytes are ``choices``, and no detector
+    mean of the session exceeds ``peak``. Each call fills one window over
+    the slots the block's passes touch, with the idle code 0 off the grid,
+    and gathers the bits' codes from it once per distinct slot shift;
+    rounding can spread a bit's four passes, which fit in one pattern step,
+    over three slots, and the window spans them all.
     """
     n = config.n_bits
     h0, v0 = _polarization(config, streams)
@@ -366,7 +414,7 @@ def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarr
     a_h = abs(v0 * path_amp) ** 2
     a_v = abs(h0 * path_amp) ** 2
 
-    def means(start: int, stop: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def means(start: int, stop: int, bits: np.ndarray, choices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the block's passes sample slots [first, stop + highest); [lo, hi) is on the grid
         first = start + lowest
         window = np.zeros(stop + highest - first, dtype=np.int32)
@@ -375,7 +423,7 @@ def _session_means(config: SessionConfig, streams: dict, choices: tuple[np.ndarr
             window[lo - first : hi - first] = generate_pattern(streams["pattern"], hi - lo, lo)
         by_shift = {shift: window[bits + (shift - first)] for shift in set(shifts)}
         ref_fwd, ref_ret, sig_fwd, sig_ret = (by_shift[shift] for shift in shifts)
-        return _block_means(tuple(c[bits] for c in choices), (sig_ret - ref_ret, sig_fwd - ref_fwd), a_h, a_v)
+        return _block_means(choices, (sig_ret - ref_ret, sig_fwd - ref_fwd), a_h, a_v)
 
     # cos <= 1 puts each term of _block_means at or below 2 a_h or 2 a_v, also
     # in float64: rounding is monotone and doubling exact
@@ -396,9 +444,10 @@ def _click_bound(config: SessionConfig, peak: float) -> float:
 
 
 def _block_clicks(
-    config: SessionConfig, means, bound: float, rngs: tuple[np.random.Generator, ...], start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clicks of the bits ``[start, stop)`` that can click: ``(bits, clicked_d0, clicked_d1)``.
+    config: SessionConfig, means, bound: float, rngs: tuple[np.random.Generator, ...], flags: np.ndarray,
+    start: int, stop: int,
+) -> None:
+    """OR the clicks of the bits ``[start, stop)`` into their flag bytes ``flags``.
 
     ``rngs`` draw D0's clicks, D1's clicks and the 'random' policy's coins,
     which read the detection substream's uniform draws ``[0, n)``,
@@ -406,9 +455,9 @@ def _block_clicks(
     64-bit output, so blocks read the same numbers as three whole-session
     draws. A detector clicks when its uniform lies below its click
     probability, so a bit whose two uniforms both reach ``bound`` (see
-    :func:`_click_bound`) clicks on neither. ``bits`` are the other,
-    candidate bits: only their means (from ``means``, see
-    :func:`_session_means`) and click probabilities are computed.
+    :func:`_click_bound`) clicks on neither. Only the other, candidate bits
+    have their flag bytes gathered, their means computed (from ``means``,
+    see :func:`_session_means`) and their click bits set.
 
     One block-length column is alive at a time. D0's is cut to its
     below-bound (index, uniform) pairs before D1's is drawn, D1's is cut to
@@ -430,7 +479,8 @@ def _block_clicks(
     u0 = np.ones(candidates.size)
     u0[np.searchsorted(candidates, below0)] = u0_below
     bits = candidates + start
-    mu_d0, mu_d1 = means(start, stop, bits)
+    choices = flags[bits]
+    mu_d0, mu_d1 = means(start, stop, bits, choices)
     eta = config.efficiency
     dark = config.dark_prob
     p0 = 1.0 - (1.0 - dark) * np.exp(-eta * mu_d0)
@@ -442,7 +492,7 @@ def _block_clicks(
         keep0 = rng_coin.random(stop - start)[candidates] < 0.5
         clicked_d0[both] = keep0[both]
         clicked_d1[both] = ~keep0[both]
-    return bits, clicked_d0, clicked_d1
+    flags[bits] = choices | (clicked_d0.view(np.uint8) << 3) | (clicked_d1.view(np.uint8) << 4)
 
 
 def run_session(config: SessionConfig) -> DetectionRecords:
@@ -462,35 +512,34 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
 
-    The three choice columns are drawn whole and shifted in place: they are
-    the top bits of the raw bytes of Alice's and Bob's streams, exactly the
-    values ``Generator.integers(0, 2, dtype=np.int8)`` would draw (see
+    The records are one flags byte per bit (see :class:`DetectionRecords`),
+    built in place. The three choices are its low bits, the top bits of the
+    raw bytes of Alice's and Bob's streams, exactly the values
+    ``Generator.integers(0, 2, dtype=np.int8)`` would draw (see
     :func:`_choices`). The clicks are then drawn in blocks
     of ``_KERNEL_BLOCK`` bits. Each block draws its two detection uniform
     columns first, one at a time, each cut to its bits below the session's
     click bound before the next is drawn, and the detector means and click
     probabilities are computed only for the candidate bits, those with a
-    uniform below the bound (see :func:`_block_clicks`); every other bit has
-    no click. At the defaults about 1% of bits are candidates. Each block
-    also gathers its codes once per distinct slot shift from one window,
-    idle off the grid and drawn from the pattern stream's raw words on it
-    (see :func:`_session_means`). The session holds its 5 B/bit of
-    records and one block-length float column at a time, never a
-    full-length code or float column; :func:`detector_means` returns the
-    means of every bit.
+    uniform below the bound, whose click bits are then ORed into their
+    bytes (see :func:`_block_clicks`); every other bit has no click. At the
+    defaults about 1% of bits are candidates. Each block also gathers its
+    codes once per distinct slot shift from one window, idle off the grid
+    and drawn from the pattern stream's raw words on it (see
+    :func:`_session_means`). The session holds its 1 B/bit of records and
+    one block-length float column at a time, never a full-length code or
+    float column; :func:`detector_means` returns the means of every bit.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
-    choices = _choices(streams, n)
-    means, peak = _session_means(config, streams, choices)
+    flags = _choices(streams, n)
+    means, peak = _session_means(config, streams)
     bound = _click_bound(config, peak)
     rngs = tuple(  # see _block_clicks
         np.random.Generator(np.random.PCG64(streams["detection"]).advance(k * n)) for k in range(3))
-    clicked_d0, clicked_d1 = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     for start in range(0, n, _KERNEL_BLOCK):
-        bits, block_d0, block_d1 = _block_clicks(config, means, bound, rngs, start, min(n, start + _KERNEL_BLOCK))
-        clicked_d0[bits], clicked_d1[bits] = block_d0, block_d1
-    return DetectionRecords(*choices, clicked_d0, clicked_d1)
+        _block_clicks(config, means, bound, rngs, flags, start, min(n, start + _KERNEL_BLOCK))
+    return DetectionRecords._of_flags(flags)
 
 
 def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -501,15 +550,16 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     by block, each block drawing its own window of pattern codes, so bit
     ``i``'s means are exactly the ones its click probabilities are computed
     from; no detection uniforms are drawn. The two float64 columns take
-    16 B/bit, the choices 3 B/bit and the rest one block.
+    16 B/bit, the choice flags 1 B/bit and the rest one block.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
-    means, _ = _session_means(config, streams, _choices(streams, n))
+    flags = _choices(streams, n)
+    means, _ = _session_means(config, streams)
     mu_d0, mu_d1 = np.empty(n), np.empty(n)
     for start in range(0, n, _KERNEL_BLOCK):
         stop = min(n, start + _KERNEL_BLOCK)
-        mu_d0[start:stop], mu_d1[start:stop] = means(start, stop, np.arange(start, stop))
+        mu_d0[start:stop], mu_d1[start:stop] = means(start, stop, np.arange(start, stop), flags[start:stop])
     return mu_d0, mu_d1
 
 
@@ -518,16 +568,20 @@ def sift(records: DetectionRecords) -> np.ndarray:
 
     Conclusive means exactly one detector clicked (a click on D1 decodes as
     bit 1). Double clicks survive only if the session already rewrote them
-    under the 'random' policy; under 'discard' they are dropped here.
+    under the 'random' policy; under 'discard' they are dropped here. The
+    records' flags are read directly: a few percent of bits click, so they
+    are found a kernel block at a time, with no whole-length column, and
+    only their bytes are checked for one click and matched bases.
     """
-    # a few percent of bits are conclusive, so they are found a kernel block
-    # at a time, with no whole-length column, and their bases compared by index
-    d0, d1 = records.clicked_d0, records.clicked_d1
-    keep = np.concatenate([np.empty(0, dtype=np.intp)] + [
-        np.flatnonzero(d0[start : start + _KERNEL_BLOCK] ^ d1[start : start + _KERNEL_BLOCK]) + start
-        for start in range(0, len(records), _KERNEL_BLOCK)])
-    keep = keep[records.alice_basis[keep] == records.bob_basis[keep]]
-    return np.column_stack((records.alice_bit[keep], records.clicked_d1[keep].astype(np.int8)))
+    flags = records._flags
+    # a click sets flag bit 3 or 4
+    clicked = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero(flags[start : start + _KERNEL_BLOCK] >= 8) + start
+        for start in range(0, len(flags), _KERNEL_BLOCK)])
+    f = flags[clicked]
+    # not both clicks, and alice_basis (bit 0) equal to bob_basis (bit 2)
+    f = f[((f >> 3) != 3) & (((f ^ (f >> 2)) & 1) == 0)]
+    return np.column_stack((((f >> 1) & 1).view(np.int8), (f >> 4).view(np.int8)))
 
 
 def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEstimate:
@@ -567,12 +621,12 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
     paper's 843,000 bits, with its low four index digits and its separators
     in place, and releases it before the next width. Each run of the width
     then writes its higher index digits, one column at a time, and its five
-    fields.
+    fields, each from its bit of the run's flag bytes.
     """
-    n = len(records)
-    # each field after the index, with the character of its 0 ('Y' follows 'X')
-    fields = ((records.alice_basis, BASES[0]), (records.alice_bit, "0"), (records.bob_basis, BASES[0]),
-              (records.clicked_d0, "0"), (records.clicked_d1, "0"))
+    flags = records._flags
+    n = len(flags)
+    # the character of each field's 0, in flag-bit order ('Y' follows 'X')
+    zeros = (BASES[0], "0", BASES[0], "0", "0")
     with open(path, "wb") as fh:
         fh.write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
         for width in range(1, len(str(max(n - 1, 0))) + 1):
@@ -588,9 +642,9 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
                 if width > 4:
                     for col, digit in enumerate(str(start // _CSV_RUN_ROWS).encode()):
                         block[:, col] = digit
-                for k, (values, zero) in enumerate(fields):
-                    np.add(values[start : start + len(block)].view(np.uint8), ord(zero),
-                           out=block[:, width + 1 + 2 * k])
+                run = flags[start : start + len(block)]
+                for k, zero in enumerate(zeros):
+                    np.add((run >> k) & 1, ord(zero), out=block[:, width + 1 + 2 * k])
                 fh.write(block)
             # release the buffer before the next width's, so one is alive at a time
             rows = block = None

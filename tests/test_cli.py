@@ -84,8 +84,8 @@ def test_session_with_no_sifted_bit_reports_it_and_writes_records(tmp_path, monk
 
 
 def test_paper_session_export_memory_is_bounded(tmp_path, capsys):
-    # warm (the second run), so only per-run allocations count: the 5 B/bit
-    # of records, one kernel block, sift's one slice and the conclusive bits,
+    # warm (the second run), so only per-run allocations count: the 1 B/bit
+    # of records, one kernel block, sift's one slice and the clicked bits,
     # and the export's one 170 KB row buffer
     n_bits = 843_000
     argv = ["session", "--bits", str(n_bits), "--output", str(tmp_path / "records.csv")]
@@ -93,7 +93,7 @@ def test_paper_session_export_memory_is_bounded(tmp_path, capsys):
     peak, code = peak_bytes(lambda: main(argv))
     assert code == 0
     assert f"wrote {n_bits} records" in capsys.readouterr().out
-    assert peak / n_bits < 5.8
+    assert peak / n_bits < 1.7
 
 
 def test_session_rejects_invalid_parameters(capsys):
@@ -574,7 +574,7 @@ def test_verify_uniformity_memory_is_bounded(extra, capsys):
     peak, status = peak_bytes(lambda: main(["verify-uniformity", "--codes", str(n_codes), *extra]))
     assert status == (3 if extra else 0)
     assert f"{n_codes} codes)" in capsys.readouterr().out
-    assert peak / n_codes < 1
+    assert peak / n_codes < 0.3
 
 
 def test_constant_code_audit_allocates_no_stream(capsys):

@@ -36,6 +36,9 @@ from plugplay_qkd.randomizer import CODE_LEVELS, generate_pattern
 SE_HALF_1000 = 0.015811388300841896  # sqrt(0.25 / 1000)
 SE_1PC_1000 = 0.003146426544510455  # sqrt(0.01 * 0.99 / 1000)
 
+# DetectionRecords' columns in constructor order; column k is bit k of a record's flags
+_COLUMNS = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
+
 
 def test_basis_bit_coding_phases():
     # the BB84 encoder phases the scalar oracle applies, basis index 0 = X
@@ -193,7 +196,7 @@ def test_detection_records_reject_non_binary_choices(column, value):
 def test_detection_records_refuse_values_before_the_cast(column, value):
     cols = [[0], [1], [0], [True], [False]]
     cols[column] = value
-    with pytest.raises(ValidationError, match=f"^{DetectionRecords.__slots__[column]} must hold only 0 and 1$"):
+    with pytest.raises(ValidationError, match=f"^{_COLUMNS[column]} must hold only 0 and 1$"):
         DetectionRecords(*cols)
 
 
@@ -203,10 +206,13 @@ def test_detection_records_accept_bits_of_any_numeric_dtype():
         records = DetectionRecords(*cols)
         assert [c.dtype for c in (records.alice_bit, records.clicked_d0)] == [np.int8, bool]
         assert records.alice_bit.tolist() == [0, 1] and records.clicked_d1.tolist() == [False, True]
-    # the int8 and bool columns of a session are stored as given, uncopied
-    cols = (np.array([0, 1], dtype=np.int8),) * 3 + (np.array([False, True]),) * 2
+    # whatever the columns' dtypes, the records keep 1 B/bit: one flags byte,
+    # from which each column is read back
+    cols = (np.array([0, 1, 1], dtype=np.int8),) * 3 + (np.array([False, True, True]),) * 2
     records = DetectionRecords(*cols)
-    assert all(getattr(records, name) is col for name, col in zip(DetectionRecords.__slots__, cols))
+    assert DetectionRecords.__slots__ == ("_flags",)
+    assert records._flags.dtype == np.uint8 and records._flags.nbytes == len(records) == 3
+    assert all(np.array_equal(getattr(records, name), col) for name, col in zip(_COLUMNS, cols))
 
 
 @pytest.mark.parametrize(
@@ -216,7 +222,7 @@ def test_detection_records_accept_bits_of_any_numeric_dtype():
     ids=["scalars", "2-d", "one-2-d"],
 )
 def test_detection_records_refuse_a_column_that_is_not_1d(cols):
-    name = next(n for n, c in zip(DetectionRecords.__slots__, cols) if np.ndim(c) != 1)
+    name = next(n for n, c in zip(_COLUMNS, cols) if np.ndim(c) != 1)
     with pytest.raises(ValidationError, match=f"^{name} must be a 1-d column, got shape "):
         DetectionRecords(*cols)
 
@@ -234,20 +240,33 @@ def test_substreams_are_the_spawned_children(seed):
         assert np.array_equal(protocol._substream(seed, role).generate_state(8), child.generate_state(8))
 
 
-# alice_bit starts at uint32 word ceil(n / 4), so an n not divisible by 4
-# leaves part of alice_basis' last word unused, and an odd word count starts
-# alice_bit in the high half of a 64-bit word
-@pytest.mark.parametrize("seed", [0, 7, 123_456_789])
-@pytest.mark.parametrize("n", [1, 7, 13, 32_767, 32_769, 84_300, 100_003, 843_000, 843_001])
-def test_choices_are_the_generators_int8_draws(seed, n):
-    streams = _substreams(seed)
+_CHUNK = protocol._CHOICE_CHUNK
+
+
+def _assert_choice_flags(flags, streams, n):
+    """``flags`` hold, as bits 0 to 2, the int8 choices the generators draw
+    for an ``n``-bit session, and no other bit."""
     rng_alice = np.random.default_rng(streams["alice"])
     rng_bob = np.random.default_rng(streams["bob"])
     expected = (rng_alice.integers(0, 2, size=n, dtype=np.int8), rng_alice.integers(0, 2, size=n, dtype=np.int8),
                 rng_bob.integers(0, 2, size=n, dtype=np.int8))
-    for col, want in zip(protocol._choices(streams, n), expected):
-        assert col.dtype == np.int8 and col.shape == (n,)
-        assert np.array_equal(col, want)
+    assert flags.dtype == np.uint8 and flags.shape == (n,)
+    for k, want in enumerate(expected):
+        assert np.array_equal((flags >> k) & 1, want), _COLUMNS[k]
+    assert not (flags >> 3).any()
+
+
+# alice_bit starts at uint32 word ceil(n / 4), so an n not divisible by 4
+# leaves part of alice_basis' last word unused, and an odd word count starts
+# alice_bit in the high half of a 64-bit word; alice_bit and bob_basis are
+# drawn a chunk at a time, so n also runs across the first two chunk edges
+@pytest.mark.parametrize("seed", [0, 7, 123_456_789])
+@pytest.mark.parametrize(
+    "n", [1, 7, 13, 32_767, 32_769, 84_300, 100_003, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
+          2 * _CHUNK + 1, 843_000, 843_001])
+def test_choices_are_the_generators_int8_draws(seed, n):
+    streams = _substreams(seed)
+    _assert_choice_flags(protocol._choices(streams, n), streams, n)
 
 
 def test_ideal_components_wrong_detector_exactly_zero():
@@ -284,26 +303,27 @@ def test_run_session_deterministic():
     cfg = SessionConfig(n_bits=5000, seed=77)
     a = run_session(cfg)
     b = run_session(cfg)
-    for col in DetectionRecords.__slots__:
+    for col in _COLUMNS:
         assert np.array_equal(getattr(a, col), getattr(b, col))
     for mu_a, mu_b in zip(detector_means(cfg), detector_means(cfg)):
         assert np.array_equal(mu_a, mu_b)
 
 
 def test_records_carry_no_float_column():
-    # the detector means stay in block temporaries: 5 B/bit of records
+    # the detector means stay in block temporaries: the records are one
+    # uint8 of flags per bit, and every column read from it is int8 or bool
     records = run_session(SessionConfig(n_bits=1000, seed=5, delay_ns=70.0))
-    assert DetectionRecords.__slots__ == ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
-    assert sum(getattr(records, col).itemsize for col in DetectionRecords.__slots__) == 5
-    assert not any(getattr(records, col).dtype.kind == "f" for col in DetectionRecords.__slots__)
+    assert DetectionRecords.__slots__ == ("_flags",)
+    assert records._flags.dtype == np.uint8 and records._flags.shape == (1000,)
+    assert [getattr(records, col).dtype for col in _COLUMNS] == [np.int8] * 3 + [bool] * 2
 
 
 def _records_digest(cfg):
-    """SHA-256 of the bytes of the session's five record columns, in slot
+    """SHA-256 of the bytes of the session's five record columns, in constructor
     order, then of its two detector-mean columns."""
     digest = hashlib.sha256()
     records = run_session(cfg)
-    for name in DetectionRecords.__slots__:
+    for name in _COLUMNS:
         digest.update(getattr(records, name).tobytes())
     for mu_d in detector_means(cfg):
         digest.update(mu_d.tobytes())
@@ -525,7 +545,7 @@ def test_records_do_not_depend_on_the_kernel_block(name, monkeypatch):
 
 def _session_click_bound(cfg):
     streams = _substreams(cfg.seed)
-    _, peak = protocol._session_means(cfg, streams, protocol._choices(streams, cfg.n_bits))
+    _, peak = protocol._session_means(cfg, streams)
     return protocol._click_bound(cfg, peak)
 
 
@@ -567,15 +587,18 @@ def _peak_bytes_per_bit(fn, n_bits, **settings):
     return peak / n_bits, result
 
 
-# each column is its n raw bytes, plus at most one word, shifted in place: a
-# shifted copy would double a column's transient, which the session's own
-# bound below would not catch
+# the flags are alice_basis' n raw bytes, plus at most one word, shifted in
+# place, and one chunk of alice_bit's or bob_basis' raw bytes is alive at a
+# time (4096 B covers the padding words and the arrays' headers): a shifted
+# copy, or a second chunk alive, would add a whole column's or chunk's
+# transient, which the session's own bound below would not catch
 @pytest.mark.parametrize("n", [84_300, 843_000])
 def test_choices_memory_is_bounded(n):
-    protocol._choices(_substreams(5), 1)  # the first PCG64 imports the rest of numpy.random
-    peak, columns = peak_bytes(lambda: protocol._choices(_substreams(5), n))
-    assert [len(col) for col in columns] == [n] * 3
-    assert peak / n < 3.05
+    streams = _substreams(5)
+    protocol._choices(streams, 1)  # the first PCG64 imports the rest of numpy.random
+    peak, flags = peak_bytes(lambda: protocol._choices(streams, n))
+    _assert_choice_flags(flags, streams, n)
+    assert peak < n + min(n, _CHUNK) + 4096
 
 
 def test_pattern_stream_memory_is_bounded():
@@ -590,20 +613,21 @@ def test_pattern_stream_memory_is_bounded():
 
 
 def test_session_memory_is_bounded():
-    # the session holds the 5 B/bit of records it returns and one block's
-    # temporaries (under 0.6 B/bit at 843,000 bits): one detection column at
+    # the session holds the 1 B/bit of records it returns and one block's
+    # temporaries (under 0.4 B/bit at 843,000 bits): one detection column at
     # a time, each cut to its below-bound bits before the next is drawn, and
     # the block's pattern codes; means exist only for a block's candidate
     # bits, so no float column of even block length is built for them
     per_bit, records = _peak_bytes_per_bit(run_session, 843_000)
     assert len(records) == 843_000
-    assert per_bit < 5.6
+    assert per_bit < 1.6
 
 
 # the benchmark's scan point, where one block's temporaries weigh more per
 # bit, and the 'random' policy, whose coin column is drawn only after both
-# detection columns are cut (two columns at once read 13.3 and 5.98 B/bit)
-@pytest.mark.parametrize(("n_bits", "policy", "bound"), [(84_300, "discard", 9.5), (843_000, "random", 5.6)])
+# detection columns are cut (two columns at once read 13.3 and 5.98 B/bit
+# when the records took 5 B/bit)
+@pytest.mark.parametrize(("n_bits", "policy", "bound"), [(84_300, "discard", 5.2), (843_000, "random", 1.6)])
 def test_session_memory_is_bounded_per_size_and_policy(n_bits, policy, bound):
     per_bit, records = _peak_bytes_per_bit(run_session, n_bits, double_click_policy=policy)
     assert len(records) == n_bits
@@ -611,11 +635,11 @@ def test_session_memory_is_bounded_per_size_and_policy(n_bits, policy, bound):
 
 
 def test_detector_means_memory_is_bounded():
-    # the 16 B/bit of means it returns, the 3 B/bit of choices and one block
-    # of temporaries, pattern codes among them
+    # the 16 B/bit of means it returns, the 1 B/bit of choice flags and one
+    # block of temporaries, pattern codes among them
     per_bit, (mu_d0, mu_d1) = _peak_bytes_per_bit(detector_means, 843_000)
     assert len(mu_d0) == len(mu_d1) == 843_000
-    assert per_bit < 24.5
+    assert per_bit < 21
 
 
 def test_overflowing_slot_quotient_is_the_idle_modulator():
@@ -1014,6 +1038,40 @@ def test_records_csv_matches_row_by_row_reference(n, tmp_path):
     assert target.read_bytes() == expected
 
 
+# every one of the 32 flag bytes, at lengths across a sift slice's edge, reads
+# back its five columns, and sift and the export, which read the flags
+# directly, match their references, which read the columns
+@pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+def test_all_32_outcome_bytes(n, tmp_path):
+    rng = np.random.default_rng(n)
+    flags = np.concatenate([np.arange(32, dtype=np.uint8), rng.integers(0, 32, n - 32, dtype=np.uint8)])
+    cols = [((flags >> k) & 1).astype(np.int8 if k < 3 else bool) for k in range(5)]
+    records = DetectionRecords(*cols)
+    assert np.array_equal(records._flags, flags)
+    for name, col in zip(_COLUMNS, cols):
+        assert getattr(records, name).dtype == col.dtype and np.array_equal(getattr(records, name), col), name
+    _assert_sift_and_export_match_references(records, tmp_path)
+
+
+# mu 20 with ideal detectors: double clicks in both of Bob's bases, which
+# 'discard' keeps in the records and the 'random' coins rewrite to one click
+def test_sift_and_export_of_a_double_clicking_session(tmp_path):
+    cfg = SessionConfig(n_bits=_SLICE + 1, seed=3, mu_target=20.0, efficiency=1.0)
+    kept, rewritten = run_session(cfg), run_session(replace(cfg, double_click_policy="random"))
+    double = kept.clicked_d0 & kept.clicked_d1
+    assert set(kept.bob_basis[double].tolist()) == {0, 1}
+    assert np.all(rewritten.clicked_d0[double] != rewritten.clicked_d1[double])
+    for records in (kept, rewritten):
+        _assert_sift_and_export_match_references(records, tmp_path)
+
+
+def _assert_sift_and_export_match_references(records, tmp_path):
+    pairs, expected = sift(records), _sift_by_mask(records)
+    assert pairs.dtype == expected.dtype and np.array_equal(pairs, expected)
+    export_records_csv(records, tmp_path / "records.csv")
+    assert (tmp_path / "records.csv").read_bytes() == _records_csv_by_row(records).encode("ascii")
+
+
 def test_records_csv_export_memory_is_bounded(tmp_path):
     # the paper's 843,000-bit session writes 14.7 MB of text; the export
     # formats it a run of 10,000 rows at a time into one 170 KB buffer
@@ -1024,8 +1082,10 @@ def test_records_csv_export_memory_is_bounded(tmp_path):
 
 
 def test_lookup_tables_are_read_only():
-    # the kernel's cosines and the export's digits are shared by every call
+    # the kernel's cosines and coding offsets and the export's digits are
+    # shared by every call
     assert not protocol._COS.flags.writeable
+    assert not protocol._CODING.flags.writeable
     assert not protocol._FOUR_DIGITS.flags.writeable
 
 

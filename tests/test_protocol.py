@@ -626,9 +626,18 @@ def test_session_memory_is_bounded():
 # the benchmark's scan point, where one block's temporaries weigh more per
 # bit, and the 'random' policy, whose coin column is drawn only after both
 # detection columns are cut (two columns at once read 13.3 and 5.98 B/bit
-# when the records took 5 B/bit)
-@pytest.mark.parametrize(("n_bits", "policy", "bound"), [(84_300, "discard", 5.2), (843_000, "random", 1.6)])
+# when the records took 5 B/bit); these bounds held for records of five
+# columns, 5 B/bit
+@pytest.mark.parametrize(("n_bits", "policy", "bound"), [(84_300, "discard", 9.5), (843_000, "random", 5.6)])
 def test_session_memory_is_bounded_per_size_and_policy(n_bits, policy, bound):
+    per_bit, records = _peak_bytes_per_bit(run_session, n_bits, double_click_policy=policy)
+    assert len(records) == n_bits
+    assert per_bit < bound
+
+
+# the same sessions with records of one flags byte per bit: 4.66 and 1.37 B/bit
+@pytest.mark.parametrize(("n_bits", "policy", "bound"), [(84_300, "discard", 5.2), (843_000, "random", 1.6)])
+def test_flag_records_session_memory_per_size_and_policy(n_bits, policy, bound):
     per_bit, records = _peak_bytes_per_bit(run_session, n_bits, double_click_policy=policy)
     assert len(records) == n_bits
     assert per_bit < bound

@@ -36,11 +36,11 @@ from .experiments import (
     export_density_csv,
     fock_density_matrix,
     offdiag_norm,
-    qber_or_nan,
     uniformity_chisq,
 )
 from .protocol import (
     SessionConfig,
+    estimate_qber,
     export_records_csv,
     pattern_stream,
     run_session,
@@ -175,7 +175,7 @@ def _add_session_flags(parser: argparse.ArgumentParser, with_delay: bool) -> Non
 def _cmd_session(args: argparse.Namespace) -> int:
     records = run_session(_session_config(args))
     # a session with no sifted bit still reports, and writes its records
-    estimate = qber_or_nan(sift(records))
+    estimate = estimate_qber(sift(records))
     if args.output:
         export_records_csv(records, args.output)
         print(f"wrote {len(records)} records to {args.output}")

@@ -63,14 +63,6 @@ def scan_point_seed(base_seed: int, point_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def qber_or_nan(sifted: np.ndarray) -> QberEstimate:
-    """:func:`estimate_qber` of sifted pairs, or, when there are none, NaN
-    error rate and standard error with ``n_sifted=0``."""
-    if len(sifted) == 0:
-        return QberEstimate(qber=math.nan, std_error=math.nan, n_sifted=0, n_errors=0)
-    return estimate_qber(sifted)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has
     one, which ``os.cpu_count()`` ignores, else the machine's count or 1."""
@@ -87,7 +79,7 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
     ``config`` supplies everything but the trigger delay and per-point seed.
     Results are deterministic in ``config.seed`` and the delay list, and do
     not depend on ``max_workers``. A point with no sifted bit reports itself
-    as such (see :func:`qber_or_nan`).
+    as such (see :func:`~plugplay_qkd.protocol.estimate_qber`).
     """
     # a string iterates by character, and a number or a 2-d array's rows are not delays
     if isinstance(delays_ns, (str, bytes)) or not (
@@ -102,7 +94,7 @@ def delay_scan(config: SessionConfig, delays_ns: Sequence[float],
 
     def one_point(index: int) -> QberEstimate:
         point_config = replace(config, seed=scan_point_seed(config.seed, index), delay_ns=delays[index])
-        return qber_or_nan(sift(run_session(point_config)))
+        return estimate_qber(sift(run_session(point_config)))
 
     # map submits every point at once, and the pool starts a thread per
     # submit up to its size, so the size is capped by the points and the CPUs

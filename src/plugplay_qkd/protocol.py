@@ -170,7 +170,7 @@ class SessionConfig:
         return 0.5 * (self.period_ns - self.tau_mzi_ns - self.roundtrip_ns)
 
 
-# The record columns, in constructor order; column k is bit k of a record's flags byte.
+# The record columns; column k is bit k of a record's flags byte.
 _COLUMNS = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
 
 
@@ -185,9 +185,11 @@ class DetectionRecords:
 
     Bit 0 of a bit's byte is Alice's basis (an index into :data:`BASES`),
     bit 1 her bit, bit 2 Bob's basis, and bits 3 and 4 the clicks of D0 and
-    D1: 1 byte per bit. The five columns are read-only properties, each
-    derived from the flags on every read, bases and bits as int8 and clicks
-    as bool. The pre-detection mean photon numbers, which
+    D1: 1 byte per bit. The records hold ``flags``, a 1-d ``uint8`` column
+    of such bytes, uncopied; any other column, or a byte with bit 5, 6 or 7
+    set, is a ``ValidationError``. The five columns are read-only
+    properties, each derived from the flags on every read, bases and bits
+    as int8 and clicks as bool. The pre-detection mean photon numbers, which
     phase-randomization invariance is stated about, are not kept here;
     :func:`detector_means` returns them.
     """
@@ -200,41 +202,13 @@ class DetectionRecords:
     clicked_d0 = _flag_column(3, bool)
     clicked_d1 = _flag_column(4, bool)
 
-    def __init__(
-        self,
-        alice_basis: np.ndarray,
-        alice_bit: np.ndarray,
-        bob_basis: np.ndarray,
-        clicked_d0: np.ndarray,
-        clicked_d1: np.ndarray,
-    ):
-        cols = tuple(np.asarray(c) for c in (alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1))
-        # a scalar has no length, and the rows of a 2-d column are not bits
-        for name, col in zip(_COLUMNS, cols):
-            if col.ndim != 1:
-                raise ValidationError(f"{name} must be a 1-d column, got shape {col.shape}")
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise ValidationError("record columns must have equal length")
-        # checked before the cast, which would store 256 as 0 and 0.5 as True;
-        # a bool column needs no check and an int8 one a single pass
-        self._flags = np.zeros(n, dtype=np.uint8)
-        for k, (name, col) in enumerate(zip(_COLUMNS, cols)):
-            kind = col.dtype.kind
-            if kind in "iu" and col.dtype.itemsize == 1:
-                bits = not n or col.view(np.uint8).max() <= 1
-            else:
-                bits = kind == "b" or (kind in "iuf" and bool(np.all((col == 0) | (col == 1))))
-            if not bits:
-                raise ValidationError(f"{name} must hold only 0 and 1")
-            self._flags |= col.astype(np.uint8) << k
-
-    @classmethod
-    def _of_flags(cls, flags: np.ndarray) -> "DetectionRecords":
-        """Records holding ``flags``, a uint8 column laid out as above, uncopied and unchecked."""
-        records = cls.__new__(cls)
-        records._flags = flags
-        return records
+    def __init__(self, flags: np.ndarray):
+        column = isinstance(flags, np.ndarray) and flags.dtype == np.uint8 and flags.ndim == 1
+        # sift and the export read bits 5 to 7 as clear; max() takes no
+        # per-bit memory, where a whole-length comparison would take 1 B/bit
+        if not column or (flags.size and flags.max() >= 32):
+            raise ValidationError("flags must be a 1-d uint8 column of bytes below 32")
+        self._flags = flags
 
     def __len__(self) -> int:
         return len(self._flags)
@@ -242,7 +216,8 @@ class DetectionRecords:
 
 @dataclass(frozen=True)
 class QberEstimate:
-    """Sifted-key error rate with its binomial standard error."""
+    """Sifted-key error rate with its binomial standard error, both NaN
+    when no bit was sifted."""
 
     qber: float
     std_error: float
@@ -539,7 +514,7 @@ def run_session(config: SessionConfig) -> DetectionRecords:
         np.random.Generator(np.random.PCG64(streams["detection"]).advance(k * n)) for k in range(3))
     for start in range(0, n, _KERNEL_BLOCK):
         _block_clicks(config, means, bound, rngs, flags, start, min(n, start + _KERNEL_BLOCK))
-    return DetectionRecords._of_flags(flags)
+    return DetectionRecords(flags)
 
 
 def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -585,13 +560,17 @@ def sift(records: DetectionRecords) -> np.ndarray:
 
 
 def estimate_qber(sifted: Union[np.ndarray, Sequence[Sequence[int]]]) -> QberEstimate:
-    """Error rate of sifted pairs with binomial standard error sqrt(q*(1-q)/n)."""
+    """Error rate of sifted pairs with binomial standard error sqrt(q*(1-q)/n).
+
+    Zero pairs give ``QberEstimate(nan, nan, 0, 0)``: a session or scan point
+    that sifts no bit reports itself as such.
+    """
     arr = np.asarray(sifted)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError("sifted data must be an (n, 2) array of bit pairs")
     n = int(arr.shape[0])
     if n == 0:
-        raise ValidationError("cannot estimate an error rate from zero sifted bits")
+        return QberEstimate(qber=math.nan, std_error=math.nan, n_sifted=0, n_errors=0)
     if not np.all((arr == 0) | (arr == 1)):
         raise ValidationError("sifted pairs must hold only bits 0 and 1")
     n_errors = int(np.count_nonzero(arr[:, 0] != arr[:, 1]))

@@ -5,9 +5,11 @@ whole sessions at once, on integer phase codes and a cosine table. This
 module states the same physics a second way: one pulse at a time, as
 complex Jones vectors ``(h, v)`` over the linear polarization basis in units
 of sqrt(photons), with explicit arrival times in nanoseconds at the
-randomizer. The tests compare the two bit by bit. It also holds the exact
-Poisson photon-number distribution that the Fock-space picture must match,
-and the phase audit's chi-square statistic computed code by code.
+randomizer. The tests compare the two bit by bit. Only the drawn polarization
+state is the package's own; a law test checks its distribution. The module
+also packs hand-built records, and holds the exact Poisson photon-number
+distribution that the Fock-space picture must match and the phase audit's
+chi-square statistic computed code by code.
 
 Nothing here validates its inputs; callers pass values a valid
 :class:`~plugplay_qkd.protocol.SessionConfig` allows.
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from plugplay_qkd.protocol import _substreams
+from plugplay_qkd.protocol import DetectionRecords, _polarization, _substreams
 from plugplay_qkd.randomizer import CODE_LEVELS, DEFAULT_FRAME_LEN, code_to_phase
 
 
@@ -131,12 +133,11 @@ def session_means(cfg):
     bob_basis = rng_bob.integers(0, 2, size=n, dtype=np.int8)
 
     if cfg.polarization is None:
-        z = np.random.default_rng(streams["polarization"]).normal(size=4)
-        h0, v0 = complex(z[0], z[1]), complex(z[2], z[3])
+        source = _polarization(cfg, streams)
     else:
         h0, v0 = (complex(c) for c in cfg.polarization)
-    norm = math.sqrt(abs(h0) ** 2 + abs(v0) ** 2)
-    source = (h0 / norm, v0 / norm)
+        norm = math.sqrt(abs(h0) ** 2 + abs(v0) ** 2)
+        source = (h0 / norm, v0 / norm)
 
     codes = []  # a disabled randomizer idles at zero phase on every pass
     if cfg.randomizer_enabled:
@@ -167,6 +168,15 @@ def session_means(cfg):
         ref = scaled(apply_phase(ref, phi_b, phi_b), _db_to_amplitude(loss_db))
         mus[i] = interfere(sig, ref)
     return mus
+
+
+def pack_records(alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1):
+    """Records of five 0/1 columns, each packed into its flag bit (column k
+    into bit k, see :class:`~plugplay_qkd.protocol.DetectionRecords`)."""
+    flags = np.zeros(len(alice_basis), dtype=np.uint8)
+    for k, col in enumerate((alice_basis, alice_bit, bob_basis, clicked_d0, clicked_d1)):
+        flags |= np.asarray(col).astype(np.uint8) << k
+    return DetectionRecords(flags)
 
 
 def poisson_deviation(diagonal, mu):

@@ -1,6 +1,8 @@
 """Smoke tests of the public surface: every narrative script under
-``demos/`` runs to completion, and every exported name resolves."""
+``demos/`` runs to completion, every exported name resolves, and each one
+is used by the command line, a demo or the acceptance suite."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ from conftest import child_env
 
 import plugplay_qkd
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -34,3 +37,18 @@ def test_exported_names_resolve():
     namespace = {}
     exec("from plugplay_qkd import *", namespace)
     assert set(plugplay_qkd.__all__) <= set(namespace)
+
+
+def test_every_exported_name_is_used():
+    # the public API is what the command line, the demos and the acceptance
+    # suite import; the types its functions return need no import
+    users = [ROOT / "src" / "plugplay_qkd" / "cli.py", *DEMOS, ROOT / "tests" / "test_acceptance.py"]
+    imported = {
+        alias.name
+        for path in users
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "plugplay_qkd")
+        for alias in node.names
+    }
+    unused = set(plugplay_qkd.__all__) - imported - {"DetectionRecords", "QberEstimate", "DelayScanResult", "__version__"}
+    assert not unused

@@ -31,7 +31,7 @@ from plugplay_qkd import (
     sift,
     uniformity_chisq,
 )
-from plugplay_qkd import experiments
+from plugplay_qkd import experiments, protocol
 from plugplay_qkd.experiments import scan_point_seed
 
 CHI2_P99_DF255 = 310.45738821990585
@@ -184,10 +184,11 @@ def test_scan_reports_an_empty_point_as_itself(tmp_path):
     target = tmp_path / "scan.csv"
     export_csv(result, target)
     assert target.read_text().splitlines()[1:] == ["0,nan,nan,0,0", "70,nan,nan,0,0"]
-    # the estimator itself still refuses an empty key
+    # the point's estimate is the estimator's own
     point_cfg = replace(cfg, seed=scan_point_seed(cfg.seed, 1), delay_ns=70.0)
-    with pytest.raises(ValidationError, match="zero sifted bits"):
-        estimate_qber(sift(run_session(point_cfg)))
+    est = estimate_qber(sift(run_session(point_cfg)))
+    assert math.isnan(est.qber) and math.isnan(est.std_error)
+    assert (est.n_sifted, est.n_errors) == (0, 0)
 
 
 def test_scan_result_validation():
@@ -211,6 +212,22 @@ def test_reference_split_waist_rate_is_one_quarter():
     est = estimate_qber(sift(records))
     sigma = math.sqrt(0.25 * 0.75 / est.n_sifted)
     assert abs(est.qber - 0.25) <= 3.0 * sigma
+
+
+def test_paper_session_qber_is_below_one_percent_at_99_percent_confidence():
+    # the CLI's default session; the one-sided 99% Clopper-Pearson upper
+    # bound on its error rate reads 0.00745
+    est = estimate_qber(sift(run_session(SessionConfig(seed=42))))
+    assert (est.n_sifted, est.n_errors) == (2144, 7)
+    assert stats.beta.ppf(0.99, est.n_errors + 1, est.n_sifted - est.n_errors) < 0.01
+
+
+def test_drawn_polarization_is_haar():
+    # a Haar-random state puts |h0|^2 uniform on [0, 1] (the Bloch sphere's
+    # z is 2|h0|^2 - 1, uniform by Archimedes); p reads 0.84
+    h_share = [abs(protocol._polarization(SessionConfig(n_bits=1, seed=seed), protocol._substreams(seed))[0]) ** 2
+               for seed in range(2000)]
+    assert stats.kstest(h_share, "uniform").pvalue >= 1e-3
 
 
 # ---------------------------------------------------------------------------

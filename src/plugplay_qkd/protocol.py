@@ -40,7 +40,6 @@ from .randomizer import (
     CODE_LEVELS,
     DEFAULT_FRAME_LEN,
     PHASE_PER_CODE,
-    _raw_window,
     generate_pattern,
 )
 
@@ -56,14 +55,7 @@ _COS.setflags(write=False)
 _QUARTER_TURN_CODES = CODE_LEVELS // 4
 
 # Bits per kernel block: its float64 temporaries stay in a 2 MB L2 cache.
-# sift reads the records' flags one block-sized slice at a time.
 _KERNEL_BLOCK = 1 << 15
-
-# Bits per chunk of alice_bit and bob_basis ORed into the choice flags. Each
-# chunk seeds two PCG64s, so a scan point's 84,300 bits take one chunk, and
-# its 128 KB stay below one kernel block's temporaries (about 0.3 MB), so
-# building the flags never sets a session's peak.
-_CHOICE_CHUNK = 1 << 17
 
 _SUBSTREAM_ROLES = ("pattern", "alice", "bob", "polarization", "detection")
 
@@ -170,48 +162,162 @@ class SessionConfig:
         return 0.5 * (self.period_ns - self.tau_mzi_ns - self.roundtrip_ns)
 
 
-# The record columns; column k is bit k of a record's flags byte.
+# The record columns; column k is bit k of a bit's flags byte.
 _COLUMNS = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
 
+# PCG64.advance by this many words steps back one word (mod 2**128)
+_ONE_WORD_BACK = (1 << 128) - 1
 
-def _flag_column(k: int, dtype) -> property:
-    """A read-only record column: bit ``k`` of every bit's flags, as ``dtype``."""
-    return property(lambda self: ((self._flags >> k) & 1).view(dtype),
-                    doc=f"{_COLUMNS[k]} of every bit, as {np.dtype(dtype)} (derived on each read).")
+
+class _ByteReader:
+    """Consecutive bytes of the raw PCG64 stream of ``seed`` from byte
+    ``first`` on: each call ``read(count)`` returns the next ``count`` as a
+    writable uint8 array.
+
+    The bytes are the little-endian bytes of the raw words, as in
+    :func:`~plugplay_qkd.randomizer._raw_window`, all read through one PCG64:
+    a read that ends inside a word steps the generator back over that word,
+    so the next read starts in it again.
+    """
+
+    def __init__(self, seed, first: int):
+        self._bitgen = np.random.PCG64(seed).advance(first // 8)
+        self._skip = first % 8
+
+    def __call__(self, count: int) -> np.ndarray:
+        skip = self._skip
+        raw = self._bitgen.random_raw(-(-(skip + count) // 8))
+        self._skip = (skip + count) % 8
+        if self._skip:
+            self._bitgen.advance(_ONE_WORD_BACK)
+        # the little-endian view is the same on any host
+        return raw.astype("<u8", copy=False).view(np.uint8)[skip : skip + count]
+
+
+class _FlagReader:
+    """Consecutive bytes whose top bit is bit ``k`` of ``flags``, from bit 0
+    on: each call ``read(count)`` returns the next ``count``."""
+
+    def __init__(self, flags: np.ndarray, k: int):
+        self._flags, self._shift, self._next = flags, 7 - k, 0
+
+    def __call__(self, count: int) -> np.ndarray:
+        self._next += count
+        return self._flags[self._next - count : self._next] << self._shift
+
+
+def _choice_readers(source, n: int) -> tuple:
+    """Readers of Alice's basis, her bit and Bob's basis for bits ``[0, n)``,
+    in bit order: each call ``read(count)`` gives the next ``count`` bits'
+    choices as the top bits of a writable uint8 array.
+
+    ``source`` is a flags column (see :class:`DetectionRecords`) or a
+    session's ``(alice, bob)`` substreams. A session's choices are exactly
+    ``integers(0, 2, size=n, dtype=np.int8)`` drawn twice from Alice's
+    generator and once from Bob's, taken from the raw PCG64 words instead.
+    numpy maps each such value from one byte of a uint32 stream, low byte
+    first and a fresh word per call, by Lemire's multiply ``(byte * 2) >>
+    8``, which never rejects for a range of 2: the value is the byte's top
+    bit. So Alice's basis is bytes ``[0, n)`` of Alice's raw stream, her bit
+    bytes ``[4w, 4w + n)`` after the ``w = ceil(n / 4)`` uint32 words her
+    basis used, and Bob's basis bytes ``[0, n)`` of Bob's (see
+    :class:`_ByteReader`).
+    """
+    if isinstance(source, np.ndarray):
+        return tuple(_FlagReader(source, k) for k in range(3))
+    alice, bob = source
+    return _ByteReader(alice, 0), _ByteReader(alice, 4 * -(-n // 4)), _ByteReader(bob, 0)
+
+
+def _choice_flags(alice_basis: np.ndarray, alice_bit: np.ndarray, bob_basis: np.ndarray) -> np.ndarray:
+    """Flag bits 0, 1 and 2 (see :class:`DetectionRecords`) of bytes whose top
+    bits are the three choices, as read by :func:`_choice_readers`."""
+    return (alice_basis >> 7) | ((alice_bit >> 7) << 1) | ((bob_basis >> 7) << 2)
+
+
+def _clicked_rows(clicked: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The bits in ``[start, stop)`` set in the packed bitmap ``clicked``,
+    ascending; only the bitmap's nonzero bytes are unpacked."""
+    first = start // 8
+    chunk = clicked[first : -(-stop // 8)]
+    nonzero = chunk.nonzero()[0]
+    byte, bit = np.unpackbits(chunk[nonzero]).reshape(-1, 8).nonzero()
+    rows = 8 * (first + nonzero[byte]) + bit
+    return rows[rows.searchsorted(start) : rows.searchsorted(stop)]
+
+
+def _choice_column(k: int) -> property:
+    """A read-only record column: choice ``k`` of every bit, as int8."""
+
+    def column(self) -> np.ndarray:
+        col = _choice_readers(self._choices, self._n)[k](self._n)
+        col >>= 7
+        return col.view(np.int8)
+
+    return property(column, doc=f"{_COLUMNS[k]} of every bit, as int8 (re-read from its source on each access).")
+
+
+def _click_column(k: int) -> property:
+    """A read-only record column: bit ``k`` of every bit's flags, a click, as bool."""
+
+    def column(self) -> np.ndarray:
+        col = np.zeros(self._n, dtype=bool)
+        col[np.unpackbits(self._clicked, count=self._n).view(bool)] = (self._clicks >> k) & 1
+        return col
+
+    return property(column, doc=f"{_COLUMNS[k]} of every bit, as bool (scattered from the clicks on each access).")
 
 
 class DetectionRecords:
-    """Per-bit outcomes of one session, one flags byte per bit.
+    """Per-bit outcomes of one session: what its choices and clicks were.
 
-    Bit 0 of a bit's byte is Alice's basis (an index into :data:`BASES`),
-    bit 1 her bit, bit 2 Bob's basis, and bits 3 and 4 the clicks of D0 and
-    D1: 1 byte per bit. The records hold ``flags``, a 1-d ``uint8`` column
-    of such bytes, uncopied; any other column, or a byte with bit 5, 6 or 7
-    set, is a ``ValidationError``. The five columns are read-only
-    properties, each derived from the flags on every read, bases and bits
-    as int8 and clicks as bool. The pre-detection mean photon numbers, which
-    phase-randomization invariance is stated about, are not kept here;
-    :func:`detector_means` returns them.
+    Each bit has one flags byte: bit 0 is Alice's basis (an index into
+    :data:`BASES`), bit 1 her bit, bit 2 Bob's basis, and bits 3 and 4 the
+    clicks of D0 and D1. The records keep only what the choices do not fix:
+    the bit count; the choices' source; a packed bitmap of the bits where a
+    detector clicked (``ceil(n / 8)`` bytes, bit ``i`` at bit ``7 - i % 8``
+    of byte ``i // 8``); and the whole flags byte of each clicked bit, in
+    bit order. Records from :func:`run_session` take their choices from the
+    session's seed, whose raw streams are re-read wherever they are needed
+    (see :func:`_choice_readers`). So they hold n/8 bytes plus one per
+    clicked bit: about 0.13 B/bit at the defaults, where about 0.5% of bits
+    click, and 1.125 B/bit when every bit clicks.
+
+    ``DetectionRecords(flags)`` builds records from ``flags``, a 1-d
+    ``uint8`` column of such bytes, uncopied, which is then their choices'
+    source; any other column, or a byte with bit 5, 6 or 7 set, is a
+    ``ValidationError``. The five columns are read-only properties, derived
+    on each read, bases and bits as int8 and clicks as bool. The
+    pre-detection mean photon numbers, which phase-randomization invariance
+    is stated about, are not kept here; :func:`detector_means` returns them.
     """
 
-    __slots__ = ("_flags",)
+    __slots__ = ("_n", "_choices", "_clicked", "_clicks")
 
-    alice_basis = _flag_column(0, np.int8)
-    alice_bit = _flag_column(1, np.int8)
-    bob_basis = _flag_column(2, np.int8)
-    clicked_d0 = _flag_column(3, bool)
-    clicked_d1 = _flag_column(4, bool)
+    alice_basis = _choice_column(0)
+    alice_bit = _choice_column(1)
+    bob_basis = _choice_column(2)
+    clicked_d0 = _click_column(3)
+    clicked_d1 = _click_column(4)
 
     def __init__(self, flags: np.ndarray):
         column = isinstance(flags, np.ndarray) and flags.dtype == np.uint8 and flags.ndim == 1
-        # sift and the export read bits 5 to 7 as clear; max() takes no
-        # per-bit memory, where a whole-length comparison would take 1 B/bit
+        # sift and the export read bits 5 to 7 as clear
         if not column or (flags.size and flags.max() >= 32):
             raise ValidationError("flags must be a 1-d uint8 column of bytes below 32")
-        self._flags = flags
+        # a click sets flag bit 3 or 4
+        clicked = flags >= 8
+        self._n, self._choices, self._clicked, self._clicks = len(flags), flags, np.packbits(clicked), flags[clicked]
+
+    @classmethod
+    def _of(cls, n: int, choices, clicked: np.ndarray, clicks: np.ndarray) -> DetectionRecords:
+        """Records of ``n`` bits from their parts, unchecked (see the class docstring)."""
+        records = object.__new__(cls)
+        records._n, records._choices, records._clicked, records._clicks = n, choices, clicked, clicks
+        return records
 
     def __len__(self) -> int:
-        return len(self._flags)
+        return self._n
 
 
 @dataclass(frozen=True)
@@ -223,37 +329,6 @@ class QberEstimate:
     std_error: float
     n_sifted: int
     n_errors: int
-
-
-def _choices(streams: dict, n: int) -> np.ndarray:
-    """Alice's basis and bit and Bob's basis for ``n`` bits, as flag bits 0,
-    1 and 2 of one uint8 column (see :class:`DetectionRecords`).
-
-    The bits are exactly ``integers(0, 2, size=n, dtype=np.int8)`` drawn
-    twice from Alice's generator and once from Bob's, taken from the raw
-    PCG64 words instead. numpy maps each such value from one byte of a
-    uint32 stream, low byte first and a fresh word per call, by Lemire's
-    multiply ``(byte * 2) >> 8``, which never rejects for a range of 2: the
-    value is the byte's top bit. The uint32 stream is the little-endian
-    bytes of the raw words (see :func:`~plugplay_qkd.randomizer._raw_window`).
-    ``alice_basis`` therefore reads bytes ``[0, n)`` of Alice's raw
-    stream, ``alice_bit`` bytes ``[4w, 4w + n)`` after the ``w = ceil(n / 4)``
-    words the first column used, and ``bob_basis`` bytes ``[0, n)`` of Bob's.
-    ``alice_basis`` is drawn whole and shifted in place, and is the column;
-    the other two are drawn and ORed in ``_CHOICE_CHUNK`` bits at a time.
-    """
-    flags = _raw_window(streams["alice"], np.uint8, 0, n)
-    flags >>= 7
-    for start in range(0, n, _CHOICE_CHUNK):
-        count = min(n - start, _CHOICE_CHUNK)
-        for k, seed, first in ((1, streams["alice"], 4 * -(-n // 4)), (2, streams["bob"], 0)):
-            # each byte's top bit, moved to bit k; one chunk is alive at a time
-            chunk = _raw_window(seed, np.uint8, first + start, count)
-            chunk >>= 7 - k
-            chunk &= 1 << k
-            flags[start : start + count] |= chunk
-            del chunk
-    return flags
 
 
 def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, complex]:
@@ -332,9 +407,9 @@ def _path_amplitude(config: SessionConfig) -> float:
     return path_amp
 
 
-# Each bit's coding offset in codes, by its choice flags (flags & 7): Alice's
-# coding phase minus Bob's basis phase, 2 * alice_bit + alice_basis - bob_basis
-# quarter turns, as int32 like the code differences it is added to.
+# Each bit's coding offset in codes, by its choice flags (flag bits 0 to 2):
+# Alice's coding phase minus Bob's basis phase, 2 * alice_bit + alice_basis -
+# bob_basis quarter turns, as int32 like the code differences it is added to.
 _CODING = np.array([(2 * ((f >> 1) & 1) + (f & 1) - ((f >> 2) & 1)) * _QUARTER_TURN_CODES for f in range(8)],
                    dtype=np.int32)
 _CODING.setflags(write=False)
@@ -345,8 +420,8 @@ def _block_means(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Detector means ``(mu_d0, mu_d1)`` of a set of bits.
 
-    ``choices`` are the flag bytes of those bits (see
-    :class:`DetectionRecords`; only the three choice bits are read) and
+    ``choices`` are the choice flags of those bits (flag bits 0 to 2, see
+    :func:`_choice_flags`) and
     ``code_diffs`` the randomizer's signal-minus-reference code differences
     of their return and forward pass pairs, ``(sig_ret - ref_ret, sig_fwd -
     ref_fwd)``, as int32. The mirror swaps H and V: the H component leaving
@@ -357,7 +432,7 @@ def _block_means(
     quarter turns.
     """
     ret_diff, fwd_diff = code_diffs
-    coding = _CODING[choices & 7]
+    coding = _CODING[choices]
     cos_h = _COS[(ret_diff + coding) & (CODE_LEVELS - 1)]
     cos_v = _COS[(fwd_diff + coding) & (CODE_LEVELS - 1)]
     return a_h * (1.0 + cos_h) + a_v * (1.0 + cos_v), a_h * (1.0 - cos_h) + a_v * (1.0 - cos_v)
@@ -368,7 +443,7 @@ def _session_means(config: SessionConfig, streams: dict):
 
     Returns ``(means, peak)``: ``means(start, stop, bits, choices)`` gives
     ``(mu_d0, mu_d1)`` at the ascending bit indexes ``bits`` of the block
-    ``[start, stop)``, whose flag bytes are ``choices``, and no detector
+    ``[start, stop)``, whose choice flags are ``choices``, and no detector
     mean of the session exceeds ``peak``. Each call fills one window over
     the slots the block's passes touch, with the idle code 0 off the grid,
     and gathers the bits' codes from it once per distinct slot shift;
@@ -419,24 +494,28 @@ def _click_bound(config: SessionConfig, peak: float) -> float:
 
 
 def _block_clicks(
-    config: SessionConfig, means, bound: float, rngs: tuple[np.random.Generator, ...], flags: np.ndarray,
+    config: SessionConfig, means, bound: float, rngs: tuple[np.random.Generator, ...], readers: tuple,
     start: int, stop: int,
-) -> None:
-    """OR the clicks of the bits ``[start, stop)`` into their flag bytes ``flags``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of the block ``[start, stop)`` where a detector clicked, and
+    their flag bytes (see :class:`DetectionRecords`).
 
     ``rngs`` draw D0's clicks, D1's clicks and the 'random' policy's coins,
     which read the detection substream's uniform draws ``[0, n)``,
     ``[n, 2n)`` and ``[2n, 3n)`` of an ``n``-bit session; each draw is one
     64-bit output, so blocks read the same numbers as three whole-session
-    draws. A detector clicks when its uniform lies below its click
-    probability, so a bit whose two uniforms both reach ``bound`` (see
-    :func:`_click_bound`) clicks on neither. Only the other, candidate bits
-    have their flag bytes gathered, their means computed (from ``means``,
-    see :func:`_session_means`) and their click bits set.
+    draws. ``readers`` are the session's choice readers (see
+    :func:`_choice_readers`), each read for the block's bits. A detector
+    clicks when its uniform lies below its click probability, so a bit whose
+    two uniforms both reach ``bound`` (see :func:`_click_bound`) clicks on
+    neither. Only the other, candidate bits have their choices gathered,
+    their means computed (from ``means``, see :func:`_session_means`) and
+    their clicks drawn.
 
     One block-length column is alive at a time. D0's is cut to its
     below-bound (index, uniform) pairs before D1's is drawn, D1's is cut to
-    the candidates before the means are computed, and the coins are drawn
+    the candidates before the choice bytes are read, each of which is cut
+    to the candidates before the next is read, and the coins are drawn
     last. A candidate whose D0 uniform reached the bound gets 1.0 in its
     place, which no click probability exceeds, so it still does not click.
     """
@@ -454,7 +533,7 @@ def _block_clicks(
     u0 = np.ones(candidates.size)
     u0[np.searchsorted(candidates, below0)] = u0_below
     bits = candidates + start
-    choices = flags[bits]
+    choices = _choice_flags(*(read(stop - start)[candidates] for read in readers))
     mu_d0, mu_d1 = means(start, stop, bits, choices)
     eta = config.efficiency
     dark = config.dark_prob
@@ -467,7 +546,18 @@ def _block_clicks(
         keep0 = rng_coin.random(stop - start)[candidates] < 0.5
         clicked_d0[both] = keep0[both]
         clicked_d1[both] = ~keep0[both]
-    flags[bits] = choices | (clicked_d0.view(np.uint8) << 3) | (clicked_d1.view(np.uint8) << 4)
+    hit = clicked_d0 | clicked_d1
+    flags = choices | (clicked_d0.view(np.uint8) << 3) | (clicked_d1.view(np.uint8) << 4)
+    return bits[hit], flags[hit]
+
+
+def _keep_clicks(clicked: np.ndarray, clicks: np.ndarray, rows: np.ndarray, flags: np.ndarray) -> None:
+    """Set the bits ``rows`` (ascending) in the packed bitmap ``clicked`` and
+    append their flag bytes ``flags`` to ``clicks``, which grows in place, so
+    no copy of the kept flag bytes is ever alive beside them."""
+    np.bitwise_or.at(clicked, rows >> 3, (0x80 >> (rows & 7)).astype(np.uint8))
+    clicks.resize(len(clicks) + len(flags), refcheck=False)
+    clicks[len(clicks) - len(flags) :] = flags
 
 
 def run_session(config: SessionConfig) -> DetectionRecords:
@@ -487,34 +577,43 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     and after the grid the generator idles at code 0. A disabled randomizer
     is the same computation with every pass idle.
 
-    The records are one flags byte per bit (see :class:`DetectionRecords`),
-    built in place. The three choices are its low bits, the top bits of the
-    raw bytes of Alice's and Bob's streams, exactly the values
-    ``Generator.integers(0, 2, dtype=np.int8)`` would draw (see
-    :func:`_choices`). The clicks are then drawn in blocks
-    of ``_KERNEL_BLOCK`` bits. Each block draws its two detection uniform
-    columns first, one at a time, each cut to its bits below the session's
-    click bound before the next is drawn, and the detector means and click
-    probabilities are computed only for the candidate bits, those with a
-    uniform below the bound, whose click bits are then ORed into their
-    bytes (see :func:`_block_clicks`); every other bit has no click. At the
-    defaults about 1% of bits are candidates. Each block also gathers its
-    codes once per distinct slot shift from one window, idle off the grid
-    and drawn from the pattern stream's raw words on it (see
-    :func:`_session_means`). The session holds its 1 B/bit of records and
-    one block-length float column at a time, never a full-length code or
-    float column; :func:`detector_means` returns the means of every bit.
+    The clicks are drawn in blocks of ``_KERNEL_BLOCK`` bits. Each block
+    draws its two detection uniform columns first, one at a time, each cut
+    to its bits below the session's click bound before the next is drawn.
+    Only then does it read its choices, the top bits of the raw bytes of
+    Alice's and Bob's streams, exactly the values
+    ``Generator.integers(0, 2, dtype=np.int8)`` would draw, through one
+    reader per choice for the whole session (see :func:`_choice_readers`),
+    and gather them at the candidate bits, those with a uniform below the
+    bound. Only for those are the detector means and click probabilities
+    computed (see :func:`_block_clicks`); every other bit has no click. At
+    the defaults about 1% of bits are candidates. Each block also gathers
+    its codes once per distinct slot shift from one window, idle off the
+    grid and drawn from the pattern stream's raw words on it (see
+    :func:`_session_means`).
+
+    The records keep the session's choice substreams, a packed bitmap of
+    the clicked bits and their flag bytes (see :class:`DetectionRecords`),
+    each block's clicks set in the bitmap and appended to the flag bytes
+    in place: about 0.13 B/bit at the defaults and 1.125 B/bit when every
+    bit clicks. The session holds its records and one block's temporaries,
+    never a full-length column; :func:`detector_means` returns the means of
+    every bit.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
-    flags = _choices(streams, n)
+    source = (streams["alice"], streams["bob"])
+    readers = _choice_readers(source, n)
     means, peak = _session_means(config, streams)
     bound = _click_bound(config, peak)
     rngs = tuple(  # see _block_clicks
         np.random.Generator(np.random.PCG64(streams["detection"]).advance(k * n)) for k in range(3))
+    clicked = np.zeros(-(-n // 8), dtype=np.uint8)
+    clicks = np.empty(0, dtype=np.uint8)
     for start in range(0, n, _KERNEL_BLOCK):
-        _block_clicks(config, means, bound, rngs, flags, start, min(n, start + _KERNEL_BLOCK))
-    return DetectionRecords(flags)
+        _keep_clicks(clicked, clicks, *_block_clicks(config, means, bound, rngs, readers, start,
+                                                     min(n, start + _KERNEL_BLOCK)))
+    return DetectionRecords._of(n, source, clicked, clicks)
 
 
 def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -522,19 +621,21 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
 
     These are what phase-randomization invariance is stated about. They come
     from the same draws and float arithmetic as :func:`run_session`, block
-    by block, each block drawing its own window of pattern codes, so bit
-    ``i``'s means are exactly the ones its click probabilities are computed
-    from; no detection uniforms are drawn. The two float64 columns take
-    16 B/bit, the choice flags 1 B/bit and the rest one block.
+    by block, each block reading its choices through the same readers and
+    drawing its own window of pattern codes, so bit ``i``'s means are
+    exactly the ones its click probabilities are computed from; no
+    detection uniforms are drawn. The two float64 columns take 16 B/bit and
+    the rest one block.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
-    flags = _choices(streams, n)
+    readers = _choice_readers((streams["alice"], streams["bob"]), n)
     means, _ = _session_means(config, streams)
     mu_d0, mu_d1 = np.empty(n), np.empty(n)
     for start in range(0, n, _KERNEL_BLOCK):
         stop = min(n, start + _KERNEL_BLOCK)
-        mu_d0[start:stop], mu_d1[start:stop] = means(start, stop, np.arange(start, stop), flags[start:stop])
+        choices = _choice_flags(*(read(stop - start) for read in readers))
+        mu_d0[start:stop], mu_d1[start:stop] = means(start, stop, np.arange(start, stop), choices)
     return mu_d0, mu_d1
 
 
@@ -543,17 +644,12 @@ def sift(records: DetectionRecords) -> np.ndarray:
 
     Conclusive means exactly one detector clicked (a click on D1 decodes as
     bit 1). Double clicks survive only if the session already rewrote them
-    under the 'random' policy; under 'discard' they are dropped here. The
-    records' flags are read directly: a few percent of bits click, so they
-    are found a kernel block at a time, with no whole-length column, and
-    only their bytes are checked for one click and matched bases.
+    under the 'random' policy; under 'discard' they are dropped here. Only
+    the records' flag bytes of the clicked bits are read (see
+    :class:`DetectionRecords`), so it takes time and memory in proportion to
+    the clicks, not the bits.
     """
-    flags = records._flags
-    # a click sets flag bit 3 or 4
-    clicked = np.concatenate([np.empty(0, dtype=np.intp)] + [
-        np.flatnonzero(flags[start : start + _KERNEL_BLOCK] >= 8) + start
-        for start in range(0, len(flags), _KERNEL_BLOCK)])
-    f = flags[clicked]
+    f = records._clicks
     # not both clicks, and alice_basis (bit 0) equal to bob_basis (bit 2)
     f = f[((f >> 3) != 3) & (((f ^ (f >> 2)) & 1) == 0)]
     return np.column_stack((((f >> 1) & 1).view(np.int8), (f >> 4).view(np.int8)))
@@ -598,14 +694,22 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
     Rows are formatted one index width at a time. Each width lays out one
     buffer of up to ``_CSV_RUN_ROWS`` ``uint8`` rows, about 0.2 B/bit at the
     paper's 843,000 bits, with its low four index digits and its separators
-    in place, and releases it before the next width. Each run of the width
-    then writes its higher index digits, one column at a time, and its five
-    fields, each from its bit of the run's flag bytes.
+    in place, and 0 in both click fields, and releases it before the next
+    width. Each run of the width then writes its higher index digits, one
+    column at a time, and its three choice fields from the run's choice
+    bytes, read in order through the records' choice readers (see
+    :func:`_choice_readers`). Its clicks are scattered into the click fields
+    at its clicked bits, found from the nonzero bytes of the records'
+    bitmap, and reset to 0 after the run is written. A warm ``session
+    --output`` of the paper's size so holds its records, about 0.13 B/bit,
+    the buffer and one run's choice bytes.
     """
-    flags = records._flags
-    n = len(flags)
-    # the character of each field's 0, in flag-bit order ('Y' follows 'X')
-    zeros = (BASES[0], "0", BASES[0], "0", "0")
+    n = len(records)
+    readers = _choice_readers(records._choices, n)
+    # the character of each choice's 0, in flag-bit order ('Y' follows 'X')
+    zeros = (BASES[0], "0", BASES[0])
+    # the clicked bits in the runs before this one
+    seen = 0
     with open(path, "wb") as fh:
         fh.write(b"bit_index,alice_basis,alice_bit,bob_basis,click_d0,click_d1\n")
         for width in range(1, len(str(max(n - 1, 0))) + 1):
@@ -615,15 +719,25 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
             low = min(width, 4)
             rows[:, width - low : width] = _FOUR_DIGITS[first % _CSV_RUN_ROWS :][: len(rows), 4 - low :]
             rows[:, width::2] = np.frombuffer(b",,,,,\n", np.uint8)
+            # each run sets its clicks and resets them to 0 after its write
+            rows[:, width + 7 :: 2] = ord("0")
             # one run per width below row 10,000, then one per 10,000 rows
             for start in range(first, end, _CSV_RUN_ROWS):
                 block = rows[: min(end - start, _CSV_RUN_ROWS)]
                 if width > 4:
                     for col, digit in enumerate(str(start // _CSV_RUN_ROWS).encode()):
                         block[:, col] = digit
-                run = flags[start : start + len(block)]
-                for k, zero in enumerate(zeros):
-                    np.add((run >> k) & 1, ord(zero), out=block[:, width + 1 + 2 * k])
+                for k, (read, zero) in enumerate(zip(readers, zeros)):
+                    choice = read(len(block))
+                    choice >>= 7
+                    choice += ord(zero)
+                    block[:, width + 1 + 2 * k] = choice
+                hit = _clicked_rows(records._clicked, start, start + len(block)) - start
+                flags = records._clicks[seen : seen + len(hit)]
+                seen += len(hit)
+                block[hit, width + 7] = ord("0") + ((flags >> 3) & 1)
+                block[hit, width + 9] = ord("0") + (flags >> 4)
                 fh.write(block)
+                block[hit, width + 7 :: 2] = ord("0")
             # release the buffer before the next width's, so one is alive at a time
             rows = block = None

@@ -1,6 +1,7 @@
 """Shared pytest plumbing: collect acceptance-criterion verdicts and print
 them in the terminal summary, where output capture cannot swallow them;
-measure a call's peak allocation; give a child interpreter this package."""
+measure a call's peak allocation and what its result holds; give a child
+interpreter this package."""
 
 import os
 import tracemalloc
@@ -16,17 +17,32 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def peak_bytes(fn):
-    """tracemalloc's peak during ``fn()`` above what was traced at its start,
-    and the call's result."""
+def _traced_bytes(fn):
+    """tracemalloc's peak during ``fn()`` and what it still traces once
+    ``fn()`` has returned, both above what was traced at its start, and the
+    call's result."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak - base, held - base, result
+
+
+def peak_bytes(fn):
+    """tracemalloc's peak during ``fn()`` above what was traced at its start,
+    and the call's result."""
+    peak, _, result = _traced_bytes(fn)
     return peak, result
+
+
+def held_bytes(fn):
+    """What ``fn()``'s result holds: the bytes tracemalloc still traces once
+    it has returned, above what was traced at its start; and the result."""
+    _, held, result = _traced_bytes(fn)
+    return held, result
 
 
 def child_env():

@@ -84,16 +84,28 @@ def test_session_with_no_sifted_bit_reports_it_and_writes_records(tmp_path, monk
 
 
 def test_paper_session_export_memory_is_bounded(tmp_path, capsys):
-    # warm (the second run), so only per-run allocations count: the 1 B/bit
-    # of records, one kernel block, sift's one slice and the clicked bits,
-    # and the export's one 170 KB row buffer
+    # warm (the second run), so only per-run allocations count: the records,
+    # about 0.136 B/bit, with one kernel block, about 0.37 B/bit, and then
+    # with the export's one 170 KB row buffer and one run's choice bytes;
+    # sift reads only the clicked bits' flags. About 0.57 B/bit in all
     n_bits = 843_000
     argv = ["session", "--bits", str(n_bits), "--output", str(tmp_path / "records.csv")]
     assert main(argv) == 0
     peak, code = peak_bytes(lambda: main(argv))
     assert code == 0
     assert f"wrote {n_bits} records" in capsys.readouterr().out
-    assert peak / n_bits < 1.7
+    assert peak / n_bits < 0.8
+
+
+def test_session_output_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, capsys):
+    target, fresh = tmp_path / "records.csv", tmp_path / "fresh.csv"
+    assert main(["session", "--bits", "20000", "--output", str(target)]) == 0
+    longer = target.stat().st_size
+    assert main(["session", "--bits", "1000", "--output", str(target)]) == 0
+    assert main(["session", "--bits", "1000", "--output", str(fresh)]) == 0
+    capsys.readouterr()
+    assert target.stat().st_size < longer
+    assert target.read_bytes() == fresh.read_bytes()
 
 
 def test_session_rejects_invalid_parameters(capsys):

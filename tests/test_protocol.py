@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import peak_bytes
+from conftest import held_bytes, peak_bytes
 from plugplay_qkd import (
     DetectionRecords,
     SessionConfig,
@@ -121,8 +121,9 @@ def _sift_by_mask(records):
 _SLICE = _KERNEL_BLOCK
 
 
-# random clicks at lengths around the slice edges, then whole columns of one
-# kind of event; with every bit on D0 the bases match, so every bit sifts
+# random clicks at lengths around the kernel block's edges, then whole
+# columns of one kind of event; with every bit on D0 the bases match, so every
+# bit sifts
 @pytest.mark.parametrize(
     ("n", "clicks"),
     [(_SLICE - 1, "random"), (_SLICE + 1, "random"), (2 * _SLICE + 1, "random"), (0, "random"),
@@ -145,9 +146,8 @@ def test_sift_matches_whole_column_reference(n, clicks):
 
 
 def test_sift_memory_is_bounded():
-    # one slice's comparison of the click columns at a time and the
-    # conclusive bits' indexes, about 0.09 B/bit here; a whole-length
-    # comparison column alone would take 1 B/bit
+    # sift reads only the clicked bits' flag bytes, about 0.016 B/bit here;
+    # a whole-length comparison column alone would take 1 B/bit
     records = run_session(SessionConfig(n_bits=843_000, seed=42))
     peak, pairs = peak_bytes(lambda: sift(records))
     assert np.array_equal(pairs, _sift_by_mask(records))
@@ -166,7 +166,7 @@ def test_detection_records_views():
 def test_detection_records_take_one_flags_column():
     flags = np.array([0, 31, 9, 22], dtype=np.uint8)
     records = DetectionRecords(flags)
-    assert records._flags is flags and len(records) == 4
+    assert records._choices is flags and len(records) == 4
     assert records.alice_basis.tolist() == [0, 1, 1, 0] and records.clicked_d1.tolist() == [False, True, False, True]
     assert len(DetectionRecords(np.zeros(0, dtype=np.uint8))) == 0
     # sift and the export read bits 5 to 7 as clear
@@ -189,33 +189,53 @@ def test_substreams_are_the_spawned_children(seed):
         assert np.array_equal(protocol._substream(seed, role).generate_state(8), child.generate_state(8))
 
 
-_CHUNK = protocol._CHOICE_CHUNK
+_2_17 = 1 << 17
 
 
-def _assert_choice_flags(flags, streams, n):
-    """``flags`` hold, as bits 0 to 2, the int8 choices the generators draw
-    for an ``n``-bit session, and no other bit."""
+def _generator_choices(streams, n):
+    """The int8 choices the generators draw for an ``n``-bit session:
+    Alice's basis and bit, then Bob's basis."""
     rng_alice = np.random.default_rng(streams["alice"])
     rng_bob = np.random.default_rng(streams["bob"])
-    expected = (rng_alice.integers(0, 2, size=n, dtype=np.int8), rng_alice.integers(0, 2, size=n, dtype=np.int8),
-                rng_bob.integers(0, 2, size=n, dtype=np.int8))
-    assert flags.dtype == np.uint8 and flags.shape == (n,)
-    for k, want in enumerate(expected):
-        assert np.array_equal((flags >> k) & 1, want), _COLUMNS[k]
-    assert not (flags >> 3).any()
+    return (rng_alice.integers(0, 2, size=n, dtype=np.int8), rng_alice.integers(0, 2, size=n, dtype=np.int8),
+            rng_bob.integers(0, 2, size=n, dtype=np.int8))
 
 
-# alice_bit starts at uint32 word ceil(n / 4), so an n not divisible by 4
-# leaves part of alice_basis' last word unused, and an odd word count starts
-# alice_bit in the high half of a 64-bit word; alice_bit and bob_basis are
-# drawn a chunk at a time, so n also runs across the first two chunk edges
+def _session_readers(streams, n):
+    return protocol._choice_readers((streams["alice"], streams["bob"]), n)
+
+
+# Alice's bit starts at uint32 word ceil(n / 4), so an n not divisible by 4
+# leaves part of her basis' last word unused, and an odd word count starts
+# her bit in the high half of a 64-bit word; n runs from one bit to one past
+# the paper's session, on both sides of the kernel block and of 2**17 and 2**18
 @pytest.mark.parametrize("seed", [0, 7, 123_456_789])
 @pytest.mark.parametrize(
-    "n", [1, 7, 13, 32_767, 32_769, 84_300, 100_003, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
-          2 * _CHUNK + 1, 843_000, 843_001])
+    "n", [1, 7, 13, 32_767, 32_769, 84_300, 100_003, _2_17 - 1, _2_17, _2_17 + 1, 2 * _2_17 - 1, 2 * _2_17,
+          2 * _2_17 + 1, 843_000, 843_001])
 def test_choices_are_the_generators_int8_draws(seed, n):
     streams = _substreams(seed)
-    _assert_choice_flags(protocol._choices(streams, n), streams, n)
+    for k, (read, want) in enumerate(zip(_session_readers(streams, n), _generator_choices(streams, n))):
+        got = read(n)
+        assert got.dtype == np.uint8 and got.shape == (n,) and got.flags.writeable, _COLUMNS[k]
+        assert np.array_equal(got >> 7, want), _COLUMNS[k]
+
+
+# reads that start and end inside a word, and empty ones, carry on where the
+# last read ended; Alice's bit starts at byte 4 of a word when ceil(n / 4) is
+# odd (57 and 60 bits) and at a word's start when it is even (64 bits)
+@pytest.mark.parametrize("n", [57, 60, 64])
+def test_choice_readers_carry_across_reads(n):
+    streams = _substreams(3)
+    want = _generator_choices(streams, n)
+    pieces = [1, 7, 0, 8, 3, 13, 0, 5, 20]
+    pieces.append(n - sum(pieces))
+    flags = oracle.pack_records(*want, np.zeros(n, bool), np.zeros(n, bool))._choices
+    # the session's raw streams, and records' flags, which are their own source
+    for readers in (_session_readers(streams, n), protocol._choice_readers(flags, n)):
+        for read, col in zip(readers, want):
+            got = np.concatenate([read(count) for count in pieces])
+            assert np.array_equal(got >> 7, col)
 
 
 def test_ideal_components_wrong_detector_exactly_zero():
@@ -259,11 +279,13 @@ def test_run_session_deterministic():
 
 
 def test_records_carry_no_float_column():
-    # the detector means stay in block temporaries: the records are one
-    # uint8 of flags per bit, and every column read from it is int8 or bool
+    # the detector means stay in block temporaries: the records are a uint8
+    # bitmap of the clicked bits and those bits' uint8 flags, and every
+    # column read from them is int8 or bool
     records = run_session(SessionConfig(n_bits=1000, seed=5, delay_ns=70.0))
-    assert DetectionRecords.__slots__ == ("_flags",)
-    assert records._flags.dtype == np.uint8 and records._flags.shape == (1000,)
+    assert DetectionRecords.__slots__ == ("_n", "_choices", "_clicked", "_clicks")
+    assert records._clicked.dtype == np.uint8 and records._clicked.shape == (125,)
+    assert records._clicks.dtype == np.uint8 and records._clicks.ndim == 1
     assert [getattr(records, col).dtype for col in _COLUMNS] == [np.int8] * 3 + [bool] * 2
 
 
@@ -536,18 +558,18 @@ def _peak_bytes_per_bit(fn, n_bits, **settings):
     return peak / n_bits, result
 
 
-# the flags are alice_basis' n raw bytes, plus at most one word, shifted in
-# place, and one chunk of alice_bit's or bob_basis' raw bytes is alive at a
-# time (4096 B covers the padding words and the arrays' headers): a shifted
-# copy, or a second chunk alive, would add a whole column's or chunk's
-# transient, which the session's own bound below would not catch
+# each reader's read of n choices is their n raw bytes, plus at most one
+# word at each end, viewed in place (4096 B covers the padding words and the
+# arrays' headers): a copy would add a whole column's transient, which no
+# session's bound would catch
 @pytest.mark.parametrize("n", [84_300, 843_000])
 def test_choices_memory_is_bounded(n):
     streams = _substreams(5)
-    protocol._choices(streams, 1)  # the first PCG64 imports the rest of numpy.random
-    peak, flags = peak_bytes(lambda: protocol._choices(streams, n))
-    _assert_choice_flags(flags, streams, n)
-    assert peak < n + min(n, _CHUNK) + 4096
+    _session_readers(streams, 1)  # the first PCG64 imports the rest of numpy.random
+    for read, want in zip(_session_readers(streams, n), _generator_choices(streams, n)):
+        peak, col = peak_bytes(lambda: read(n))
+        assert np.array_equal(col >> 7, want)
+        assert peak < n + 4096
 
 
 def test_pattern_stream_memory_is_bounded():
@@ -562,9 +584,9 @@ def test_pattern_stream_memory_is_bounded():
 
 
 def test_session_memory_is_bounded():
-    # the session holds the 1 B/bit of records it returns and one block's
-    # temporaries (under 0.4 B/bit at 843,000 bits): one detection column at
-    # a time, each cut to its below-bound bits before the next is drawn, and
+    # the session holds the records it returns, about 0.136 B/bit, and one
+    # block's temporaries (under 0.4 B/bit at 843,000 bits): one detection
+    # column at a time, each cut to its below-bound bits before the next is drawn, and
     # the block's pattern codes; means exist only for a block's candidate
     # bits, so no float column of even block length is built for them
     per_bit, records = _peak_bytes_per_bit(run_session, 843_000)
@@ -584,7 +606,8 @@ def test_session_memory_is_bounded_per_size_and_policy(n_bits, policy, bound):
     assert per_bit < bound
 
 
-# the same sessions with records of one flags byte per bit: 4.66 and 1.37 B/bit
+# the same sessions, bounded when the records kept one flags byte per bit
+# (4.66 and 1.37 B/bit then; 3.81 and 0.50 with only the clicked bits' bytes)
 @pytest.mark.parametrize(("n_bits", "policy", "bound"), [(84_300, "discard", 5.2), (843_000, "random", 1.6)])
 def test_flag_records_session_memory_per_size_and_policy(n_bits, policy, bound):
     per_bit, records = _peak_bytes_per_bit(run_session, n_bits, double_click_policy=policy)
@@ -592,9 +615,33 @@ def test_flag_records_session_memory_per_size_and_policy(n_bits, policy, bound):
     assert per_bit < bound
 
 
+def test_paper_session_records_hold_what_the_seed_does_not_fix():
+    # a bitmap of the clicked bits, 1/8 B/bit, and the flags byte of each of
+    # the 4,336 clicked bits: the choices are re-read from the seed, so the
+    # records hold about 0.136 B/bit
+    run_session(SessionConfig(n_bits=1, seed=42))  # the first PCG64 imports the rest of numpy.random
+    held, records = held_bytes(lambda: run_session(SessionConfig(n_bits=843_000, seed=42)))
+    assert len(records._clicks) == 4_336
+    assert held / len(records) < 0.15
+
+
+def test_click_dense_session_memory_is_its_records_and_one_block():
+    # 20 photons on perfect detectors: 100,001 of 100,003 bits click, so the
+    # records keep a flags byte for nearly every bit, 1.125 B/bit, and every
+    # bit is a candidate. The session holds those records and one block's
+    # temporaries, which a one-block session at the same settings measures;
+    # each block's clicked indexes alive into the next block would add 2.6 B/bit
+    settings = dict(mu_target=20.0, efficiency=1.0)
+    one_block, _ = _peak_bytes_per_bit(run_session, _KERNEL_BLOCK, **settings)
+    n_bits = 100_003
+    per_bit, records = _peak_bytes_per_bit(run_session, n_bits, **settings)
+    assert len(records._clicks) > 0.99 * n_bits
+    assert per_bit * n_bits < 1.13 * n_bits + one_block * _KERNEL_BLOCK
+
+
 def test_detector_means_memory_is_bounded():
-    # the 16 B/bit of means it returns, the 1 B/bit of choice flags and one
-    # block of temporaries, pattern codes among them
+    # the 16 B/bit of means it returns and one block of temporaries, the
+    # block's choice bytes and pattern codes among them
     per_bit, (mu_d0, mu_d1) = _peak_bytes_per_bit(detector_means, 843_000)
     assert len(mu_d0) == len(mu_d1) == 843_000
     assert per_bit < 21
@@ -996,9 +1043,10 @@ def test_records_csv_matches_row_by_row_reference(n, tmp_path):
     assert target.read_bytes() == expected
 
 
-# every one of the 32 flag bytes, at lengths across a sift slice's edge, reads
-# back its five columns, and sift and the export, which read the flags
-# directly, match their references, which read the columns
+# every one of the 32 flag bytes, at lengths across a kernel block's edge,
+# reads back its five columns, and sift and the export, which read the
+# clicked bits' flag bytes and the flags' choices, match their references,
+# which read the columns
 @pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
 def test_all_32_outcome_bytes(n, tmp_path):
     rng = np.random.default_rng(n)
@@ -1036,6 +1084,25 @@ def test_records_csv_export_memory_is_bounded(tmp_path):
     peak, _ = peak_bytes(lambda: export_records_csv(records, tmp_path / "records.csv"))
     assert (tmp_path / "records.csv").stat().st_size > 14_000_000
     assert peak < 250_000
+
+
+def test_export_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    # the export truncates what was there: a shorter CSV over a longer one
+    # leaves no tail of the old file
+    target = tmp_path / "records.csv"
+    export_records_csv(run_session(SessionConfig(n_bits=20_000, seed=2)), target)
+    longer = target.stat().st_size
+    records = run_session(SessionConfig(n_bits=1_000, seed=2))
+    export_records_csv(records, target)
+    assert target.stat().st_size < longer
+    assert target.read_bytes() == _records_csv_by_row(records).encode("ascii")
+
+
+def test_cosine_table_digest():
+    # every golden digest that hashes detector means rests on these 4,096
+    # cosines; a platform whose cos differs in a last bit fails here by name
+    table = protocol._COS.astype("<f8").tobytes()
+    assert hashlib.sha256(table).hexdigest() == "4a6a45d2074117833e7e046c48858a08184227abef9ddfe048571c3ba0da0424"
 
 
 def test_lookup_tables_are_read_only():

@@ -735,9 +735,10 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
                 hit = _clicked_rows(records._clicked, start, start + len(block)) - start
                 flags = records._clicks[seen : seen + len(hit)]
                 seen += len(hit)
-                block[hit, width + 7] = ord("0") + ((flags >> 3) & 1)
-                block[hit, width + 9] = ord("0") + (flags >> 4)
+                # through each click field's column, which is faster than a 2-d index
+                block[:, width + 7][hit] = ord("0") + ((flags >> 3) & 1)
+                block[:, width + 9][hit] = ord("0") + (flags >> 4)
                 fh.write(block)
-                block[hit, width + 7 :: 2] = ord("0")
+                block[:, width + 7][hit] = block[:, width + 9][hit] = ord("0")
             # release the buffer before the next width's, so one is alive at a time
             rows = block = None

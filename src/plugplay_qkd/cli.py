@@ -40,13 +40,13 @@ from .experiments import (
 )
 from .protocol import (
     SessionConfig,
+    _pattern_words,
     estimate_qber,
     export_records_csv,
-    pattern_stream,
     run_session,
     sift,
 )
-from .randomizer import CODE_LEVELS, code_to_phase
+from .randomizer import CODE_LEVELS, code_to_phase, generate_pattern
 
 __all__ = ["main"]
 
@@ -61,12 +61,13 @@ EXIT_REJECTED = 3
 # of delays is built.
 _MAX_SCAN_POINTS = 100_000
 
-# Codes per window of an audited pattern stream: the window's raw words, its
-# int32 codes and their intp cast in bincount are the audit's only
-# temporaries, so it holds O(window) memory for any --codes: about 0.9 MB
-# here, 0.23 B/code at 4,000,000 codes. Twice the window doubles that and
-# is no faster.
-_AUDIT_WINDOW = 1 << 16
+# Codes per window of an audited pattern stream, every window read through
+# one generator: the window's raw words, its int32 codes and their intp cast
+# in bincount are the audit's only temporaries, so it holds O(window) memory
+# for any --codes: about 0.3 MB here, 0.08 B/code at 4,000,000 codes. Four
+# times the window is no faster; a quarter of it is about 1.6 times slower,
+# from numpy's per-call overhead.
+_AUDIT_WINDOW = 1 << 14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,10 +230,11 @@ def _cmd_verify_uniformity(args: argparse.Namespace) -> int:
         counts[code] = n_codes
     else:
         # audit the same stream a session would feed to the modulator, drawn a
-        # window at a time so its codes never exist whole
+        # window at a time through one generator so its codes never exist whole
+        words = _pattern_words(args.seed)
         for start in range(0, n_codes, _AUDIT_WINDOW):
             stop = min(start + _AUDIT_WINDOW, n_codes)
-            counts += np.bincount(pattern_stream(args.seed, stop - start, start), minlength=CODE_LEVELS)
+            counts += np.bincount(generate_pattern(words, stop - start, start), minlength=CODE_LEVELS)
     statistic, threshold = uniformity_chisq(counts, n_bins=n_bins)
     print(
         f"chi-square statistic {statistic:.2f} vs 99th-percentile threshold {threshold:.2f} "

@@ -40,6 +40,7 @@ from .randomizer import (
     CODE_LEVELS,
     DEFAULT_FRAME_LEN,
     PHASE_PER_CODE,
+    RawStream,
     generate_pattern,
 )
 
@@ -71,6 +72,11 @@ def _substreams(seed: int) -> dict:
     return {role: _substream(seed, role) for role in _SUBSTREAM_ROLES}
 
 
+def _pattern_words(seed: int) -> RawStream:
+    """The raw words of the pattern substream of the session seeded by ``seed``."""
+    return RawStream(_substream(whole("seed", seed, 0), "pattern"))
+
+
 def pattern_stream(seed: int, n_codes: int, start: int = 0) -> np.ndarray:
     """Pattern codes ``[start, start + n_codes)`` of the session seeded by ``seed``.
 
@@ -79,7 +85,7 @@ def pattern_stream(seed: int, n_codes: int, start: int = 0) -> np.ndarray:
     :func:`~plugplay_qkd.randomizer.generate_pattern`), which the kernel
     reads a block's slots at a time. It does not depend on the frame length.
     """
-    return generate_pattern(_substream(whole("seed", seed, 0), "pattern"), n_codes, start)
+    return generate_pattern(_pattern_words(seed), n_codes, start)
 
 
 # SessionConfig's real fields as (name, low, high, ends) for errors.real, in check order: timing,
@@ -165,33 +171,19 @@ class SessionConfig:
 # The record columns; column k is bit k of a bit's flags byte.
 _COLUMNS = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
 
-# PCG64.advance by this many words steps back one word (mod 2**128)
-_ONE_WORD_BACK = (1 << 128) - 1
-
-
 class _ByteReader:
-    """Consecutive bytes of the raw PCG64 stream of ``seed`` from byte
-    ``first`` on: each call ``read(count)`` returns the next ``count`` as a
-    writable uint8 array.
+    """Consecutive bytes of the raw stream ``words`` (a
+    :class:`~plugplay_qkd.randomizer.RawStream`) from byte ``first`` on: each
+    call ``read(count)`` returns the next ``count`` as a writable uint8
+    array. Readers that share ``words`` share its generator, which each read
+    moves to where that reader left off."""
 
-    The bytes are the little-endian bytes of the raw words, as in
-    :func:`~plugplay_qkd.randomizer._raw_window`, all read through one PCG64:
-    a read that ends inside a word steps the generator back over that word,
-    so the next read starts in it again.
-    """
-
-    def __init__(self, seed, first: int):
-        self._bitgen = np.random.PCG64(seed).advance(first // 8)
-        self._skip = first % 8
+    def __init__(self, words: RawStream, first: int):
+        self._words, self._next = words, first
 
     def __call__(self, count: int) -> np.ndarray:
-        skip = self._skip
-        raw = self._bitgen.random_raw(-(-(skip + count) // 8))
-        self._skip = (skip + count) % 8
-        if self._skip:
-            self._bitgen.advance(_ONE_WORD_BACK)
-        # the little-endian view is the same on any host
-        return raw.astype("<u8", copy=False).view(np.uint8)[skip : skip + count]
+        self._next += count
+        return self._words.read(np.uint8, self._next - count, count)
 
 
 class _FlagReader:
@@ -221,11 +213,11 @@ def _choice_readers(source, n: int) -> tuple:
     bit. So Alice's basis is bytes ``[0, n)`` of Alice's raw stream, her bit
     bytes ``[4w, 4w + n)`` after the ``w = ceil(n / 4)`` uint32 words her
     basis used, and Bob's basis bytes ``[0, n)`` of Bob's (see
-    :class:`_ByteReader`).
+    :class:`_ByteReader`). Alice's two readers share one generator.
     """
     if isinstance(source, np.ndarray):
         return tuple(_FlagReader(source, k) for k in range(3))
-    alice, bob = source
+    alice, bob = RawStream(source[0]), RawStream(source[1])
     return _ByteReader(alice, 0), _ByteReader(alice, 4 * -(-n // 4)), _ByteReader(bob, 0)
 
 
@@ -338,7 +330,7 @@ def _polarization(config: SessionConfig, streams: dict) -> tuple[complex, comple
     to a frame. With no override it is drawn uniformly (Haar).
     """
     if config.polarization is None:
-        z = np.random.default_rng(streams["polarization"]).normal(size=4)
+        z = np.random.Generator(np.random.PCG64(streams["polarization"])).normal(size=4)
         h0, v0 = complex(z[0], z[1]), complex(z[2], z[3])
     else:
         h0, v0 = (complex(c) for c in config.polarization)
@@ -448,9 +440,11 @@ def _session_means(config: SessionConfig, streams: dict):
     the slots the block's passes touch, with the idle code 0 off the grid,
     and gathers the bits' codes from it once per distinct slot shift;
     rounding can spread a bit's four passes, which fit in one pattern step,
-    over three slots, and the window spans them all.
+    over three slots, and the window spans them all, read through the
+    session's one pattern generator.
     """
     n = config.n_bits
+    pattern = RawStream(streams["pattern"])
     h0, v0 = _polarization(config, streams)
     # the session runs whole frames; a disabled randomizer has none
     n_codes = -(-n // DEFAULT_FRAME_LEN) * DEFAULT_FRAME_LEN if config.randomizer_enabled else 0
@@ -470,7 +464,7 @@ def _session_means(config: SessionConfig, streams: dict):
         window = np.zeros(stop + highest - first, dtype=np.int32)
         lo, hi = max(first, 0), min(stop + highest, n_codes)
         if lo < hi:
-            window[lo - first : hi - first] = generate_pattern(streams["pattern"], hi - lo, lo)
+            window[lo - first : hi - first] = generate_pattern(pattern, hi - lo, lo)
         by_shift = {shift: window[bits + (shift - first)] for shift in set(shifts)}
         ref_fwd, ref_ret, sig_fwd, sig_ret = (by_shift[shift] for shift in shifts)
         return _block_means(choices, (sig_ret - ref_ret, sig_fwd - ref_fwd), a_h, a_v)
@@ -494,23 +488,22 @@ def _click_bound(config: SessionConfig, peak: float) -> float:
 
 
 def _block_clicks(
-    config: SessionConfig, means, bound: float, rngs: tuple[np.random.Generator, ...], readers: tuple,
-    start: int, stop: int,
+    config: SessionConfig, means, bound: float, detection: RawStream, readers: tuple, start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The bits of the block ``[start, stop)`` where a detector clicked, and
     their flag bytes (see :class:`DetectionRecords`).
 
-    ``rngs`` draw D0's clicks, D1's clicks and the 'random' policy's coins,
-    which read the detection substream's uniform draws ``[0, n)``,
-    ``[n, 2n)`` and ``[2n, 3n)`` of an ``n``-bit session; each draw is one
-    64-bit output, so blocks read the same numbers as three whole-session
-    draws. ``readers`` are the session's choice readers (see
-    :func:`_choice_readers`), each read for the block's bits. A detector
-    clicks when its uniform lies below its click probability, so a bit whose
-    two uniforms both reach ``bound`` (see :func:`_click_bound`) clicks on
-    neither. Only the other, candidate bits have their choices gathered,
-    their means computed (from ``means``, see :func:`_session_means`) and
-    their clicks drawn.
+    ``detection`` is the detection substream, read through one generator,
+    from which D0's clicks, D1's clicks and the 'random' policy's coins take
+    its uniform draws ``[0, n)``, ``[n, 2n)`` and ``[2n, 3n)`` of an
+    ``n``-bit session; each draw is one 64-bit output, so blocks read the
+    same numbers as three whole-session draws. ``readers`` are the session's
+    choice readers (see :func:`_choice_readers`), each read for the block's
+    bits. A detector clicks when its uniform lies below its click
+    probability, so a bit whose two uniforms both reach ``bound`` (see
+    :func:`_click_bound`) clicks on neither. Only the other, candidate bits
+    have their choices gathered, their means computed (from ``means``, see
+    :func:`_session_means`) and their clicks drawn.
 
     One block-length column is alive at a time. D0's is cut to its
     below-bound (index, uniform) pairs before D1's is drawn, D1's is cut to
@@ -519,12 +512,12 @@ def _block_clicks(
     last. A candidate whose D0 uniform reached the bound gets 1.0 in its
     place, which no click probability exceeds, so it still does not click.
     """
-    rng_d0, rng_d1, rng_coin = rngs
-    u = rng_d0.random(stop - start)
+    n = config.n_bits
+    u = detection.uniforms(start, stop - start)
     below0 = np.flatnonzero(u < bound)
     u0_below = u[below0]
     del u
-    u = rng_d1.random(stop - start)
+    u = detection.uniforms(n + start, stop - start)
     below = u < bound
     below[below0] = True
     candidates = np.flatnonzero(below)
@@ -543,7 +536,7 @@ def _block_clicks(
     clicked_d1 = u1 < p1
     if config.double_click_policy == "random":
         both = clicked_d0 & clicked_d1
-        keep0 = rng_coin.random(stop - start)[candidates] < 0.5
+        keep0 = detection.uniforms(2 * n + start, stop - start)[candidates] < 0.5
         clicked_d0[both] = keep0[both]
         clicked_d1[both] = ~keep0[both]
     hit = clicked_d0 | clicked_d1
@@ -592,6 +585,11 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     grid and drawn from the pattern stream's raw words on it (see
     :func:`_session_means`).
 
+    Each substream is read through one generator for the whole session,
+    which every block's read moves to its draws (see
+    :class:`~plugplay_qkd.randomizer.RawStream`): a session builds one per
+    substream it draws from, whatever its length, and none per block.
+
     The records keep the session's choice substreams, a packed bitmap of
     the clicked bits and their flag bytes (see :class:`DetectionRecords`),
     each block's clicks set in the bitmap and appended to the flag bytes
@@ -606,12 +604,11 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     readers = _choice_readers(source, n)
     means, peak = _session_means(config, streams)
     bound = _click_bound(config, peak)
-    rngs = tuple(  # see _block_clicks
-        np.random.Generator(np.random.PCG64(streams["detection"]).advance(k * n)) for k in range(3))
+    detection = RawStream(streams["detection"])
     clicked = np.zeros(-(-n // 8), dtype=np.uint8)
     clicks = np.empty(0, dtype=np.uint8)
     for start in range(0, n, _KERNEL_BLOCK):
-        _keep_clicks(clicked, clicks, *_block_clicks(config, means, bound, rngs, readers, start,
+        _keep_clicks(clicked, clicks, *_block_clicks(config, means, bound, detection, readers, start,
                                                      min(n, start + _KERNEL_BLOCK)))
     return DetectionRecords._of(n, source, clicked, clicks)
 

@@ -9,9 +9,12 @@ and the double-pass modulator it drives, with where each pass lands on the
 code grid, is modelled in :mod:`plugplay_qkd.protocol`.
 
 The codes themselves are one stream of independent uniform draws, of which
-:func:`generate_pattern` returns any window straight from raw PCG64 words:
-the session kernel reads one window per block of bits, and the uniformity
-audit reads its stream a window at a time from the start.
+:func:`generate_pattern` returns any window straight from raw PCG64 words.
+A :class:`RawStream` reads such words at any position through one
+generator, so a session reads each of its random substreams, and the
+uniformity audit its pattern stream, through one generator per run: the
+kernel reads one pattern window per block of bits, and the audit its stream
+a window at a time from the start.
 """
 
 from __future__ import annotations
@@ -28,37 +31,68 @@ DEFAULT_FRAME_LEN = 504
 PHASE_PER_CODE = 2.0 * math.pi / CODE_LEVELS
 
 
-def _raw_window(seed, dtype, start: int, count: int) -> np.ndarray:
-    """Elements ``[start, start + count)`` of the raw PCG64 stream of ``seed``
-    read as little-endian ``dtype`` (uint8, uint32 or uint64), as a writable
-    array.
+class RawStream:
+    """The raw PCG64 stream of ``seed`` (a ``SeedSequence``, or any seed
+    ``PCG64`` takes), read anywhere through one generator.
 
-    PCG64 hands out each 64-bit word's low half first, so the uint32 and
-    uint8 streams are the little-endian halves and bytes of its words: a
-    window is drawn after advancing past the words before it. Raw words are
-    what numpy's RNG policy keeps stable across versions.
+    Each read moves the generator with ``advance`` from the word after the
+    last read to the first word it asks for, forward or back, in about a
+    microsecond, where building a generator from a ``SeedSequence`` takes
+    several times longer. Raw words are what numpy's RNG policy keeps stable
+    across versions.
     """
-    per_word = 8 // np.dtype(dtype).itemsize
-    skip = start % per_word
-    raw = np.random.PCG64(seed).advance(start // per_word).random_raw(-(-(skip + count) // per_word))
-    # the little-endian view is the same on any host
-    return raw.astype("<u8", copy=False).view(dtype)[skip : skip + count]
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(seed)
+        self._generator = np.random.Generator(self._bitgen)
+        # the word the generator hands out next
+        self._next = 0
+
+    def _seek(self, word: int, count: int) -> None:
+        """Move the generator to ``word``, which ``count`` draws then pass."""
+        if word != self._next:
+            # mod the 2**128-word period, a step back is a long step forward
+            self._bitgen.advance((word - self._next) % (1 << 128))
+        self._next = word + count
+
+    def read(self, dtype, start: int, count: int) -> np.ndarray:
+        """Elements ``[start, start + count)`` of the stream read as
+        little-endian ``dtype`` (uint8, uint32 or uint64), as a writable array.
+
+        PCG64 hands out each 64-bit word's low half first, so the uint32 and
+        uint8 streams are the little-endian halves and bytes of its words.
+        """
+        per_word = 8 // np.dtype(dtype).itemsize
+        word, skip = divmod(start, per_word)
+        n_words = -(-(skip + count) // per_word)
+        self._seek(word, n_words)
+        raw = self._bitgen.random_raw(n_words)
+        # the little-endian view is the same on any host
+        return raw.astype("<u8", copy=False).view(dtype)[skip : skip + count]
+
+    def uniforms(self, start: int, count: int) -> np.ndarray:
+        """Draws ``[start, start + count)`` of ``Generator(PCG64(seed)).random()``,
+        as float64: draw ``k`` is made from word ``k`` of the stream."""
+        self._seek(start, count)
+        return self._generator.random(count)
 
 
-def generate_pattern(seed, n_codes: int, start: int = 0) -> np.ndarray:
-    """Codes ``[start, start + n_codes)`` of the pattern stream of ``seed`` (a
-    ``SeedSequence``, or any seed ``PCG64`` takes), as an int32 array.
+def generate_pattern(source, n_codes: int, start: int = 0) -> np.ndarray:
+    """Codes ``[start, start + n_codes)`` of the pattern stream of ``source``,
+    as an int32 array: a :class:`RawStream`, which moves its one generator to
+    each window asked of it, or a seed it takes, read through a new one.
 
-    The stream is exactly what ``Generator(PCG64(seed)).integers(0, 4096,
-    dtype=np.int32)`` draws, in one call or frame by frame, taken from the
-    raw PCG64 words instead. numpy maps each such code from one uint32 by
+    The stream of a seed is exactly what ``Generator(PCG64(seed)).integers(0,
+    4096, dtype=np.int32)`` draws, in one call or frame by frame, taken from
+    the raw PCG64 words instead. numpy maps each such code from one uint32 by
     Lemire's multiply ``(u * 4096) >> 32``, which never rejects for a
     power-of-two range: a code is the top 12 bits of its uint32, and code
-    ``k`` is uint32 ``k`` of the raw stream (see :func:`_raw_window`).
+    ``k`` is uint32 ``k`` of the raw stream (see :meth:`RawStream.read`).
     """
     n_codes = whole("n_codes", n_codes, 1, MAX_FLOAT64S)
     start = whole("start", start, 0)
-    codes = _raw_window(seed, "<u4", start, n_codes)
+    words = source if isinstance(source, RawStream) else RawStream(source)
+    codes = words.read("<u4", start, n_codes)
     codes >>= 32 - CODE_BITS
     return codes.view("<i4").astype(np.int32, copy=False)
 

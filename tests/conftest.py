@@ -1,11 +1,14 @@
 """Shared pytest plumbing: collect acceptance-criterion verdicts and print
 them in the terminal summary, where output capture cannot swallow them;
-measure a call's peak allocation and what its result holds; give a child
-interpreter this package."""
+measure a call's peak allocation and what its result holds; list the
+generators a test builds; give a child interpreter this package."""
 
 import os
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -43,6 +46,21 @@ def held_bytes(fn):
     it has returned, above what was traced at its start; and the result."""
     _, held, result = _traced_bytes(fn)
     return held, result
+
+
+@pytest.fixture
+def pcg64_builds(monkeypatch):
+    """The seed of every ``np.random.PCG64`` built while the test runs, in
+    the order they were built."""
+    seeds = []
+    pcg64 = np.random.PCG64
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return pcg64(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    return seeds
 
 
 def child_env():

@@ -189,6 +189,26 @@ def test_substreams_are_the_spawned_children(seed):
         assert np.array_equal(protocol._substream(seed, role).generate_state(8), child.generate_state(8))
 
 
+# one generator per substream per session, none per kernel block: the
+# pattern's, Alice's (her basis and bit readers share it), Bob's, the
+# polarization's and the detection substream's, whose one generator draws
+# both detectors' columns and the 'random' policy's coins
+@pytest.mark.parametrize("policy", ["discard", "random"])
+@pytest.mark.parametrize("n", [1, 32_769, 843_000])
+def test_session_builds_one_generator_per_substream(n, policy, pcg64_builds):
+    run_session(SessionConfig(n_bits=n, double_click_policy=policy))
+    assert sorted(seed.spawn_key for seed in pcg64_builds) == [(0,), (1,), (2,), (3,), (4,)]
+
+
+# the export re-reads the choices through Alice's and Bob's generators, over
+# several 10,000-row runs
+def test_export_builds_one_generator_per_choice_substream(tmp_path, pcg64_builds):
+    records = run_session(SessionConfig(n_bits=30_001))
+    pcg64_builds.clear()
+    export_records_csv(records, tmp_path / "records.csv")
+    assert sorted(seed.spawn_key for seed in pcg64_builds) == [(1,), (2,)]
+
+
 _2_17 = 1 << 17
 
 

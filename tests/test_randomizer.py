@@ -11,7 +11,7 @@ import pytest
 
 from oracle import apply_phase, faraday_swap, interfere, modulate_pi, phase_at, photon_number, reference_chisq
 from plugplay_qkd import SessionConfig, ValidationError, code_to_phase
-from plugplay_qkd.randomizer import CODE_LEVELS, _raw_window, generate_pattern
+from plugplay_qkd.randomizer import CODE_LEVELS, RawStream, generate_pattern
 
 CHI2_P999_DF255 = 330.51974363400586  # 0.999 quantile of chi-square, 255 dof
 
@@ -69,18 +69,47 @@ def test_code_windows_are_the_generators_integers(seed, start, n):
     assert np.array_equal(codes, _integers_codes(seed)[start : start + n])
 
 
-# starts of 0 to 17 elements and counts of 1 to 17 begin and end a window at
-# every place inside a 64-bit word, for every element width the stream is read as
+# every read through one generator, whichever way it moves it, is a slice of
+# one whole-stream random_raw; starts of 0 to 17 elements and counts of 1 to
+# 17 begin and end a read at every place inside a 64-bit word, for every
+# element width the stream is read as
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("dtype", [np.uint8, "<u4", "<u8"])
 def test_raw_window_is_a_slice_of_the_raw_stream(seed, dtype):
     seq = np.random.SeedSequence(seed)
-    stream = np.random.PCG64(seq).random_raw(34).astype("<u8").view(dtype)
+    stream = np.random.PCG64(seq).random_raw(64).astype("<u8").view(dtype)
+    words = RawStream(seq)
+
+    def read(start, count):
+        window = words.read(dtype, start, count)
+        assert window.dtype == np.dtype(dtype) and window.flags.writeable
+        assert np.array_equal(window, stream[start : start + count]), (start, count)
+        return window
+
+    # forward, and overlapping: each start lies inside the read before it
     for start in range(18):
         for count in range(1, 18):
-            window = _raw_window(seq, dtype, start, count)
-            assert window.dtype == np.dtype(dtype) and window.flags.writeable
-            assert np.array_equal(window, stream[start : start + count]), (start, count)
+            read(start, count)
+    # backward: each read ends before the last one began, or inside it
+    for start in range(17, -1, -1):
+        for count in (1, 5, 17):
+            read(start, count)
+    # one word read again and again, whole and element by element
+    per_word = 8 // np.dtype(dtype).itemsize
+    for _ in range(3):
+        read(per_word, per_word)
+        for k in range(per_word):
+            read(per_word + k, 1)
+    # two cursors interleaved on the one generator, as Alice's basis and bit
+    # readers are, each reading on where it stopped, with empty reads
+    cursors = [0, 2 * per_word + 1]
+    pieces = {0: [], 1: []}
+    for i, count in enumerate([1, 7, 0, 8, 3, 13, 0, 5, 2, 4]):
+        which = i % 2
+        pieces[which].append(read(cursors[which], count))
+        cursors[which] += count
+    for which, first in enumerate((0, 2 * per_word + 1)):
+        assert np.array_equal(np.concatenate(pieces[which]), stream[first : cursors[which]])
 
 
 def test_generate_pattern_rejects_empty_frame():

@@ -171,59 +171,36 @@ class SessionConfig:
 # The record columns; column k is bit k of a bit's flags byte.
 _COLUMNS = ("alice_basis", "alice_bit", "bob_basis", "clicked_d0", "clicked_d1")
 
-class _ByteReader:
-    """Consecutive bytes of the raw stream ``words`` (a
-    :class:`~plugplay_qkd.randomizer.RawStream`) from byte ``first`` on: each
-    call ``read(count)`` returns the next ``count`` as a writable uint8
-    array. Readers that share ``words`` share its generator, which each read
-    moves to where that reader left off."""
+def _choice_reader(source, n: int):
+    """The choices of an ``n``-bit session, read by position: ``read(k,
+    start, count)`` gives choice ``k`` (0 Alice's basis, 1 her bit, 2 Bob's
+    basis) of bits ``[start, start + count)`` as the top bits of a writable
+    uint8 array, in any order of reads.
 
-    def __init__(self, words: RawStream, first: int):
-        self._words, self._next = words, first
-
-    def __call__(self, count: int) -> np.ndarray:
-        self._next += count
-        return self._words.read(np.uint8, self._next - count, count)
-
-
-class _FlagReader:
-    """Consecutive bytes whose top bit is bit ``k`` of ``flags``, from bit 0
-    on: each call ``read(count)`` returns the next ``count``."""
-
-    def __init__(self, flags: np.ndarray, k: int):
-        self._flags, self._shift, self._next = flags, 7 - k, 0
-
-    def __call__(self, count: int) -> np.ndarray:
-        self._next += count
-        return self._flags[self._next - count : self._next] << self._shift
-
-
-def _choice_readers(source, n: int) -> tuple:
-    """Readers of Alice's basis, her bit and Bob's basis for bits ``[0, n)``,
-    in bit order: each call ``read(count)`` gives the next ``count`` bits'
-    choices as the top bits of a writable uint8 array.
-
-    ``source`` is a flags column (see :class:`DetectionRecords`) or a
-    session's ``(alice, bob)`` substreams. A session's choices are exactly
-    ``integers(0, 2, size=n, dtype=np.int8)`` drawn twice from Alice's
-    generator and once from Bob's, taken from the raw PCG64 words instead.
-    numpy maps each such value from one byte of a uint32 stream, low byte
-    first and a fresh word per call, by Lemire's multiply ``(byte * 2) >>
-    8``, which never rejects for a range of 2: the value is the byte's top
-    bit. So Alice's basis is bytes ``[0, n)`` of Alice's raw stream, her bit
-    bytes ``[4w, 4w + n)`` after the ``w = ceil(n / 4)`` uint32 words her
-    basis used, and Bob's basis bytes ``[0, n)`` of Bob's (see
-    :class:`_ByteReader`). Alice's two readers share one generator.
+    ``source`` is a flags column (see :class:`DetectionRecords`), whose
+    choice ``k`` is flag bit ``k``, or a session's ``(alice, bob)``
+    substreams. A session's choices are exactly ``integers(0, 2, size=n,
+    dtype=np.int8)`` drawn twice from Alice's generator and once from Bob's,
+    taken from the raw PCG64 words instead. numpy maps each such value from
+    one byte of a uint32 stream, low byte first and a fresh word per call,
+    by Lemire's multiply ``(byte * 2) >> 8``, which never rejects for a
+    range of 2: the value is the byte's top bit. So Alice's basis is bytes
+    ``[0, n)`` of Alice's raw stream, her bit bytes ``[4w, 4w + n)`` after
+    the ``w = ceil(n / 4)`` uint32 words her basis used, and Bob's basis
+    bytes ``[0, n)`` of Bob's, each read through
+    :meth:`~plugplay_qkd.randomizer.RawStream.read`. Alice's two choices
+    share one generator, which each read moves to its bytes.
     """
     if isinstance(source, np.ndarray):
-        return tuple(_FlagReader(source, k) for k in range(3))
-    alice, bob = RawStream(source[0]), RawStream(source[1])
-    return _ByteReader(alice, 0), _ByteReader(alice, 4 * -(-n // 4)), _ByteReader(bob, 0)
+        return lambda k, start, count: source[start : start + count] << (7 - k)
+    alice = RawStream(source[0])
+    words, firsts = (alice, alice, RawStream(source[1])), (0, 4 * -(-n // 4), 0)
+    return lambda k, start, count: words[k].read(np.uint8, firsts[k] + start, count)
 
 
 def _choice_flags(alice_basis: np.ndarray, alice_bit: np.ndarray, bob_basis: np.ndarray) -> np.ndarray:
     """Flag bits 0, 1 and 2 (see :class:`DetectionRecords`) of bytes whose top
-    bits are the three choices, as read by :func:`_choice_readers`."""
+    bits are the three choices, as :func:`_choice_reader` reads them."""
     return (alice_basis >> 7) | ((alice_bit >> 7) << 1) | ((bob_basis >> 7) << 2)
 
 
@@ -242,7 +219,7 @@ def _choice_column(k: int) -> property:
     """A read-only record column: choice ``k`` of every bit, as int8."""
 
     def column(self) -> np.ndarray:
-        col = _choice_readers(self._choices, self._n)[k](self._n)
+        col = _choice_reader(self._choices, self._n)(k, 0, self._n)
         col >>= 7
         return col.view(np.int8)
 
@@ -270,10 +247,11 @@ class DetectionRecords:
     detector clicked (``ceil(n / 8)`` bytes, bit ``i`` at bit ``7 - i % 8``
     of byte ``i // 8``); and the whole flags byte of each clicked bit, in
     bit order. Records from :func:`run_session` take their choices from the
-    session's seed, whose raw streams are re-read wherever they are needed
-    (see :func:`_choice_readers`). So they hold n/8 bytes plus one per
-    clicked bit: about 0.13 B/bit at the defaults, where about 0.5% of bits
-    click, and 1.125 B/bit when every bit clicks.
+    session's seed, whose raw streams are re-read wherever they are needed,
+    at the positions of the bits asked for (see :func:`_choice_reader`). So
+    they hold n/8 bytes plus one per clicked bit: about 0.13 B/bit at the
+    defaults, where about 0.5% of bits click, and 1.125 B/bit when every bit
+    clicks.
 
     ``DetectionRecords(flags)`` builds records from ``flags``, a 1-d
     ``uint8`` column of such bytes, uncopied, which is then their choices'
@@ -488,7 +466,7 @@ def _click_bound(config: SessionConfig, peak: float) -> float:
 
 
 def _block_clicks(
-    config: SessionConfig, means, bound: float, detection: RawStream, readers: tuple, start: int, stop: int,
+    config: SessionConfig, means, bound: float, detection: RawStream, read, start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The bits of the block ``[start, stop)`` where a detector clicked, and
     their flag bytes (see :class:`DetectionRecords`).
@@ -497,8 +475,8 @@ def _block_clicks(
     from which D0's clicks, D1's clicks and the 'random' policy's coins take
     its uniform draws ``[0, n)``, ``[n, 2n)`` and ``[2n, 3n)`` of an
     ``n``-bit session; each draw is one 64-bit output, so blocks read the
-    same numbers as three whole-session draws. ``readers`` are the session's
-    choice readers (see :func:`_choice_readers`), each read for the block's
+    same numbers as three whole-session draws. ``read`` reads the session's
+    choices by position (see :func:`_choice_reader`), each at the block's
     bits. A detector clicks when its uniform lies below its click
     probability, so a bit whose two uniforms both reach ``bound`` (see
     :func:`_click_bound`) clicks on neither. Only the other, candidate bits
@@ -526,7 +504,7 @@ def _block_clicks(
     u0 = np.ones(candidates.size)
     u0[np.searchsorted(candidates, below0)] = u0_below
     bits = candidates + start
-    choices = _choice_flags(*(read(stop - start)[candidates] for read in readers))
+    choices = _choice_flags(*(read(k, start, stop - start)[candidates] for k in range(3)))
     mu_d0, mu_d1 = means(start, stop, bits, choices)
     eta = config.efficiency
     dark = config.dark_prob
@@ -575,15 +553,14 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     to its bits below the session's click bound before the next is drawn.
     Only then does it read its choices, the top bits of the raw bytes of
     Alice's and Bob's streams, exactly the values
-    ``Generator.integers(0, 2, dtype=np.int8)`` would draw, through one
-    reader per choice for the whole session (see :func:`_choice_readers`),
-    and gather them at the candidate bits, those with a uniform below the
-    bound. Only for those are the detector means and click probabilities
-    computed (see :func:`_block_clicks`); every other bit has no click. At
-    the defaults about 1% of bits are candidates. Each block also gathers
-    its codes once per distinct slot shift from one window, idle off the
-    grid and drawn from the pattern stream's raw words on it (see
-    :func:`_session_means`).
+    ``Generator.integers(0, 2, dtype=np.int8)`` would draw, each read at
+    the block's own bits (see :func:`_choice_reader`), and gather them at
+    the candidate bits, those with a uniform below the bound. Only for
+    those are the detector means and click probabilities computed (see
+    :func:`_block_clicks`); every other bit has no click. At the defaults
+    about 1% of bits are candidates. Each block also gathers its codes once
+    per distinct slot shift from one window, idle off the grid and drawn
+    from the pattern stream's raw words on it (see :func:`_session_means`).
 
     Each substream is read through one generator for the whole session,
     which every block's read moves to its draws (see
@@ -601,14 +578,14 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     n = config.n_bits
     streams = _substreams(config.seed)
     source = (streams["alice"], streams["bob"])
-    readers = _choice_readers(source, n)
+    read = _choice_reader(source, n)
     means, peak = _session_means(config, streams)
     bound = _click_bound(config, peak)
     detection = RawStream(streams["detection"])
     clicked = np.zeros(-(-n // 8), dtype=np.uint8)
     clicks = np.empty(0, dtype=np.uint8)
     for start in range(0, n, _KERNEL_BLOCK):
-        _keep_clicks(clicked, clicks, *_block_clicks(config, means, bound, detection, readers, start,
+        _keep_clicks(clicked, clicks, *_block_clicks(config, means, bound, detection, read, start,
                                                      min(n, start + _KERNEL_BLOCK)))
     return DetectionRecords._of(n, source, clicked, clicks)
 
@@ -618,20 +595,20 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
 
     These are what phase-randomization invariance is stated about. They come
     from the same draws and float arithmetic as :func:`run_session`, block
-    by block, each block reading its choices through the same readers and
-    drawing its own window of pattern codes, so bit ``i``'s means are
-    exactly the ones its click probabilities are computed from; no
-    detection uniforms are drawn. The two float64 columns take 16 B/bit and
-    the rest one block.
+    by block, each block reading its choices at its bits (see
+    :func:`_choice_reader`) and drawing its own window of pattern codes, so
+    bit ``i``'s means are exactly the ones its click probabilities are
+    computed from; no detection uniforms are drawn. The two float64 columns
+    take 16 B/bit and the rest one block.
     """
     n = config.n_bits
     streams = _substreams(config.seed)
-    readers = _choice_readers((streams["alice"], streams["bob"]), n)
+    read = _choice_reader((streams["alice"], streams["bob"]), n)
     means, _ = _session_means(config, streams)
     mu_d0, mu_d1 = np.empty(n), np.empty(n)
     for start in range(0, n, _KERNEL_BLOCK):
         stop = min(n, start + _KERNEL_BLOCK)
-        choices = _choice_flags(*(read(stop - start) for read in readers))
+        choices = _choice_flags(*(read(k, start, stop - start) for k in range(3)))
         mu_d0[start:stop], mu_d1[start:stop] = means(start, stop, np.arange(start, stop), choices)
     return mu_d0, mu_d1
 
@@ -694,15 +671,15 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
     in place, and 0 in both click fields, and releases it before the next
     width. Each run of the width then writes its higher index digits, one
     column at a time, and its three choice fields from the run's choice
-    bytes, read in order through the records' choice readers (see
-    :func:`_choice_readers`). Its clicks are scattered into the click fields
+    bytes, read at the run's rows from the records' choice source (see
+    :func:`_choice_reader`). Its clicks are scattered into the click fields
     at its clicked bits, found from the nonzero bytes of the records'
     bitmap, and reset to 0 after the run is written. A warm ``session
     --output`` of the paper's size so holds its records, about 0.13 B/bit,
     the buffer and one run's choice bytes.
     """
     n = len(records)
-    readers = _choice_readers(records._choices, n)
+    read = _choice_reader(records._choices, n)
     # the character of each choice's 0, in flag-bit order ('Y' follows 'X')
     zeros = (BASES[0], "0", BASES[0])
     # the clicked bits in the runs before this one
@@ -724,8 +701,8 @@ def export_records_csv(records: DetectionRecords, path: str | os.PathLike) -> No
                 if width > 4:
                     for col, digit in enumerate(str(start // _CSV_RUN_ROWS).encode()):
                         block[:, col] = digit
-                for k, (read, zero) in enumerate(zip(readers, zeros)):
-                    choice = read(len(block))
+                for k, zero in enumerate(zeros):
+                    choice = read(k, start, len(block))
                     choice >>= 7
                     choice += ord(zero)
                     block[:, width + 1 + 2 * k] = choice

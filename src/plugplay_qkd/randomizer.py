@@ -77,22 +77,24 @@ class RawStream:
         return self._generator.random(count)
 
 
-def generate_pattern(source, n_codes: int, start: int = 0) -> np.ndarray:
+def generate_pattern(source: RawStream, n_codes: int, start: int = 0) -> np.ndarray:
     """Codes ``[start, start + n_codes)`` of the pattern stream of ``source``,
-    as an int32 array: a :class:`RawStream`, which moves its one generator to
-    each window asked of it, or a seed it takes, read through a new one.
+    a :class:`RawStream`, which moves its one generator to each window asked
+    of it, as an int32 array. Any other source is a ``ValidationError``.
 
-    The stream of a seed is exactly what ``Generator(PCG64(seed)).integers(0,
-    4096, dtype=np.int32)`` draws, in one call or frame by frame, taken from
-    the raw PCG64 words instead. numpy maps each such code from one uint32 by
-    Lemire's multiply ``(u * 4096) >> 32``, which never rejects for a
-    power-of-two range: a code is the top 12 bits of its uint32, and code
-    ``k`` is uint32 ``k`` of the raw stream (see :meth:`RawStream.read`).
+    The stream of ``RawStream(seed)`` is exactly what
+    ``Generator(PCG64(seed)).integers(0, 4096, dtype=np.int32)`` draws, in
+    one call or frame by frame, taken from the raw PCG64 words instead.
+    numpy maps each such code from one uint32 by Lemire's multiply ``(u *
+    4096) >> 32``, which never rejects for a power-of-two range: a code is
+    the top 12 bits of its uint32, and code ``k`` is uint32 ``k`` of the raw
+    stream (see :meth:`RawStream.read`).
     """
+    if not isinstance(source, RawStream):
+        raise ValidationError(f"source must be a RawStream, got {type(source).__name__}")
     n_codes = whole("n_codes", n_codes, 1, MAX_FLOAT64S)
     start = whole("start", start, 0)
-    words = source if isinstance(source, RawStream) else RawStream(source)
-    codes = words.read("<u4", start, n_codes)
+    codes = source.read("<u4", start, n_codes)
     codes >>= 32 - CODE_BITS
     return codes.view("<i4").astype(np.int32, copy=False)
 

@@ -31,7 +31,7 @@ from plugplay_qkd.experiments import (
     uniformity_chisq,
 )
 from plugplay_qkd.protocol import BASES, _COLUMNS, _KERNEL_BLOCK, _substreams, pattern_stream
-from plugplay_qkd.randomizer import CODE_LEVELS, generate_pattern
+from plugplay_qkd.randomizer import CODE_LEVELS, RawStream, generate_pattern
 
 SE_HALF_1000 = 0.015811388300841896  # sqrt(0.25 / 1000)
 SE_1PC_1000 = 0.003146426544510455  # sqrt(0.01 * 0.99 / 1000)
@@ -190,7 +190,7 @@ def test_substreams_are_the_spawned_children(seed):
 
 
 # one generator per substream per session, none per kernel block: the
-# pattern's, Alice's (her basis and bit readers share it), Bob's, the
+# pattern's, Alice's (the reads of her basis and bit share it), Bob's, the
 # polarization's and the detection substream's, whose one generator draws
 # both detectors' columns and the 'random' policy's coins
 @pytest.mark.parametrize("policy", ["discard", "random"])
@@ -221,8 +221,8 @@ def _generator_choices(streams, n):
             rng_bob.integers(0, 2, size=n, dtype=np.int8))
 
 
-def _session_readers(streams, n):
-    return protocol._choice_readers((streams["alice"], streams["bob"]), n)
+def _session_reader(streams, n):
+    return protocol._choice_reader((streams["alice"], streams["bob"]), n)
 
 
 # Alice's bit starts at uint32 word ceil(n / 4), so an n not divisible by 4
@@ -235,27 +235,36 @@ def _session_readers(streams, n):
           2 * _2_17 + 1, 843_000, 843_001])
 def test_choices_are_the_generators_int8_draws(seed, n):
     streams = _substreams(seed)
-    for k, (read, want) in enumerate(zip(_session_readers(streams, n), _generator_choices(streams, n))):
-        got = read(n)
+    read = _session_reader(streams, n)
+    for k, want in enumerate(_generator_choices(streams, n)):
+        got = read(k, 0, n)
         assert got.dtype == np.uint8 and got.shape == (n,) and got.flags.writeable, _COLUMNS[k]
         assert np.array_equal(got >> 7, want), _COLUMNS[k]
 
 
-# reads that start and end inside a word, and empty ones, carry on where the
-# last read ended; Alice's bit starts at byte 4 of a word when ceil(n / 4) is
-# odd (57 and 60 bits) and at a word's start when it is even (64 bits)
+# each read is the choices at its own position, whatever was read before:
+# pieces that start and end inside a word, and empty ones, read in order,
+# backwards and shuffled, the three choices interleaved, so Alice's basis and
+# bit move her one generator back and forth; Alice's bit starts at byte 4 of
+# a word when ceil(n / 4) is odd (57 and 60 bits) and at a word's start when
+# it is even (64 bits)
 @pytest.mark.parametrize("n", [57, 60, 64])
 def test_choice_readers_carry_across_reads(n):
     streams = _substreams(3)
     want = _generator_choices(streams, n)
-    pieces = [1, 7, 0, 8, 3, 13, 0, 5, 20]
-    pieces.append(n - sum(pieces))
+    counts = [1, 7, 0, 8, 3, 13, 0, 5, 20]
+    counts.append(n - sum(counts))
+    pieces = list(zip(np.cumsum([0] + counts[:-1]).tolist(), counts))
+    shuffled = [pieces[i] for i in np.random.default_rng(n).permutation(len(pieces))]
     flags = oracle.pack_records(*want, np.zeros(n, bool), np.zeros(n, bool))._choices
     # the session's raw streams, and records' flags, which are their own source
-    for readers in (_session_readers(streams, n), protocol._choice_readers(flags, n)):
-        for read, col in zip(readers, want):
-            got = np.concatenate([read(count) for count in pieces])
-            assert np.array_equal(got >> 7, col)
+    for read in (_session_reader(streams, n), protocol._choice_reader(flags, n)):
+        for order in (pieces, pieces[::-1], shuffled):
+            for start, count in order:
+                for k, col in enumerate(want):
+                    got = read(k, start, count)
+                    assert got.dtype == np.uint8 and got.shape == (count,) and got.flags.writeable
+                    assert np.array_equal(got >> 7, col[start : start + count]), (k, start, count)
 
 
 def test_ideal_components_wrong_detector_exactly_zero():
@@ -578,16 +587,17 @@ def _peak_bytes_per_bit(fn, n_bits, **settings):
     return peak / n_bits, result
 
 
-# each reader's read of n choices is their n raw bytes, plus at most one
+# each read of a choice's n bits is their n raw bytes, plus at most one
 # word at each end, viewed in place (4096 B covers the padding words and the
 # arrays' headers): a copy would add a whole column's transient, which no
 # session's bound would catch
 @pytest.mark.parametrize("n", [84_300, 843_000])
 def test_choices_memory_is_bounded(n):
     streams = _substreams(5)
-    _session_readers(streams, 1)  # the first PCG64 imports the rest of numpy.random
-    for read, want in zip(_session_readers(streams, n), _generator_choices(streams, n)):
-        peak, col = peak_bytes(lambda: read(n))
+    _session_reader(streams, 1)  # the first PCG64 imports the rest of numpy.random
+    read = _session_reader(streams, n)
+    for k, want in enumerate(_generator_choices(streams, n)):
+        peak, col = peak_bytes(lambda: read(k, 0, n))
         assert np.array_equal(col >> 7, want)
         assert peak < n + 4096
 
@@ -953,8 +963,8 @@ _WHOLE_SITES = {
     "pattern_stream-seed": ("seed", lambda v: pattern_stream(v, 100), 0),
     "pattern_stream-n_codes": ("n_codes", lambda v: pattern_stream(3, v), 1),
     "pattern_stream-start": ("start", lambda v: pattern_stream(3, 100, v), 0),
-    "generate_pattern": ("n_codes", lambda v: generate_pattern(np.random.SeedSequence(5), v), 1),
-    "generate_pattern-start": ("start", lambda v: generate_pattern(np.random.SeedSequence(5), 3, v), 0),
+    "generate_pattern": ("n_codes", lambda v: generate_pattern(RawStream(np.random.SeedSequence(5)), v), 1),
+    "generate_pattern-start": ("start", lambda v: generate_pattern(RawStream(np.random.SeedSequence(5)), 3, v), 0),
     "max_workers": ("max_workers", lambda v: delay_scan(SessionConfig(n_bits=200), [0.0, 1.0], max_workers=v), 1),
     "n_bins": ("n_bins", lambda v: uniformity_chisq(np.full(4096, 1), n_bins=v), 2),
     "n_values": ("n_values", lambda v: DiscreteUniformPhase(v), 1),

@@ -17,16 +17,16 @@ CHI2_P999_DF255 = 330.51974363400586  # 0.999 quantile of chi-square, 255 dof
 
 
 def test_generate_pattern_length_and_range():
-    codes = generate_pattern(np.random.SeedSequence(1), 504)
+    codes = generate_pattern(RawStream(np.random.SeedSequence(1)), 504)
     assert codes.shape == (504,) and codes.dtype == np.int32
     assert codes.min() >= 0
     assert codes.max() < CODE_LEVELS
 
 
 def test_generate_pattern_deterministic():
-    a = generate_pattern(np.random.SeedSequence(7), 504)
-    b = generate_pattern(np.random.SeedSequence(7), 504)
-    c = generate_pattern(np.random.SeedSequence(8), 504)
+    a = generate_pattern(RawStream(np.random.SeedSequence(7)), 504)
+    b = generate_pattern(RawStream(np.random.SeedSequence(7)), 504)
+    c = generate_pattern(RawStream(np.random.SeedSequence(8)), 504)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -38,12 +38,12 @@ def test_single_draw_is_the_per_frame_stream(seed, frame_len):
     window per block; both must be the stream numpy's integers draws frame by
     frame."""
     k = 9
-    seq = np.random.SeedSequence(seed)
-    whole = generate_pattern(seq, k * frame_len)
+    words = RawStream(np.random.SeedSequence(seed))
+    whole = generate_pattern(words, k * frame_len)
     rng = np.random.default_rng(seed)
     frames = np.concatenate([rng.integers(0, CODE_LEVELS, size=frame_len, dtype=np.int32) for _ in range(k)])
     assert np.array_equal(whole, frames)
-    windows = np.concatenate([generate_pattern(seq, frame_len, j * frame_len) for j in range(k)])
+    windows = np.concatenate([generate_pattern(words, frame_len, j * frame_len) for j in range(k)])
     assert np.array_equal(windows, frames)
 
 
@@ -64,7 +64,7 @@ def _integers_codes(seed):
 @pytest.mark.parametrize("start", _WINDOW_STARTS)
 @pytest.mark.parametrize("n", _WINDOW_LENGTHS)
 def test_code_windows_are_the_generators_integers(seed, start, n):
-    codes = generate_pattern(np.random.SeedSequence(seed), n, start)
+    codes = generate_pattern(RawStream(np.random.SeedSequence(seed)), n, start)
     assert codes.dtype == np.int32 and codes.shape == (n,)
     assert np.array_equal(codes, _integers_codes(seed)[start : start + n])
 
@@ -100,8 +100,8 @@ def test_raw_window_is_a_slice_of_the_raw_stream(seed, dtype):
         read(per_word, per_word)
         for k in range(per_word):
             read(per_word + k, 1)
-    # two cursors interleaved on the one generator, as Alice's basis and bit
-    # readers are, each reading on where it stopped, with empty reads
+    # two positioned reads interleaved on one generator, as Alice's basis
+    # and bit are, each reading on where it stopped, with empty reads
     cursors = [0, 2 * per_word + 1]
     pieces = {0: [], 1: []}
     for i, count in enumerate([1, 7, 0, 8, 3, 13, 0, 5, 2, 4]):
@@ -114,14 +114,24 @@ def test_raw_window_is_a_slice_of_the_raw_stream(seed, dtype):
 
 def test_generate_pattern_rejects_empty_frame():
     with pytest.raises(ValidationError):
-        generate_pattern(np.random.SeedSequence(0), 0)
+        generate_pattern(RawStream(np.random.SeedSequence(0)), 0)
+
+
+# anything but a RawStream, a seed included, is refused with a ValidationError
+# that names the parameter, before any generator is built
+@pytest.mark.parametrize(
+    "source", [np.random.SeedSequence(0), 0, None, np.random.PCG64(0), np.random.default_rng(0)],
+    ids=["SeedSequence", "int", "None", "PCG64", "Generator"])
+def test_generate_pattern_takes_only_a_raw_stream(source):
+    with pytest.raises(ValidationError, match="^source must be a RawStream, got "):
+        generate_pattern(source, 3)
 
 
 def test_generate_pattern_uniformity_chisq():
     # 1e6 codes, 256 equal bins; statistic concentrates near 255 and must stay
     # under the 0.999 quantile for this pinned seed
-    seq = np.random.SeedSequence(20240321)
-    codes = np.concatenate([generate_pattern(seq, 504, 504 * j) for j in range(1985)])[:1_000_000]
+    words = RawStream(np.random.SeedSequence(20240321))
+    codes = np.concatenate([generate_pattern(words, 504, 504 * j) for j in range(1985)])[:1_000_000]
     assert 150.0 < reference_chisq(codes, 256) < CHI2_P999_DF255
 
 
@@ -164,7 +174,7 @@ def test_phase_at_slot_boundaries():
 
 
 def test_phase_at_piecewise_constant():
-    pattern = generate_pattern(np.random.SeedSequence(5), 8)
+    pattern = generate_pattern(RawStream(np.random.SeedSequence(5)), 8)
     cfg = SessionConfig(period_ns=200.0, delay_ns=-35.0)
     for slot in range(8):
         start = -35.0 + slot * 200.0
@@ -174,7 +184,7 @@ def test_phase_at_piecewise_constant():
 
 
 def test_phase_at_translation_by_one_period():
-    pattern = generate_pattern(np.random.SeedSequence(6), 16)
+    pattern = generate_pattern(RawStream(np.random.SeedSequence(6)), 16)
     base = SessionConfig(period_ns=200.0, delay_ns=10.0)
     shifted = SessionConfig(period_ns=200.0, delay_ns=210.0)
     for t in np.linspace(-300.0, 3600.0, 131):

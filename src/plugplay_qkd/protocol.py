@@ -28,6 +28,7 @@ wrong detector.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -188,14 +189,13 @@ def _choice_reader(source, n: int):
     ``[0, n)`` of Alice's raw stream, her bit bytes ``[4w, 4w + n)`` after
     the ``w = ceil(n / 4)`` uint32 words her basis used, and Bob's basis
     bytes ``[0, n)`` of Bob's, each read through
-    :meth:`~plugplay_qkd.randomizer.RawStream.read`. Alice's two choices
-    share one generator, which each read moves to its bytes.
+    :meth:`~plugplay_qkd.randomizer.RawStream.read`. Each generator is built
+    at its first read; Alice's two choices share hers, moved to each read.
     """
     if isinstance(source, np.ndarray):
         return lambda k, start, count: source[start : start + count] << (7 - k)
-    alice = RawStream(source[0])
-    words, firsts = (alice, alice, RawStream(source[1])), (0, 4 * -(-n // 4), 0)
-    return lambda k, start, count: words[k].read(np.uint8, firsts[k] + start, count)
+    words, firsts = functools.cache(lambda i: RawStream(source[i])), (0, 4 * -(-n // 4), 0)
+    return lambda k, start, count: words(k // 2).read(np.uint8, firsts[k] + start, count)
 
 
 def _choice_flags(alice_basis: np.ndarray, alice_bit: np.ndarray, bob_basis: np.ndarray) -> np.ndarray:
@@ -465,44 +465,51 @@ def _click_bound(config: SessionConfig, peak: float) -> float:
     return config.dark_prob + config.efficiency * peak * (1.0 + 1e-9) + 1e-12
 
 
+def _word_limit(bound: float) -> np.uint64:
+    """The word limit of ``bound``: numpy's uniform of a raw PCG64 word ``w``,
+    ``(w >> 11) * 2**-53``, lies below ``bound`` exactly when ``w`` is at most
+    the limit, which every word is when ``bound >= 1``."""
+    return np.uint64(math.ceil(min(bound, 1.0) * 2.0**53) * 2**11 - 1)
+
+
 def _block_clicks(
-    config: SessionConfig, means, bound: float, detection: RawStream, read, start: int, stop: int,
+    config: SessionConfig, means, limit: np.uint64, detection: RawStream, read, start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The bits of the block ``[start, stop)`` where a detector clicked, and
     their flag bytes (see :class:`DetectionRecords`).
 
-    ``detection`` is the detection substream, read through one generator,
-    from which D0's clicks, D1's clicks and the 'random' policy's coins take
-    its uniform draws ``[0, n)``, ``[n, 2n)`` and ``[2n, 3n)`` of an
-    ``n``-bit session; each draw is one 64-bit output, so blocks read the
-    same numbers as three whole-session draws. ``read`` reads the session's
-    choices by position (see :func:`_choice_reader`), each at the block's
-    bits. A detector clicks when its uniform lies below its click
-    probability, so a bit whose two uniforms both reach ``bound`` (see
-    :func:`_click_bound`) clicks on neither. Only the other, candidate bits
-    have their choices gathered, their means computed (from ``means``, see
-    :func:`_session_means`) and their clicks drawn.
+    ``detection`` is the detection substream, read through one generator:
+    D0's clicks, D1's clicks and the 'random' policy's coins take its raw
+    words ``[0, n)``, ``[n, 2n)`` and ``[2n, 3n)`` of an ``n``-bit session.
+    ``read`` reads the session's choices by position (see
+    :func:`_choice_reader`). A detector clicks when its word's uniform lies
+    below its click probability, so a bit whose two words both exceed
+    ``limit`` (see :func:`_word_limit`) clicks on neither. Only the other,
+    candidate bits have their choices gathered, their means computed (see
+    :func:`_session_means`) and their words made uniforms. A coin keeps D0
+    when its word is below ``2**63``, its uniform below 1/2.
 
     One block-length column is alive at a time. D0's is cut to its
-    below-bound (index, uniform) pairs before D1's is drawn, D1's is cut to
+    below-limit (index, word) pairs before D1's is read, D1's is cut to
     the candidates before the choice bytes are read, each of which is cut
-    to the candidates before the next is read, and the coins are drawn
-    last. A candidate whose D0 uniform reached the bound gets 1.0 in its
-    place, which no click probability exceeds, so it still does not click.
+    to the candidates before the next is read, and the coins are read
+    last. A candidate whose D0 word exceeds the limit gets 1.0 for its
+    uniform, which no click probability exceeds, so it still does not click.
     """
     n = config.n_bits
-    u = detection.uniforms(start, stop - start)
-    below0 = np.flatnonzero(u < bound)
-    u0_below = u[below0]
-    del u
-    u = detection.uniforms(n + start, stop - start)
-    below = u < bound
+    w = detection.read(np.uint64, start, stop - start)
+    below0 = np.flatnonzero(w <= limit)
+    w0_below = w[below0]
+    del w
+    w = detection.read(np.uint64, n + start, stop - start)
+    below = w <= limit
     below[below0] = True
     candidates = np.flatnonzero(below)
-    u1 = u[candidates]
-    del u, below
-    u0 = np.ones(candidates.size)
-    u0[np.searchsorted(candidates, below0)] = u0_below
+    words = np.concatenate((w0_below, w[candidates]))
+    del w, below
+    u = (words >> np.uint64(11)) * 2.0**-53
+    u0, u1 = np.ones(candidates.size), u[below0.size :]
+    u0[np.searchsorted(candidates, below0)] = u[: below0.size]
     bits = candidates + start
     choices = _choice_flags(*(read(k, start, stop - start)[candidates] for k in range(3)))
     mu_d0, mu_d1 = means(start, stop, bits, choices)
@@ -514,7 +521,7 @@ def _block_clicks(
     clicked_d1 = u1 < p1
     if config.double_click_policy == "random":
         both = clicked_d0 & clicked_d1
-        keep0 = detection.uniforms(2 * n + start, stop - start)[candidates] < 0.5
+        keep0 = detection.read(np.uint64, 2 * n + start, stop - start)[candidates] < np.uint64(1 << 63)
         clicked_d0[both] = keep0[both]
         clicked_d1[both] = ~keep0[both]
     hit = clicked_d0 | clicked_d1
@@ -549,18 +556,20 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     is the same computation with every pass idle.
 
     The clicks are drawn in blocks of ``_KERNEL_BLOCK`` bits. Each block
-    draws its two detection uniform columns first, one at a time, each cut
-    to its bits below the session's click bound before the next is drawn.
-    Only then does it read its choices, the top bits of the raw bytes of
-    Alice's and Bob's streams, exactly the values
-    ``Generator.integers(0, 2, dtype=np.int8)`` would draw, each read at
-    the block's own bits (see :func:`_choice_reader`), and gather them at
-    the candidate bits, those with a uniform below the bound. Only for
-    those are the detector means and click probabilities computed (see
+    reads its two detection columns of raw 64-bit words first, one at a
+    time, each cut to its words within the session's one integer limit, the
+    exact cut of its click bound (see :func:`_word_limit`), before the next
+    is read. Only then does it read its choices, the top bits of the raw
+    bytes of Alice's and Bob's streams, exactly the values
+    ``Generator.integers(0, 2, dtype=np.int8)`` would draw, at the block's
+    bits (see :func:`_choice_reader`), and gathers them at its candidate
+    bits, those with a word within the limit. Only for those are the
+    detector means and click probabilities computed (see
     :func:`_block_clicks`); every other bit has no click. At the defaults
     about 1% of bits are candidates. Each block also gathers its codes once
     per distinct slot shift from one window, idle off the grid and drawn
     from the pattern stream's raw words on it (see :func:`_session_means`).
+    Every draw but the polarization's is a raw read.
 
     Each substream is read through one generator for the whole session,
     which every block's read moves to its draws (see
@@ -580,12 +589,12 @@ def run_session(config: SessionConfig) -> DetectionRecords:
     source = (streams["alice"], streams["bob"])
     read = _choice_reader(source, n)
     means, peak = _session_means(config, streams)
-    bound = _click_bound(config, peak)
+    limit = _word_limit(_click_bound(config, peak))
     detection = RawStream(streams["detection"])
     clicked = np.zeros(-(-n // 8), dtype=np.uint8)
     clicks = np.empty(0, dtype=np.uint8)
     for start in range(0, n, _KERNEL_BLOCK):
-        _keep_clicks(clicked, clicks, *_block_clicks(config, means, bound, detection, read, start,
+        _keep_clicks(clicked, clicks, *_block_clicks(config, means, limit, detection, read, start,
                                                      min(n, start + _KERNEL_BLOCK)))
     return DetectionRecords._of(n, source, clicked, clicks)
 
@@ -598,7 +607,7 @@ def detector_means(config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     by block, each block reading its choices at its bits (see
     :func:`_choice_reader`) and drawing its own window of pattern codes, so
     bit ``i``'s means are exactly the ones its click probabilities are
-    computed from; no detection uniforms are drawn. The two float64 columns
+    computed from; no detection words are read. The two float64 columns
     take 16 B/bit and the rest one block.
     """
     n = config.n_bits

@@ -14,7 +14,8 @@ A :class:`RawStream` reads such words at any position through one
 generator, so a session reads each of its random substreams, and the
 uniformity audit its pattern stream, through one generator per run: the
 kernel reads one pattern window per block of bits, and the audit its stream
-a window at a time from the start.
+a window at a time from the start. Every session draw but the polarization
+is a raw read; detection draws are words cut at an integer limit.
 """
 
 from __future__ import annotations
@@ -39,21 +40,13 @@ class RawStream:
     last read to the first word it asks for, forward or back, in about a
     microsecond, where building a generator from a ``SeedSequence`` takes
     several times longer. Raw words are what numpy's RNG policy keeps stable
-    across versions.
+    across versions; no ``Generator`` is built over them.
     """
 
     def __init__(self, seed):
         self._bitgen = np.random.PCG64(seed)
-        self._generator = np.random.Generator(self._bitgen)
         # the word the generator hands out next
         self._next = 0
-
-    def _seek(self, word: int, count: int) -> None:
-        """Move the generator to ``word``, which ``count`` draws then pass."""
-        if word != self._next:
-            # mod the 2**128-word period, a step back is a long step forward
-            self._bitgen.advance((word - self._next) % (1 << 128))
-        self._next = word + count
 
     def read(self, dtype, start: int, count: int) -> np.ndarray:
         """Elements ``[start, start + count)`` of the stream read as
@@ -65,16 +58,13 @@ class RawStream:
         per_word = 8 // np.dtype(dtype).itemsize
         word, skip = divmod(start, per_word)
         n_words = -(-(skip + count) // per_word)
-        self._seek(word, n_words)
+        if word != self._next:
+            # mod the 2**128-word period, a step back is a long step forward
+            self._bitgen.advance((word - self._next) % (1 << 128))
+        self._next = word + n_words
         raw = self._bitgen.random_raw(n_words)
         # the little-endian view is the same on any host
         return raw.astype("<u8", copy=False).view(dtype)[skip : skip + count]
-
-    def uniforms(self, start: int, count: int) -> np.ndarray:
-        """Draws ``[start, start + count)`` of ``Generator(PCG64(seed)).random()``,
-        as float64: draw ``k`` is made from word ``k`` of the stream."""
-        self._seek(start, count)
-        return self._generator.random(count)
 
 
 def generate_pattern(source: RawStream, n_codes: int, start: int = 0) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared pytest plumbing: collect acceptance-criterion verdicts and print
 them in the terminal summary, where output capture cannot swallow them;
 measure a call's peak allocation and what its result holds; list the
-generators a test builds; give a child interpreter this package."""
+bit generators and generators a test builds; give a child interpreter this
+package."""
 
 import os
 import tracemalloc
@@ -61,6 +62,21 @@ def pcg64_builds(monkeypatch):
 
     monkeypatch.setattr(np.random, "PCG64", counted)
     return seeds
+
+
+@pytest.fixture
+def generator_builds(monkeypatch):
+    """The bit generator of every ``np.random.Generator`` built while the test
+    runs, in the order they were built."""
+    bit_generators = []
+    generator = np.random.Generator
+
+    def counted(bit_generator):
+        bit_generators.append(bit_generator)
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", counted)
+    return bit_generators
 
 
 def child_env():

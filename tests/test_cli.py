@@ -593,10 +593,12 @@ def test_verify_uniformity_memory_is_bounded(extra, capsys):
     assert peak / n_codes < 0.12
 
 
-def test_audit_builds_one_generator(pcg64_builds, capsys):
-    # the pattern substream's, which every window of the stream is read through
+def test_audit_builds_one_generator(pcg64_builds, generator_builds, capsys):
+    # the pattern substream's, which every window of the stream is read
+    # through as raw words, with no Generator over them
     assert main(["verify-uniformity", "--codes", "4000000"]) == 0
     assert [seed.spawn_key for seed in pcg64_builds] == [(0,)]
+    assert generator_builds == []
 
 
 def test_constant_code_audit_allocates_no_stream(capsys):

@@ -209,6 +209,36 @@ def test_export_builds_one_generator_per_choice_substream(tmp_path, pcg64_builds
     assert sorted(seed.spawn_key for seed in pcg64_builds) == [(1,), (2,)]
 
 
+# a column read builds only the generator of its own choice: Alice's for her
+# basis and bit, Bob's for his basis
+@pytest.mark.parametrize(("column", "spawn_key"), [("alice_basis", (1,)), ("alice_bit", (1,)), ("bob_basis", (2,))],
+                         ids=["alice_basis", "alice_bit", "bob_basis"])
+def test_column_read_builds_only_its_choice_generator(column, spawn_key, pcg64_builds):
+    records = run_session(SessionConfig(n_bits=30_001))
+    pcg64_builds.clear()
+    getattr(records, column)
+    assert [seed.spawn_key for seed in pcg64_builds] == [spawn_key]
+
+
+# every draw of a session is a raw PCG64 read but the polarization's, whose
+# normals alone are drawn through a Generator: one when it is drawn, none when
+# it is given, and none to re-read the records, whatever the policy
+@pytest.mark.parametrize("policy", ["discard", "random"])
+@pytest.mark.parametrize("n", [1, 32_769])
+def test_only_a_drawn_polarization_builds_a_generator(n, policy, generator_builds, tmp_path):
+    for polarization, builds in ((None, 1), ((1, 0), 0), ((0.6, 0.8j), 0)):
+        cfg = SessionConfig(n_bits=n, delay_ns=70.0, mu_target=20.0, efficiency=1.0, double_click_policy=policy,
+                            polarization=polarization)
+        for fn in (run_session, detector_means):
+            generator_builds.clear()
+            fn(cfg)
+            assert len(generator_builds) == builds, (polarization, fn.__name__)
+        records = run_session(cfg)
+        generator_builds.clear()
+        export_records_csv(records, tmp_path / "records.csv")
+        assert generator_builds == []
+
+
 _2_17 = 1 << 17
 
 
@@ -577,6 +607,115 @@ def test_records_do_not_depend_on_the_click_bound(delay, n_bits, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "_click_bound", lambda config, peak: 1.0)
             assert _records_digest(cfg) == skipping, (enabled, policy)
+
+
+# the bounds k * 2**-53 and their float neighbours on either side, and three others
+_EDGE_BOUNDS = sorted({float(np.nextafter(k * 2.0**-53, toward))
+                       for k in (1, 2, 3, 2**20 + 1, 2**52, 2**53 - 2, 2**53 - 1)
+                       for toward in (0.0, k * 2.0**-53, 2.0)} | {1e-12, 1.0, 1.5})
+
+
+# the kernel cuts each detection word at the integer limit of the click bound;
+# a word passes exactly when its uniform lies below the bound, at the limit
+# and on either side of it, and at both ends of the words' range
+@pytest.mark.parametrize("bound", _EDGE_BOUNDS)
+def test_word_limit_is_exact_at_the_edges(bound):
+    limit = protocol._word_limit(bound)
+    assert isinstance(limit, np.uint64)
+    words = [w for w in (0, int(limit) - 1, int(limit), int(limit) + 1, 2**64 - 1) if 0 <= w < 2**64]
+    passed = np.array(words, dtype=np.uint64) <= limit
+    # numpy's uniform of each word, exact in Python
+    assert passed.tolist() == [(w >> 11) * 2.0**-53 < bound for w in words], [hex(w) for w in words]
+    # every word passes a bound of 1 or more, no word reaches 1
+    assert (int(limit) == 2**64 - 1) == (bound >= 1.0)
+
+
+# the kernel's detection words at draws [0, n), [n, 2n) and [2n, 3n), read a
+# block at a time, are the uniforms and coins Generator.random draws there,
+# on both sides of a block edge; so is their cut at the session's click bound
+@pytest.mark.parametrize("n", [_KERNEL_BLOCK - 1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1])
+def test_detection_words_are_the_generators_uniforms(n):
+    cfg = SessionConfig(n_bits=n, seed=6, mu_target=1.0, efficiency=0.5)
+    detection = _substreams(cfg.seed)["detection"]
+    want = np.random.Generator(np.random.PCG64(detection)).random(3 * n)
+    bound = _session_click_bound(cfg)
+    limit = protocol._word_limit(bound)
+    words = RawStream(detection)
+    for start in range(0, n, _KERNEL_BLOCK):
+        stop = min(n, start + _KERNEL_BLOCK)
+        for draw in (start, n + start, 2 * n + start):
+            w = words.read(np.uint64, draw, stop - start)
+            u = want[draw : draw + stop - start]
+            assert w.dtype == np.uint64
+            assert np.array_equal((w >> np.uint64(11)) * 2.0**-53, u), draw
+            assert np.array_equal(w < np.uint64(1 << 63), u < 0.5), draw
+            assert np.array_equal(w <= limit, u < bound), draw
+
+
+def _golden_configs():
+    """Every distinct session a golden digest pins, by name, under 'discard'
+    (at 0, 65 and -135 ns the randomizer-on sessions equal the off one)."""
+    configs = {}
+    for seed in (0, 42):
+        for delay in (70.0, 100.0, 120.0):
+            configs[f"records-{seed}-{delay:g}ns"] = SessionConfig(n_bits=100_003, seed=seed, delay_ns=delay)
+        configs[f"records-{seed}-idle"] = SessionConfig(n_bits=100_003, seed=seed)
+        configs[f"double-{seed}"] = SessionConfig(n_bits=100_003, seed=seed, delay_ns=70.0, mu_target=20.0,
+                                                  efficiency=1.0)
+    for seed, delay, tau in ((0, 100.0, 50.0), (0, 120.0, 50.0), (42, 200.0, _EDGE_TAU_NS)):
+        configs[f"skipping-{seed}-{delay:g}ns"] = SessionConfig(n_bits=100_003, seed=seed, delay_ns=delay,
+                                                                tau_mzi_ns=tau, mu_target=1.0, efficiency=0.5)
+    configs["three-slot"] = _SPREAD_CFG
+    configs["paper"] = SessionConfig(n_bits=843_000, seed=42)
+    return configs
+
+
+_GOLDEN_CONFIGS = _golden_configs()
+
+# Each law check below fails when chance alone would move its count this far
+# with probability at most 1e-6: Bernstein's inequality for a sum of
+# independent events of chances p, P(|S - sum p| >= t) <= 2 exp(-t**2 / 2 /
+# (sum p(1 - p) + t / 3)), solved for t. It holds at any count, unlike a
+# normal z bound; for large counts it is |z| <= 5.4. Over the 60 checks of
+# one tier-1 run the chance of any false alarm is at most 6e-5.
+_FALSE_ALARM = 1e-6
+
+
+def _law_gap(count, p):
+    """How far ``count`` lies from the mean of a sum of independent events of
+    chances ``p``, in units of the deviation that Bernstein's inequality
+    bounds by ``_FALSE_ALARM``."""
+    mean, var, log = p.sum(), (p * (1.0 - p)).sum(), math.log(2.0 / _FALSE_ALARM)
+    return abs(count - mean) / (log / 3.0 + math.sqrt((log / 3.0) ** 2 + 2.0 * log * var))
+
+
+# D0's, D1's and the double clicks' counts against their click law: a
+# detector clicks with p = 1 - (1 - dark) exp(-eta mu) at its mean mu, and the
+# two detectors draw independently, so both click with p0 p1. These hold for
+# any correct draw of the clicks, so they judge a re-draw that the golden
+# digests can only reject.
+@pytest.mark.parametrize("name", list(_GOLDEN_CONFIGS))
+def test_golden_sessions_follow_the_click_law(name):
+    cfg = _GOLDEN_CONFIGS[name]
+    records = run_session(cfg)
+    p0, p1 = (1.0 - (1.0 - cfg.dark_prob) * np.exp(-cfg.efficiency * mu) for mu in detector_means(cfg))
+    d0, d1 = records.clicked_d0, records.clicked_d1
+    for what, clicked, p in (("d0", d0, p0), ("d1", d1, p1), ("double", d0 & d1, p0 * p1)):
+        count = np.count_nonzero(clicked)
+        assert _law_gap(count, p) <= 1.0, (what, count, p.sum())
+
+
+# under 'random' a fair coin gives each double click to one detector: the D0
+# share of the 'discard' session's double clicks is binomial with chance 1/2
+@pytest.mark.parametrize("name", list(_GOLDEN_CONFIGS))
+def test_random_policy_splits_double_clicks_evenly(name):
+    cfg = _GOLDEN_CONFIGS[name]
+    raw = run_session(cfg)
+    both = raw.clicked_d0 & raw.clicked_d1
+    records = run_session(replace(cfg, double_click_policy="random"))
+    assert not (records.clicked_d0 & records.clicked_d1).any()
+    heads, doubles = np.count_nonzero(records.clicked_d0[both]), np.count_nonzero(both)
+    assert _law_gap(heads, np.full(doubles, 0.5)) <= 1.0, (heads, doubles)
 
 
 def _peak_bytes_per_bit(fn, n_bits, **settings):
